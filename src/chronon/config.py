@@ -6,6 +6,7 @@ same kebab-case names as the CLI flags.  Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -46,6 +47,13 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        for name in _FLOAT_KEYS:
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {val}")
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                   for v in self.spinor_seed):
+            raise ConfigError("spinor-seed components must be finite")
         for name in ("hbar", "c", "mass", "p_max", "p_max_2d", "sigma_p", "t_max"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name.replace('_', '-')} must be strictly positive")
@@ -96,6 +104,7 @@ KEY_SPECS = {
     "emit-plots": ("emit_plots", _parse_bool),
     "seed": ("seed", int),
 }
+_FLOAT_KEYS = tuple(attr for attr, parse in KEY_SPECS.values() if parse is float)
 
 
 def read_config_file(path: str) -> dict[str, object]:

@@ -19,7 +19,6 @@ Sign conventions fixed here (the source relations leave them open):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +145,22 @@ def extract_generators(rep: CoordinateRep) -> GeneratorSet:
     return GeneratorSet(L=tuple(ls), M=tuple(ms))
 
 
+def _levi_civita() -> np.ndarray:
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in _CYCLIC:
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    return eps
+
+
+_EPS = _levi_civita()
+
+
+def _jk_bracket(J, K, i: int, j: int) -> np.ndarray:
+    """[J_i, K_j] - i eps_ijk K_k, which vanishes on a closed algebra."""
+    target = sum(_EPS[i, j, k] * K[k] for k in range(3))
+    return commutator(J[i], K[j]) - 1j * target
+
+
 def verify_lorentz_algebra(gen: GeneratorSet, hbar: float) -> float:
     """Max residual of the J/K closure relations with J = L/hbar, K = M/hbar.
 
@@ -159,13 +174,9 @@ def verify_lorentz_algebra(gen: GeneratorSet, hbar: float) -> float:
     for i, j, k in _CYCLIC:
         worst = max(worst, frobenius(commutator(J[i], J[j]) - 1j * J[k]))
         worst = max(worst, frobenius(commutator(K[i], K[j]) + 1j * J[k]))
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in _CYCLIC:
-        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
     for i in range(3):
         for j in range(3):
-            target = sum(eps[i, j, k] * K[k] for k in range(3))
-            worst = max(worst, frobenius(commutator(J[i], K[j]) - 1j * target))
+            worst = max(worst, frobenius(_jk_bracket(J, K, i, j)))
     return worst
 
 
@@ -185,54 +196,84 @@ def is_spin_half(spectra, hbar: float, tol: float = 1e-12) -> bool:
     return all(np.max(np.abs(vals - target)) <= tol for vals in spectra)
 
 
-def _golden_refine(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimum of a unimodal 1-D function on [lo, hi]."""
-    invphi = (math.sqrt(5) - 1) / 2
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2
-
-
 _GRID_STEP = 1.0 / 16.0
 _GRID_HALF_WIDTH = 2.0
+_TIE_TOL = 1e-12
+_ZOOM_POINTS = 17
+_ZOOM_SHRINK = 4
+_ZOOM_MIN_HALF_WIDTH = 1e-12
+
+
+def _square(center: complex, half_width: float, points: int) -> np.ndarray:
+    """points x points candidates centred on ``center``, flattened real part first."""
+    axis = np.linspace(-half_width, half_width, points)
+    return (center + axis[:, None] + 1j * axis[None, :]).ravel()
 
 
 def _complex_grid_search(residual) -> complex:
-    """Scan the complex square [-2,2]^2 at step 1/16, then refine each axis.
+    """Scan the complex square [-2,2]^2 at step 1/16, then zoom in on the best point.
 
-    Ties within 1e-12 break toward larger real part, then larger imaginary
-    part, so symmetric minima resolve deterministically.
+    ``residual`` maps an array of candidates to an array of residuals, so each
+    grid is one call.  On the coarse 65 x 65 grid, candidates within 1e-12 of
+    the minimum tie, and ties break toward larger real part, then larger
+    imaginary part, so symmetric minima resolve deterministically.  Each zoom
+    level is a 17 x 17 grid around the current best point that takes the strict
+    (first) minimum; its half-width starts at one coarse step and shrinks 4x
+    per level until it is below 1e-12.
     """
     steps = int(round(2 * _GRID_HALF_WIDTH / _GRID_STEP)) + 1
-    axis = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, steps)
-    best, best_val = 0j, math.inf
-    for re in axis:
-        for im in axis:
-            z = complex(re, im)
-            r = residual(z)
-            if r < best_val - 1e-12 or (
-                abs(r - best_val) <= 1e-12
-                and (z.real, z.imag) > (best.real, best.imag)
-            ):
-                best, best_val = z, r
-    for _ in range(3):
-        re = _golden_refine(lambda x: residual(complex(x, best.imag)),
-                            best.real - _GRID_STEP, best.real + _GRID_STEP)
-        best = complex(re, best.imag)
-        im = _golden_refine(lambda y: residual(complex(best.real, y)),
-                            best.imag - _GRID_STEP, best.imag + _GRID_STEP)
-        best = complex(best.real, im)
-    return best
+    grid = _square(0j, _GRID_HALF_WIDTH, steps)
+    r = residual(grid)
+    ties = grid[r <= r.min() + _TIE_TOL]
+    best = ties[np.lexsort((ties.imag, ties.real))[-1]]
+    half_width = _GRID_STEP
+    while half_width >= _ZOOM_MIN_HALF_WIDTH:
+        grid = _square(best, half_width, _ZOOM_POINTS)
+        best = grid[np.argmin(residual(grid))]
+        half_width /= _ZOOM_SHRINK
+    return complex(best)
+
+
+def _kappa_residual(dset: DiracMatrixSet, params: PhysicalParams):
+    """Batched ||[x, y] - (i a^2 / hbar)(hbar/2) Sigma_z||_F over candidate kappas.
+
+    [x, y] = kappa^2 [a alpha_x, a alpha_y], so one bracket serves every candidate.
+    """
+    hbar, a = params.hbar, params.a
+    target = (1j * a**2 / hbar) * (hbar / 2) * dset.sigma_big[2]
+    bracket = commutator(a * dset.alpha[0], a * dset.alpha[1])
+
+    def residual(kappa):
+        k2 = np.asarray(kappa)[..., None, None] ** 2
+        return np.linalg.norm(k2 * bracket - target, axis=(-2, -1))
+    return residual
+
+
+def _kappa_t_residual(dset: DiracMatrixSet, params: PhysicalParams, kappa: complex):
+    """Batched ``verify_lorentz_algebra`` residual over candidate kappa_t at fixed kappa.
+
+    J does not depend on kappa_t and K_i = kappa_t K1_i, with K1 the boosts at
+    kappa_t = 1.  So [J,J] - iJ is constant, [K,K] + iJ = kappa_t^2 [K1,K1] + iJ
+    is quadratic and [J,K] - i eps K = kappa_t ([J,K1] - i eps K1) is linear;
+    every bracket is computed once.
+    """
+    hbar = params.hbar
+    gen = extract_generators(coordinate_rep(dset, params, kappa, 1.0))
+    J = [l / hbar for l in gen.L]
+    K1 = [m / hbar for m in gen.M]
+    jj = max(frobenius(commutator(J[i], J[j]) - 1j * J[k]) for i, j, k in _CYCLIC)
+    kk_quad = [commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC]
+    kk_const = [1j * J[k] for _, _, k in _CYCLIC]
+    jk = max(frobenius(_jk_bracket(J, K1, i, j)) for i in range(3) for j in range(3))
+
+    def residual(kappa_t):
+        kt = np.asarray(kappa_t)
+        worst = np.maximum(jj, np.abs(kt) * jk)
+        kt2 = kt[..., None, None] ** 2
+        for quad, const in zip(kk_quad, kk_const):
+            worst = np.maximum(worst, np.linalg.norm(kt2 * quad + const, axis=(-2, -1)))
+        return worst
+    return residual
 
 
 def solve_normalization(dset: DiracMatrixSet,
@@ -241,25 +282,17 @@ def solve_normalization(dset: DiracMatrixSet,
 
     kappa balances [x, y] against (i a^2 / hbar) * (hbar/2) Sigma_z; kappa_t
     then minimizes the Lorentz-closure residual of the extracted generators.
-    Returns (kappa, kappa_t, residual of the best pair).  Both sides of the
-    kappa balance scale as a^2, so the result is a-independent.
+    Both are direct searches (``_complex_grid_search``) whose residuals take
+    every candidate of a grid in one array call; the closed forms kappa = 1/2
+    and kappa_t = i/2 are not used.  Returns (kappa, kappa_t, residual of the
+    best pair).  Both sides of the kappa balance scale as a^2, so the result
+    is a-independent.
     """
-    hbar, a = params.hbar, params.a
-    target = (1j * a**2 / hbar) * (hbar / 2) * dset.sigma_big[2]
-
-    def kappa_residual(kap: complex) -> float:
-        xr = kap * a * dset.alpha[0]
-        yr = kap * a * dset.alpha[1]
-        return frobenius(commutator(xr, yr) - target)
-
+    kappa_residual = _kappa_residual(dset, params)
     kappa = _complex_grid_search(kappa_residual)
-
-    def kappa_t_residual(kt: complex) -> float:
-        rep = coordinate_rep(dset, params, kappa, kt)
-        return verify_lorentz_algebra(extract_generators(rep), hbar)
-
+    kappa_t_residual = _kappa_t_residual(dset, params, kappa)
     kappa_t = _complex_grid_search(kappa_t_residual)
-    residual = max(kappa_residual(kappa), kappa_t_residual(kappa_t))
+    residual = max(float(kappa_residual(kappa)), float(kappa_t_residual(kappa_t)))
     return kappa, kappa_t, residual
 
 

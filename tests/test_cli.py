@@ -82,6 +82,18 @@ class TestExitStatuses:
         assert run(["zitterbewegung", "--mass", "-1",
                     "--output-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-max", "inf"),
+        ("--p-max", "nan"),
+        ("--spinor-seed", "nan,0,1,0"),
+        ("--mass", "nan"),
+    ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, flag, value):
+        assert run(["all", flag, value, "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronon: config error:")
+        assert err.count("\n") == 1
+
     def test_unwritable_output_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

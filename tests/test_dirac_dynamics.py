@@ -218,6 +218,44 @@ class TestPositionSeries:
         assert mixed_amp / max(pos_amp, 1e-300) >= 1e6
 
 
+class TestSeriesPaths:
+    """Both closed-form series paths against expect_position(evolve(f, t))."""
+
+    @pytest.mark.parametrize("mode, n, p0, sigma_p, mass", [
+        ("mixed", 1024, 0.0, 0.1, 1.0),
+        ("positive", 1024, 0.0, 0.1, 1.0),
+        ("mixed", 1024, 0.5, 0.1, 1.0),
+        ("mixed", 1024, 0.0, 0.1, 2.0),
+        ("mixed", 2048, 0.0, 2.0, 1.0),
+    ], ids=["default-mixed", "default-positive", "p0-0.5", "m-2", "packet-wide"])
+    def test_paths_match_per_time_evolution(self, mode, n, p0, sigma_p, mass):
+        params = PhysicalParams(m=mass)
+        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), params, p0, sigma_p, mode, SEED)
+        # Every 13th of the 4096 default times spans several chunks of either path.
+        times = np.linspace(0.0, 50.0, 4096)[::13]
+        sampled = np.arange(0, len(times), 10)
+        reference = [dd.expect_position(dd.evolve(f, t)) for t in times[sampled]]
+        assert len(sampled) >= 32
+        narrow = dd._series_narrow(f, times, dd._support(f.amps))
+        wide = dd._series_wide(f, times)
+        np.testing.assert_allclose(narrow[sampled], reference, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(wide[sampled], reference, rtol=0, atol=1e-13)
+
+    def test_support_rule(self, mixed, positive):
+        # Modes whose spinor norm exceeds 1e-18 of the peak: 65 and 66 of 1024.
+        assert dd._support(mixed.amps) == slice(480, 545)
+        assert dd._support(positive.amps) == slice(480, 546)
+        wide = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
+        assert dd._support(wide.amps) == slice(0, 2048)
+
+    def test_cost_model_picks_path(self, mixed, mixed_series):
+        narrow = dd._series_narrow(mixed, mixed_series.times, dd._support(mixed.amps))
+        np.testing.assert_array_equal(mixed_series.values, narrow)
+        wide = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
+        series = dd.position_series(wide, 5.0, 64)
+        np.testing.assert_array_equal(series.values, dd._series_wide(wide, series.times))
+
+
 class TestSlidingAverage:
     def test_constant_series_unchanged(self):
         t = np.linspace(0, 10, 256)

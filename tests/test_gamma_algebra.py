@@ -117,6 +117,58 @@ class TestSolveNormalization:
         assert resid > 0
 
 
+UNITS = [dict(), dict(m=2.0, a=0.5), dict(hbar=2.0, c=3.0), dict(a=0.1), dict(a=7.5)]
+UNIT_IDS = ["defaults", "m2-a0.5", "hbar2-c3", "a0.1", "a7.5"]
+
+
+class TestBatchedSearch:
+    """The array residuals and zoom search against per-point evaluation."""
+
+    @pytest.fixture(scope="class")
+    def candidates(self):
+        rng = np.random.default_rng(2)
+        return rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+
+    @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
+    def test_kappa_residual_matches_per_point(self, kwargs, candidates):
+        p = ga.PhysicalParams(**kwargs)
+        dset = ga.build_dirac_set(p)
+        target = (1j * p.a**2 / p.hbar) * (p.hbar / 2) * dset.sigma_big[2]
+        reference = [frobenius(commutator(k * p.a * dset.alpha[0], k * p.a * dset.alpha[1])
+                               - target) for k in candidates]
+        np.testing.assert_allclose(ga._kappa_residual(dset, p)(candidates), reference,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.45 + 0.05j])
+    @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
+    def test_kappa_t_residual_matches_per_point(self, kwargs, kappa, candidates):
+        p = ga.PhysicalParams(**kwargs)
+        dset = ga.build_dirac_set(p)
+        reference = [ga.verify_lorentz_algebra(
+            ga.extract_generators(ga.coordinate_rep(dset, p, kappa, kt)), p.hbar)
+            for kt in candidates]
+        np.testing.assert_allclose(ga._kappa_t_residual(dset, p, kappa)(candidates),
+                                   reference, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
+    def test_search_recovers_closed_forms(self, kwargs):
+        p = ga.PhysicalParams(**kwargs)
+        kappa, kappa_t, resid = ga.solve_normalization(ga.build_dirac_set(p), p)
+        assert abs(kappa - 0.5) <= 1e-12
+        assert abs(kappa_t - 0.5j) <= 1e-12
+        assert resid <= 1e-10
+
+    def test_zoom_reaches_off_grid_minimum(self):
+        z0 = 0.123456789 - 1.23456789j
+        best = ga._complex_grid_search(lambda z: np.abs(z - z0))
+        assert abs(best - z0) <= 1e-12
+
+    def test_coarse_tie_prefers_larger_real_then_imaginary(self):
+        # |z^2 - 1/4| vanishes at +-1/2, both on the coarse grid.
+        assert ga._complex_grid_search(lambda z: np.abs(z**2 - 0.25)) == 0.5
+        assert ga._complex_grid_search(lambda z: np.abs(z**2 + 0.25)) == 0.5j
+
+
 class TestGenerators:
     def canonical(self, dset, params):
         return ga.extract_generators(ga.coordinate_rep(dset, params, 0.5, 0.5j))
