@@ -46,8 +46,8 @@ def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
     dset = ga.build_dirac_set(params)
     report = Report("verify-algebra")
 
-    report.add("clifford residual", ga.verify_clifford(dset), f"<= {CLIFFORD_TOL}",
-               ga.verify_clifford(dset) <= CLIFFORD_TOL)
+    clifford = ga.verify_clifford(dset)
+    report.add("clifford residual", clifford, f"<= {CLIFFORD_TOL}", clifford <= CLIFFORD_TOL)
 
     factor = ga.deformation_factor(params, params.m * params.c, "space")
     expected_factor = 1.0 + (params.a * params.m * params.c / params.hbar) ** 2
@@ -71,11 +71,10 @@ def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
         gen = ga.extract_generators(rep)
         spectra = ga.spin_spectrum(gen)
         half = params.hbar / 2
-        report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if
-                   ga.is_spin_half(spectra, params.hbar, SPIN_TOL) else
+        spin_half = ga.is_spin_half(spectra, params.hbar, SPIN_TOL)
+        report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
                    "; ".join(str(np.round(s, 6)) for s in spectra),
-                   f"{{-{half:g} x2, +{half:g} x2}}",
-                   ga.is_spin_half(spectra, params.hbar, SPIN_TOL))
+                   f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
         closure = ga.verify_lorentz_algebra(gen, params.hbar)
         report.add("lorentz closure residual", closure, f"<= {LORENTZ_TOL}",
                    closure <= LORENTZ_TOL)
@@ -236,11 +235,12 @@ def run_averaging(cfg: RunConfig, outdir: str,
                    "diagnostic only", None)
 
     outputs = ["averaging.csv"]
-    avg_by_time = dict(zip(np.round(avg_compton.times, 12), avg_compton.values))
-    rows = [[t, x, avg_by_time.get(round(t, 12), "")]
-            for t, x in zip(mixed.times, mixed.values)]
-    write_csv(os.path.join(outdir, "averaging.csv"),
-              ["t", "x_raw", "x_averaged"], rows)
+    # sliding_average returns a centred slice of the times, so padding half a
+    # window of blanks at each end lines the averaged column up with the raw one.
+    half = (len(mixed.values) - len(avg_compton.values)) // 2
+    averaged = [""] * half + list(avg_compton.values) + [""] * half
+    write_csv(os.path.join(outdir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
+              [list(row) for row in zip(mixed.times, mixed.values, averaged)])
     if cfg.emit_plots:
         render_line_plot([mixed, avg_compton, avg_period],
                          ["raw", "compton window", "full-period window"],
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key = value config file")
         for key, (attr, parse) in KEY_SPECS.items():
-            if parse is bool or key == "emit-plots":
+            if key == "emit-plots":
                 p.add_argument(f"--{key}", dest=attr, default=None,
                                action=argparse.BooleanOptionalAction)
             else:

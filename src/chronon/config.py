@@ -32,7 +32,6 @@ class RunConfig:
     p_max_2d: float = 12.0
     p0: float = 0.0
     sigma_p: float = 0.1
-    mode: str = "mixed"
     spinor_seed: tuple[complex, ...] = (1 + 0j, 0j, 1 + 0j, 0j)
     t_max: float = 50.0
     n_samples: int = 4096
@@ -59,8 +58,6 @@ class RunConfig:
                 raise ConfigError(f"{name.replace('_', '-')} must be strictly positive")
         if self.a is not None and self.a < 0:
             raise ConfigError("a must be nonnegative")
-        if self.mode not in ("mixed", "positive", "negative"):
-            raise ConfigError(f"mode must be mixed, positive or negative, got {self.mode!r}")
         if len(self.spinor_seed) != 4:
             raise ConfigError("spinor-seed needs exactly 4 components")
         if self.n_samples < 2 or self.grid_n < 8 or self.grid_n_2d < 8:
@@ -95,7 +92,6 @@ KEY_SPECS = {
     "p-max-2d": ("p_max_2d", float),
     "p0": ("p0", float),
     "sigma-p": ("sigma_p", float),
-    "mode": ("mode", str),
     "spinor-seed": ("spinor_seed", _parse_seed_vector),
     "t-max": ("t_max", float),
     "n-samples": ("n_samples", int),

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chronon.gamma_algebra import PhysicalParams
+from chronon.gamma_algebra import ALPHA, BETA, PhysicalParams
 from chronon.snyder_rep import GridSpec1D, spectral_derivative
-
-_ALPHA_Z = np.array([[0, 0, 1, 0],
-                     [0, 0, 0, -1],
-                     [1, 0, 0, 0],
-                     [0, -1, 0, 0]], dtype=complex)
-_BETA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 
 
 def mode_energy(p, params: PhysicalParams):
@@ -30,22 +24,9 @@ def mode_energy(p, params: PhysicalParams):
                    + (params.m * params.c**2) ** 2)
 
 
-def mode_hamiltonian(p: float, params: PhysicalParams) -> np.ndarray:
-    """H(p) = c alpha_z p + beta m c^2 for a single momentum mode."""
-    return params.c * p * _ALPHA_Z + params.m * params.c**2 * _BETA
-
-
-def energy_projectors(p: float, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """(Lambda_plus, Lambda_minus) = (I +- H/E)/2."""
-    h = mode_hamiltonian(p, params)
-    e = mode_energy(p, params)
-    eye = np.eye(4, dtype=complex)
-    return (eye + h / e) / 2, (eye - h / e) / 2
-
-
 def _apply_hamiltonian(amps: np.ndarray, p: np.ndarray, params: PhysicalParams) -> np.ndarray:
     # amps rows are spinors; alpha_z and beta are symmetric, so right-multiply works.
-    return (params.c * p[:, None]) * (amps @ _ALPHA_Z) + params.m * params.c**2 * (amps @ _BETA)
+    return (params.c * p[:, None]) * (amps @ ALPHA[2]) + params.m * params.c**2 * (amps @ BETA)
 
 
 @dataclass(frozen=True)
@@ -103,13 +84,6 @@ def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
     return SpinorMomentumField(grid=field.grid, amps=amps, params=field.params)
 
 
-def translate(field: SpinorMomentumField, eps: float) -> SpinorMomentumField:
-    """Spatial translation by eps: multiply by exp(-i eps p / hbar)."""
-    phase = np.exp(-1j * eps * field.grid.points / field.params.hbar)
-    return SpinorMomentumField(grid=field.grid, amps=phase[:, None] * field.amps,
-                               params=field.params)
-
-
 def position_expectation(field: SpinorMomentumField) -> complex:
     """<psi| i hbar d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
     deriv = spectral_derivative(field.amps, field.grid, axis=0)
@@ -144,7 +118,7 @@ def zb_decomposition(field: SpinorMomentumField, t: float) -> tuple[float, compl
     # H^-1 = H / E^2 since H^2 = E^2.
     drift = np.sum(np.conj(evolved.amps) * (params.c**2 * p / e**2)[:, None] * h_amps) * field.grid.dp
     # (alpha - c p H^-1) H^-1 psi = alpha (H psi)/E^2 - c p psi / E^2  (H^2 = E^2)
-    zb_apply = ((h_amps @ _ALPHA_Z) - (params.c * p)[:, None] * evolved.amps) / e[:, None] ** 2
+    zb_apply = ((h_amps @ ALPHA[2]) - (params.c * p)[:, None] * evolved.amps) / e[:, None] ** 2
     zb = (1j * params.hbar * params.c / 2) * np.sum(np.conj(evolved.amps) * zb_apply) * field.grid.dp
     return float(np.real(drift)), complex(zb)
 

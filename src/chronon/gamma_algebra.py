@@ -1,7 +1,8 @@
 """Dirac-representation matrices as coordinate operators on quantized spacetime.
 
 Builds the block matrices (beta diagonal, alpha off-diagonal with Pauli
-blocks), checks the Clifford relations in signature (+,-,-,-), represents the
+blocks) once, as the read-only ``BETA`` and ``ALPHA`` that every other layer
+uses, checks the Clifford relations in signature (+,-,-,-), represents the
 noncommuting coordinates as x_i = kappa*a*alpha_i and t = kappa_t*(a/c)*beta,
 recovers the normalization constants by search, extracts rotation and boost
 generators from the coordinate brackets, and verifies that the angular part
@@ -19,24 +20,43 @@ Sign conventions fixed here (the source relations leave them open):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from chronon.matrix_core import (
-    NotHermitianError,
-    commutator,
-    anticommutator,
-    frobenius,
-    hermitian_eig,
-    is_hermitian,
-    kron,
-)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+I2 = np.eye(2, dtype=complex)
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# The Dirac representation itself; every DiracMatrixSet shares these arrays.
+BETA = _frozen(np.kron(PAULI_Z, I2))
+ALPHA = tuple(_frozen(np.kron(PAULI_X, s)) for s in PAULI)
+
+
+class NotHermitianError(ValueError):
+    """Matrix fails the Hermiticity tolerance required by the operation."""
+
+
+def is_hermitian(a: np.ndarray, rtol: float = 1e-12) -> bool:
+    return np.linalg.norm(a - a.conj().T) <= rtol * max(np.linalg.norm(a), 1.0)
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] = AB - BA."""
+    return a @ b - b @ a
+
+
+def frobenius(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a))
+
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -77,18 +97,14 @@ class DiracMatrixSet:
     gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     sigma_big: tuple[np.ndarray, np.ndarray, np.ndarray]
     spin: tuple[np.ndarray, np.ndarray, np.ndarray]
-    pauli: tuple[np.ndarray, np.ndarray, np.ndarray] = PAULI
 
 
 def build_dirac_set(params: PhysicalParams) -> DiracMatrixSet:
     """beta = diag(1,1,-1,-1); alpha_i with sigma_i in both off-diagonal blocks."""
-    i2 = np.eye(2, dtype=complex)
-    beta = kron(PAULI_Z, i2)
-    alpha = tuple(kron(PAULI_X, s) for s in PAULI)
-    gamma = (beta,) + tuple(beta @ a for a in alpha)
-    sigma_big = tuple(kron(np.eye(2, dtype=complex), s) for s in PAULI)
+    gamma = (BETA,) + tuple(BETA @ a for a in ALPHA)
+    sigma_big = tuple(np.kron(I2, s) for s in PAULI)
     spin = tuple((params.hbar / 2) * s for s in sigma_big)
-    return DiracMatrixSet(beta=beta, alpha=alpha, gamma=gamma,
+    return DiracMatrixSet(beta=BETA, alpha=ALPHA, gamma=gamma,
                           sigma_big=sigma_big, spin=spin)
 
 
@@ -98,7 +114,8 @@ def verify_clifford(dset: DiracMatrixSet) -> float:
     worst = 0.0
     for mu in range(4):
         for nu in range(mu, 4):
-            res = anticommutator(dset.gamma[mu], dset.gamma[nu]) - 2 * METRIC[mu, nu] * eye4
+            g_mu, g_nu = dset.gamma[mu], dset.gamma[nu]
+            res = g_mu @ g_nu + g_nu @ g_mu - 2 * METRIC[mu, nu] * eye4
             worst = max(worst, frobenius(res))
     return worst
 
@@ -186,7 +203,7 @@ def spin_spectrum(gen: GeneratorSet) -> list[np.ndarray]:
     for i, l in enumerate(gen.L):
         if not is_hermitian(l):
             raise NotHermitianError(f"L_{'xyz'[i]} is not Hermitian")
-        spectra.append(hermitian_eig(l).eigenvalues)
+        spectra.append(np.linalg.eigvalsh(l))
     return spectra
 
 

@@ -48,9 +48,15 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve("zitterbewegung", {}, {"mass": -1.0})
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve("zitterbewegung", {}, {"mode": "projected"})
+    def test_bad_mode_rejected(self, tmp_path):
+        # The packet commands always run both packets, so there is no mode to
+        # choose: asking for one is a usage or config error.
+        with pytest.raises(SystemExit) as exc:
+            main(["zitterbewegung", "--mode", "positive", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        path = tmp_path / "run.cfg"
+        path.write_text("mode = mixed\n")
+        assert run(["zitterbewegung", "--config", path, "--output-dir", tmp_path]) == 2
 
     def test_spinor_seed_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"

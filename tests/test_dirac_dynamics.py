@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chronon import dirac_dynamics as dd
+from chronon import gamma_algebra as ga
 from chronon.gamma_algebra import PhysicalParams
 from chronon.snyder_rep import GridSpec1D
 
@@ -30,15 +31,23 @@ def positive_series(positive):
     return dd.position_series(positive, 50.0, 4096)
 
 
+def energy_projectors(p, params):
+    """(Lambda_plus, Lambda_minus) = (I +- H/E)/2 for momentum p along z."""
+    h = ga.free_hamiltonian(ga.build_dirac_set(params), params, (0.0, 0.0, p))
+    e = dd.mode_energy(p, params)
+    eye = np.eye(4, dtype=complex)
+    return (eye + h / e) / 2, (eye - h / e) / 2
+
+
 class TestProjectors:
     def test_rest_frame(self):
-        lp, lm = dd.energy_projectors(0.0, PARAMS)
+        lp, lm = energy_projectors(0.0, PARAMS)
         np.testing.assert_allclose(lp, np.diag([1, 1, 0, 0]), atol=1e-15)
         np.testing.assert_allclose(lm, np.diag([0, 0, 1, 1]), atol=1e-15)
 
     @pytest.mark.parametrize("p", [-3.0, 0.0, 0.7, 12.0])
     def test_projector_algebra(self, p):
-        lp, lm = dd.energy_projectors(p, PARAMS)
+        lp, lm = energy_projectors(p, PARAMS)
         eye = np.eye(4)
         assert np.linalg.norm(lp + lm - eye) <= 1e-12
         assert np.linalg.norm(lp @ lp - lp) <= 1e-12
@@ -46,14 +55,30 @@ class TestProjectors:
         assert abs(np.trace(lp) - 2) <= 1e-12
 
     def test_unit_momentum_eigenvalues(self):
-        lp, _ = dd.energy_projectors(1.0, PARAMS)
+        lp, _ = energy_projectors(1.0, PARAMS)
         vals = np.linalg.eigvalsh(lp)
         np.testing.assert_allclose(vals, [0, 0, 1, 1], atol=1e-12)
 
     def test_mode_hamiltonian_spectrum(self):
-        h = dd.mode_hamiltonian(0.8, PARAMS)
+        h = ga.free_hamiltonian(ga.build_dirac_set(PARAMS), PARAMS, (0.0, 0.0, 0.8))
         e = dd.mode_energy(0.8, PARAMS)
         np.testing.assert_allclose(np.linalg.eigvalsh(h), [-e, -e, e, e], atol=1e-12)
+
+
+class TestOneHamiltonian:
+    @pytest.mark.parametrize("mass", [0.5, 1.0, 3.0])
+    def test_dynamics_applies_free_hamiltonian(self, mass):
+        # The dynamics applies the same H(p) = c alpha_z p + beta m c^2 as the
+        # algebra layer, row by row on random spinors.
+        params = PhysicalParams(m=mass, c=1.5)
+        dset = ga.build_dirac_set(params)
+        rng = np.random.default_rng(11)
+        p = np.array([-7.0, -0.3, 0.0, 0.25, 4.0])
+        amps = rng.normal(size=(len(p), 4)) + 1j * rng.normal(size=(len(p), 4))
+        h_amps = dd._apply_hamiltonian(amps, p, params)
+        for i, p_i in enumerate(p):
+            expected = ga.free_hamiltonian(dset, params, (0.0, 0.0, p_i)) @ amps[i]
+            np.testing.assert_allclose(h_amps[i], expected, rtol=0, atol=1e-13)
 
 
 class TestInitPacket:
@@ -131,7 +156,9 @@ class TestExpectPosition:
 
     def test_translation_shifts_expectation(self, mixed):
         eps = 0.37
-        shifted = dd.translate(mixed, eps)
+        phase = np.exp(-1j * eps * GRID.points / PARAMS.hbar)
+        shifted = dd.SpinorMomentumField(grid=GRID, amps=phase[:, None] * mixed.amps,
+                                         params=PARAMS)
         assert dd.expect_position(shifted) - dd.expect_position(mixed) == pytest.approx(eps, abs=1e-9)
 
     def test_drift_matches_group_velocity(self):
@@ -145,23 +172,6 @@ class TestExpectPosition:
         t = 10.0
         drift = dd.expect_position(dd.evolve(f, t)) - dd.expect_position(f)
         assert drift == pytest.approx(v_group * t, abs=1e-6)
-
-
-class TestTranslate:
-    def test_zero_is_identity(self, mixed):
-        np.testing.assert_array_equal(dd.translate(mixed, 0.0).amps, mixed.amps)
-
-    def test_first_order_expansion_quadratic_remainder(self, mixed):
-        p = GRID.points[:, None]
-        norm0 = np.sqrt(np.sum(np.abs(mixed.amps) ** 2) * GRID.dp)
-        residuals = []
-        for eps in (1e-3, 5e-4):
-            approx = (1 - 1j * eps * p / PARAMS.hbar) * mixed.amps
-            exact = dd.translate(mixed, eps).amps
-            residuals.append(np.sqrt(np.sum(np.abs(exact - approx) ** 2) * GRID.dp))
-        assert residuals[0] <= 1e-6 * norm0 * 400  # C * eps^2 with C ~ <p^2>/2
-        # halving eps shrinks the remainder ~4x
-        assert residuals[1] == pytest.approx(residuals[0] / 4, rel=0.05)
 
 
 class TestZbDecomposition:
