@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chronon import gamma_algebra as ga
 from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
@@ -15,54 +13,6 @@ def params():
 @pytest.fixture(scope="module")
 def dset(params):
     return ga.build_dirac_set(params)
-
-
-def finite_complex(max_magnitude=5.0):
-    real = st.floats(-max_magnitude, max_magnitude, allow_nan=False)
-    return st.builds(complex, real, real)
-
-
-def matrices_2x2():
-    return st.lists(finite_complex(), min_size=4, max_size=4).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(2, 2))
-
-
-class TestCommutator:
-    def test_self_commutator_is_zero(self):
-        a = np.array([[1, 2j], [3, 4]], dtype=complex)
-        assert np.array_equal(commutator(a, a), np.zeros((2, 2)))
-
-    def test_pauli_algebra(self):
-        np.testing.assert_allclose(commutator(ga.PAULI_X, ga.PAULI_Y), 2j * ga.PAULI_Z,
-                                   atol=1e-15)
-
-    def test_alpha_commutator_gives_big_sigma(self, dset):
-        # [alpha_x, alpha_y] = 2i Sigma_z, by direct 4x4 multiplication.
-        ax, ay = dset.alpha[0], dset.alpha[1]
-        oracle = ax @ ay - ay @ ax
-        np.testing.assert_allclose(commutator(ax, ay), oracle, atol=0)
-        np.testing.assert_allclose(oracle, 2j * dset.sigma_big[2], atol=1e-15)
-
-    @given(matrices_2x2(), matrices_2x2())
-    def test_antisymmetry(self, a, b):
-        np.testing.assert_allclose(commutator(a, b), -commutator(b, a), atol=1e-9)
-
-    @given(matrices_2x2(), matrices_2x2(), matrices_2x2())
-    @settings(max_examples=50)
-    def test_jacobi_identity(self, a, b, c):
-        lhs = (commutator(commutator(a, b), c)
-               + commutator(commutator(b, c), a)
-               + commutator(commutator(c, a), b))
-        scale = max(frobenius(a) * frobenius(b) * frobenius(c), 1.0)
-        assert frobenius(lhs) <= 1e-10 * scale
-
-    @given(matrices_2x2(), matrices_2x2(), matrices_2x2())
-    @settings(max_examples=50)
-    def test_bilinearity(self, a, b, c):
-        lhs = commutator(a + b, c)
-        rhs = commutator(a, c) + commutator(b, c)
-        scale = max(frobenius(a) + frobenius(b), 1.0) * max(frobenius(c), 1.0)
-        assert frobenius(lhs - rhs) <= 1e-10 * scale
 
 
 class TestPhysicalParams:

@@ -1,22 +1,16 @@
+"""Tests of the matrix helpers in gamma_algebra (commutator, frobenius).
+
+The helpers lived in a separate matrix_core module before gamma_algebra became
+the one home of the Dirac matrices; the file keeps that name so the test ids
+stay the same.
+"""
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronon.gamma_algebra import PAULI_X, PAULI_Y, PAULI_Z, PhysicalParams, build_dirac_set
-from chronon.matrix_core import (
-    DimensionError,
-    EigenSystem,
-    NotHermitianError,
-    anticommutator,
-    commutator,
-    evolution_factor,
-    frobenius,
-    hermitian_eig,
-    kron,
-)
-
-I2 = np.eye(2, dtype=complex)
+from chronon.gamma_algebra import (PAULI_X, PAULI_Y, PAULI_Z, PhysicalParams, build_dirac_set,
+                                   commutator, frobenius)
 
 
 def finite_complex(max_magnitude=5.0):
@@ -45,10 +39,6 @@ class TestCommutator:
         np.testing.assert_allclose(commutator(ax, ay), oracle, atol=0)
         np.testing.assert_allclose(oracle, 2j * dset.sigma_big[2], atol=1e-15)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            commutator(I2, np.eye(4))
-
     @given(matrices_2x2(), matrices_2x2())
     def test_antisymmetry(self, a, b):
         np.testing.assert_allclose(commutator(a, b), -commutator(b, a), atol=1e-9)
@@ -69,112 +59,3 @@ class TestCommutator:
         rhs = commutator(a, c) + commutator(b, c)
         scale = max(frobenius(a) + frobenius(b), 1.0) * max(frobenius(c), 1.0)
         assert frobenius(lhs - rhs) <= 1e-10 * scale
-
-
-class TestAnticommutator:
-    def test_pauli_square(self):
-        np.testing.assert_allclose(anticommutator(PAULI_X, PAULI_X), 2 * I2, atol=0)
-
-    def test_distinct_paulis_anticommute(self):
-        assert frobenius(anticommutator(PAULI_X, PAULI_Y)) == 0
-
-    def test_gamma0_gamma1_anticommute(self):
-        dset = build_dirac_set(PhysicalParams())
-        g0, g1 = dset.gamma[0], dset.gamma[1]
-        oracle = g0 @ g1 + g1 @ g0
-        np.testing.assert_allclose(anticommutator(g0, g1), oracle, atol=0)
-        assert frobenius(oracle) <= 1e-15
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            anticommutator(np.eye(3), I2)
-
-
-class TestKron:
-    def test_identity_left(self):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = PAULI_X
-        expected[2:, 2:] = PAULI_X
-        np.testing.assert_array_equal(kron(I2, PAULI_X), expected)
-
-    def test_sigma_x_left_gives_antidiagonal_identity_blocks(self):
-        m = kron(PAULI_X, I2)
-        np.testing.assert_array_equal(m[:2, 2:], I2)
-        np.testing.assert_array_equal(m[2:, :2], I2)
-        assert frobenius(m[:2, :2]) == 0 and frobenius(m[2:, 2:]) == 0
-
-    def test_sigma_z_sigma_z(self):
-        np.testing.assert_array_equal(kron(PAULI_Z, PAULI_Z),
-                                      np.diag([1, -1, -1, 1]).astype(complex))
-
-    @given(matrices_2x2(), matrices_2x2(), matrices_2x2(), matrices_2x2())
-    @settings(max_examples=50)
-    def test_mixed_product_property(self, a, b, c, d):
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        scale = max(frobenius(a) * frobenius(c), 1.0) * max(frobenius(b) * frobenius(d), 1.0)
-        assert frobenius(lhs - rhs) <= 1e-12 * scale
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        np.testing.assert_allclose(hermitian_eig(I2).eigenvalues, [1, 1], atol=0)
-
-    def test_sigma_z(self):
-        np.testing.assert_allclose(hermitian_eig(PAULI_Z).eigenvalues, [-1, 1], atol=0)
-
-    def test_half_sigma_big_z(self):
-        dset = build_dirac_set(PhysicalParams())
-        vals = hermitian_eig(dset.sigma_big[2] / 2).eigenvalues
-        np.testing.assert_allclose(vals, [-0.5, -0.5, 0.5, 0.5], atol=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            a = raw + raw.conj().T
-            sys = hermitian_eig(a)
-            assert isinstance(sys, EigenSystem)
-            assert np.all(np.diff(sys.eigenvalues) >= 0)
-            v = sys.eigenvectors
-            assert frobenius(a @ v - v @ np.diag(sys.eigenvalues)) <= 1e-10 * max(frobenius(a), 1.0)
-            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-10
-            assert frobenius(sys.reconstruct() - a) <= 1e-10 * max(frobenius(a), 1.0)
-
-
-class TestEvolutionFactor:
-    def test_t_zero_is_identity(self):
-        h = PAULI_X + 2 * PAULI_Z
-        np.testing.assert_allclose(evolution_factor(h, 0.0), I2, atol=1e-14)
-
-    def test_sigma_z_half_turn(self):
-        np.testing.assert_allclose(evolution_factor(PAULI_Z, np.pi), -I2, atol=1e-12)
-
-    def test_rest_hamiltonian_half_turn(self):
-        # H(0) = beta for m = hbar = c = 1, so exp(-i beta pi) = -I.
-        dset = build_dirac_set(PhysicalParams())
-        np.testing.assert_allclose(evolution_factor(dset.beta, np.pi),
-                                   -np.eye(4), atol=1e-12)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = raw + raw.conj().T
-        u = evolution_factor(h, 0.37)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
-
-    def test_group_property(self):
-        rng = np.random.default_rng(5)
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = raw + raw.conj().T
-        lhs = evolution_factor(h, 0.7) @ evolution_factor(h, 1.1)
-        rhs = evolution_factor(h, 1.8)
-        assert frobenius(lhs - rhs) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            evolution_factor(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
