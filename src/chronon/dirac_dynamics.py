@@ -220,12 +220,13 @@ def _series_wide(field: SpinorMomentumField, times: np.ndarray) -> np.ndarray:
     live = np.any(u != 0, axis=0) | np.any(w != 0, axis=0)
     u, w = u[:, live].T, w[:, live].T  # (components, modes): FFT along the last axis
     scale = -hbar * grid.dp / grid.n
+    k = grid.wavenumbers
     values = np.empty(len(times))
     for chunk in _time_chunks(len(times), u.size):
         phase = times[chunk, None, None] * e / hbar
         spec = np.fft.fft(np.cos(phase) * u + np.sin(phase) * w)
         power = np.sum(spec.real**2 + spec.imag**2, axis=1)
-        values[chunk] = scale * (power @ grid.wavenumbers)
+        values[chunk] = scale * (power @ k)
     return values
 
 
@@ -278,6 +279,10 @@ def sliding_average(series: TimeSeries, window: float) -> TimeSeries:
     if window < 2 * dt:
         raise ValueError("window must span at least 2 sample intervals")
     k = window_samples(dt, window)
+    if k > len(series.values):
+        span = series.times[-1] - series.times[0]
+        raise ValueError(f"window {window:g} needs {k} samples but the series has "
+                         f"{len(series.values)} (span {span:g})")
     half = (k - 1) // 2
     values = np.convolve(series.values, np.full(k, 1.0 / k), mode="valid")
     times = series.times[half:len(series.times) - half]

@@ -53,10 +53,11 @@ def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0) -> np.nd
     f = np.asarray(f, dtype=complex)
     if f.shape[axis] != grid.n:
         raise ValueError(f"axis {axis} has {f.shape[axis]} samples, grid has {grid.n}")
-    k = grid.wavenumbers
     shape = [1] * f.ndim
     shape[axis] = grid.n
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(f, axis=axis), axis=axis)
+    out = np.fft.fft(f, axis=axis)
+    out *= 1j * grid.wavenumbers.reshape(shape)
+    return np.fft.ifft(out, axis=axis, out=out)
 
 
 def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D,
@@ -95,6 +96,27 @@ def gaussian_2d(grid: GridSpec1D, center=(0.0, 0.0), width: float = 1.0) -> np.n
     return np.exp(-r2 / (2 * width**2)).astype(complex)
 
 
+def _coefficients_2d(grid: GridSpec1D, params: PhysicalParams):
+    """((1 + b p_x^2) as a column, (1 + b p_y^2) as a row), b p_x p_y; b = (a/hbar)^2."""
+    px = grid.points[:, None]
+    py = grid.points[None, :]
+    b = (params.a / params.hbar) ** 2
+    return (1.0 + b * px * px, 1.0 + b * py * py), b * px * py
+
+
+def _gradient_2d(g: np.ndarray, grid: GridSpec1D) -> tuple[np.ndarray, np.ndarray]:
+    return spectral_derivative(g, grid, axis=0), spectral_derivative(g, grid, axis=1)
+
+
+def _position_2d(grad, coeffs, axis: int, hbar: float) -> np.ndarray:
+    """x_axis g from g's gradient (dg/dp_x, dg/dp_y) and ``_coefficients_2d``."""
+    diag, cross = coeffs
+    out = diag[axis] * grad[axis]
+    out += cross * grad[1 - axis]
+    out *= 1j * hbar
+    return out
+
+
 def snyder_position_apply_2d(f: np.ndarray, grid: GridSpec1D,
                              params: PhysicalParams, axis: int) -> np.ndarray:
     """x_axis f with x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j.
@@ -103,24 +125,8 @@ def snyder_position_apply_2d(f: np.ndarray, grid: GridSpec1D,
     """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 (x) or 1 (y)")
-    f = np.asarray(f, dtype=complex)
-    px = grid.points[:, None]
-    py = grid.points[None, :]
-    b = (params.a / params.hbar) ** 2
-    dfx = spectral_derivative(f, grid, axis=0)
-    dfy = spectral_derivative(f, grid, axis=1)
-    pi = px if axis == 0 else py
-    diag = (1.0 + b * pi * pi) * (dfx if axis == 0 else dfy)
-    cross = b * px * py * (dfy if axis == 0 else dfx)
-    return 1j * params.hbar * (diag + cross)
-
-
-def angular_momentum_apply_2d(f: np.ndarray, grid: GridSpec1D, hbar: float) -> np.ndarray:
-    """L_z f = i*hbar*(p_y df/dp_x - p_x df/dp_y)."""
-    px = grid.points[:, None]
-    py = grid.points[None, :]
-    return 1j * hbar * (py * spectral_derivative(f, grid, axis=0)
-                        - px * spectral_derivative(f, grid, axis=1))
+    return _position_2d(_gradient_2d(f, grid), _coefficients_2d(grid, params),
+                        axis, params.hbar)
 
 
 def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
@@ -128,22 +134,37 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
     """Relative residuals (r_xy, r_mixed) of the 2-D commutator identities.
 
     r_xy checks [x, y] f = (i a^2/hbar) L_z f; r_mixed checks
-    [x, p_y] f = i*hbar*(a/hbar)^2 p_x p_y f.
+    [x, p_y] f = i*hbar*(a/hbar)^2 p_x p_y f.  Each of the 8 distinct
+    derivatives (the gradients of f, x f, y f and p_y f) is computed once.
     """
     hbar, a = params.hbar, params.a
-    xf = snyder_position_apply_2d(f, grid, params, axis=0)
-    yf = snyder_position_apply_2d(f, grid, params, axis=1)
-    comm = (snyder_position_apply_2d(yf, grid, params, axis=0)
-            - snyder_position_apply_2d(xf, grid, params, axis=1))
-    rhs_xy = (1j * a**2 / hbar) * angular_momentum_apply_2d(f, grid, hbar)
-
+    coeffs = _coefficients_2d(grid, params)
     px = grid.points[:, None]
     py = grid.points[None, :]
-    mixed = snyder_position_apply_2d(py * f, grid, params, axis=0) - py * xf
-    rhs_mixed = 1j * hbar * (a / hbar) ** 2 * px * py * f
+
+    # f's gradient serves x f, y f and L_z f = i*hbar*(p_y df/dp_x - p_x df/dp_y).
+    # Each n x n array is dropped after its last use, which bounds peak memory;
+    # the in-place steps keep the operand order of the plain expressions.
+    grad = _gradient_2d(f, grid)
+    xf = _position_2d(grad, coeffs, 0, hbar)
+    yf = _position_2d(grad, coeffs, 1, hbar)
+    rhs_xy = py * grad[0]
+    rhs_xy -= px * grad[1]
+    rhs_xy *= 1j * hbar
+    rhs_xy *= 1j * a**2 / hbar
+    del grad
+    comm = _position_2d(_gradient_2d(yf, grid), coeffs, 0, hbar)
+    del yf
+    comm -= _position_2d(_gradient_2d(xf, grid), coeffs, 1, hbar)
+    comm -= rhs_xy
+    del rhs_xy
+
+    mixed = _position_2d(_gradient_2d(py * f, grid), coeffs, 0, hbar)
+    mixed -= py * xf
+    mixed -= 1j * hbar * (a / hbar) ** 2 * px * py * f
 
     mask = np.outer(interior_mask(grid.n), interior_mask(grid.n))
     fnorm = np.linalg.norm(f[mask])
-    r_xy = float(np.linalg.norm((comm - rhs_xy)[mask]) / fnorm)
-    r_mixed = float(np.linalg.norm((mixed - rhs_mixed)[mask]) / fnorm)
+    r_xy = float(np.linalg.norm(comm[mask]) / fnorm)
+    r_mixed = float(np.linalg.norm(mixed[mask]) / fnorm)
     return r_xy, r_mixed

@@ -197,6 +197,14 @@ class TestAveragingCommand:
                    + FAST_ZB)
         assert code == 2
 
+    def test_window_longer_than_series_is_config_error(self, tmp_path, capsys):
+        # The full-period window pi is longer than a series ending at t = 2.
+        code = run(["averaging", "--t-max", "2", "--output-dir", tmp_path])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("chronon: config error: window 3.14159 ")
+
 
 class TestReproducibility:
     def test_identical_runs_byte_identical(self, tmp_path):

@@ -307,6 +307,13 @@ class TestSlidingAverage:
         with pytest.raises(ValueError):
             dd.sliding_average(s, 0.5 * s.dt)
 
+    def test_window_longer_than_series_rejected(self):
+        t = np.linspace(0, 10, 64)
+        s = dd.TimeSeries(times=t, values=np.sin(t))
+        with pytest.raises(ValueError, match=r"window 12 .*span 10"):
+            dd.sliding_average(s, 12.0)
+        assert len(dd.sliding_average(s, 10.0).values) == 2  # k = 63 of 64 samples
+
 
 class TestMeasureOscillation:
     def test_synthetic_sinusoid(self):

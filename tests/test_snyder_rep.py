@@ -161,8 +161,12 @@ class TestCommutatorResidual2D:
         assert r_mixed <= 1e-6
 
     def test_rotationally_symmetric_witness_annihilated(self, grid2, params):
+        # L_z f = i*hbar*(p_y df/dp_x - p_x df/dp_y)
         f = sr.gaussian_2d(grid2)
-        lz = sr.angular_momentum_apply_2d(f, grid2, params.hbar)
+        px = grid2.points[:, None]
+        py = grid2.points[None, :]
+        lz = 1j * params.hbar * (py * sr.spectral_derivative(f, grid2, axis=0)
+                                 - px * sr.spectral_derivative(f, grid2, axis=1))
         assert np.max(np.abs(lz)) <= 1e-9
 
     def test_spectral_convergence(self, params):
@@ -184,6 +188,49 @@ class TestCommutatorResidual2D:
         r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, params, f)
         assert r_xy <= 1e-6
         assert r_mixed <= 1e-6
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (1.5, -2.0)], ids=["centred", "offset"])
+    @pytest.mark.parametrize("a", [None, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
+    def test_matches_twelve_derivative_composition(self, a, center):
+        # The residual shares one gradient per operand (8 derivatives); composing
+        # it from the public operators takes 12 and must give the same bits.
+        grid, params = sr.GridSpec1D(n=64, p_max=12.0), PhysicalParams(a=a)
+        hbar = params.hbar
+        px = grid.points[:, None]
+        py = grid.points[None, :]
+        f = sr.gaussian_2d(grid, center=center)
+
+        def x(g):
+            return sr.snyder_position_apply_2d(g, grid, params, axis=0)
+
+        def y(g):
+            return sr.snyder_position_apply_2d(g, grid, params, axis=1)
+
+        xf, yf = x(f), y(f)
+        lz = 1j * hbar * (py * sr.spectral_derivative(f, grid, axis=0)
+                          - px * sr.spectral_derivative(f, grid, axis=1))
+        comm = x(yf) - y(xf) - (1j * params.a**2 / hbar) * lz
+        mixed = (x(py * f) - py * xf
+                 - 1j * hbar * (params.a / hbar) ** 2 * px * py * f)
+        mask = np.outer(sr.interior_mask(grid.n), sr.interior_mask(grid.n))
+        fnorm = np.linalg.norm(f[mask])
+        expected = (float(np.linalg.norm(comm[mask]) / fnorm),
+                    float(np.linalg.norm(mixed[mask]) / fnorm))
+        assert sr.coordinate_commutator_residual_2d(grid, params, f) == expected
+
+    def test_each_derivative_computed_once(self, params, monkeypatch):
+        # d/dp_x and d/dp_y of f, x f, y f and p_y f: 8 spectral derivatives.
+        calls = []
+        derivative = sr.spectral_derivative
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["axis"])
+            return derivative(*args, **kwargs)
+
+        monkeypatch.setattr(sr, "spectral_derivative", counted)
+        grid = sr.GridSpec1D(n=64, p_max=12.0)
+        sr.coordinate_commutator_residual_2d(grid, params, sr.gaussian_2d(grid))
+        assert sorted(calls) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 class TestLinearity:
