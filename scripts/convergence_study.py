@@ -10,28 +10,26 @@ deformation coefficient 1 + (a*p_max/hbar)^2.
     python3 scripts/convergence_study.py
 """
 
-from chronon import snyder_rep as sr
-from chronon.gamma_algebra import PhysicalParams
+from chronon.cli import _snyder_rows
+from chronon.config import RunConfig
 
 
 def main() -> None:
-    params = PhysicalParams()
+    cfg = RunConfig("snyder")  # the rows of ``chronon snyder`` at other grid sizes
+    ns_1d, ns_2d = (16, 32, 64, 128, 256, 512, 1024), (16, 32, 64, 128, 256)
+    rows = _snyder_rows(cfg, cfg.params(), ns_1d, ns_2d)
+    res = {(check, n): r for check, n, _, r in rows}
 
-    print("1-D deformed Heisenberg residual (p_max = 20)")
+    print(f"1-D deformed Heisenberg residual (p_max = {cfg.p_max:g})")
     print(f"{'n':>6}  {'residual':>12}")
-    for n in (16, 32, 64, 128, 256, 512, 1024):
-        grid = sr.GridSpec1D(n=n, p_max=20.0)
-        r = sr.heisenberg_residual_1d(grid, params, sr.gaussian_1d(grid))
-        print(f"{n:>6}  {r:>12.4e}")
+    for n in ns_1d:
+        print(f"{n:>6}  {res['heisenberg-1d', n]:>12.4e}")
 
     print()
-    print("2-D coordinate commutator residual (p_max = 12)")
+    print(f"2-D coordinate commutator residual (p_max = {cfg.p_max_2d:g})")
     print(f"{'n':>6}  {'r_xy':>12}  {'r_mixed':>12}")
-    for n in (16, 32, 64, 128, 256):
-        grid = sr.GridSpec1D(n=n, p_max=12.0)
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(
-            grid, params, sr.gaussian_2d(grid))
-        print(f"{n:>6}  {r_xy:>12.4e}  {r_mixed:>12.4e}")
+    for n in ns_2d:
+        print(f"{n:>6}  {res['coordinate-xy-2d', n]:>12.4e}  {res['mixed-2d', n]:>12.4e}")
 
 
 if __name__ == "__main__":

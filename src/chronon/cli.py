@@ -102,16 +102,15 @@ def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
     return report, []
 
 
-def _snyder_rows(cfg: RunConfig, params):
+def _snyder_rows(cfg: RunConfig, params, ns_1d, ns_2d):
+    """(check, n, a, residual) rows of the 1-D and 2-D checks at the given grid sizes."""
     rows = []
     label = "canonical-limit-" if params.a == 0 else ""
-    ns_1d = sorted({max(8, cfg.grid_n // 4), max(8, cfg.grid_n // 2), cfg.grid_n})
     for n in ns_1d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.p_max)
         f = sr.gaussian_1d(grid)
         rows.append((f"{label}heisenberg-1d", n, params.a,
                      sr.heisenberg_residual_1d(grid, params, f)))
-    ns_2d = sorted({max(8, cfg.grid_n_2d // 4), max(8, cfg.grid_n_2d // 2), cfg.grid_n_2d})
     for n in ns_2d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.p_max_2d)
         f = sr.gaussian_2d(grid)
@@ -135,7 +134,9 @@ def _monotone_ok(residuals: list[float], floor: float) -> bool:
 def run_snyder(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
     params = cfg.params()
     report = Report("snyder")
-    rows = _snyder_rows(cfg, params)
+    ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
+                    for n in (cfg.grid_n, cfg.grid_n_2d))
+    rows = _snyder_rows(cfg, params, ns_1d, ns_2d)
     by_check: dict[str, list[tuple[int, float]]] = {}
     for check, n, _, resid in rows:
         by_check.setdefault(check, []).append((n, resid))
@@ -197,8 +198,8 @@ def run_zitterbewegung(cfg: RunConfig, outdir: str,
     outputs = ["zitterbewegung.csv"]
     write_csv(os.path.join(outdir, "zitterbewegung.csv"),
               ["t", "x_mixed", "x_positive"],
-              [[t, xm, xp] for t, xm, xp in
-               zip(mixed.times, mixed.values, positive.values)])
+              [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
+                                        positive.values.tolist())])
     if cfg.emit_plots:
         render_line_plot([mixed, positive], ["mixed", "positive-projected"],
                          os.path.join(outdir, "zitterbewegung.svg"),
@@ -238,9 +239,10 @@ def run_averaging(cfg: RunConfig, outdir: str,
     # sliding_average returns a centred slice of the times, so padding half a
     # window of blanks at each end lines the averaged column up with the raw one.
     half = (len(mixed.values) - len(avg_compton.values)) // 2
-    averaged = [""] * half + list(avg_compton.values) + [""] * half
+    averaged = [""] * half + avg_compton.values.tolist() + [""] * half
     write_csv(os.path.join(outdir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
-              [list(row) for row in zip(mixed.times, mixed.values, averaged)])
+              [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
+                                        averaged)])
     if cfg.emit_plots:
         render_line_plot([mixed, avg_compton, avg_period],
                          ["raw", "compton window", "full-period window"],

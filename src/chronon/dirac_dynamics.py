@@ -11,6 +11,8 @@ closed form (``position_series``), with no per-time evolution.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +155,8 @@ def zb_frequency(params: PhysicalParams) -> float:
 _SUPPORT_CUT = 1e-18
 # Upper bound on the complex elements of one time chunk of the series.
 _CHUNK_ELEMENTS = 2**13
+# A wide series runs its time chunks on at most this many cores at once.
+_MAX_SHARES = 2
 
 
 def _support(amps: np.ndarray) -> slice:
@@ -175,7 +179,7 @@ def _time_chunks(n_times: int, width: int):
     """Slices of at most _CHUNK_ELEMENTS // width times (at least one)."""
     step = max(1, _CHUNK_ELEMENTS // width)
     for start in range(0, n_times, step):
-        yield slice(start, start + step)
+        yield slice(start, min(start + step, n_times))
 
 
 def _series_narrow(field: SpinorMomentumField, times: np.ndarray,
@@ -209,11 +213,53 @@ def _series_narrow(field: SpinorMomentumField, times: np.ndarray,
     return values
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_buffers(rows: int, components: int, modes: int) -> tuple:
+    """Phase, cos, sin, spectrum, sin term, |re|^2, |im|^2 and power of one share."""
+    phase = np.empty((rows, 1, modes))
+    spec = np.empty((rows, components, modes), dtype=complex)
+    return (phase, np.empty_like(phase), np.empty_like(phase), spec, np.empty_like(spec),
+            np.empty(spec.shape), np.empty(spec.shape), np.empty((rows, modes)))
+
+
+def _wide_share(chunks, buffers, times, e, hbar, u, w, k, scale, values) -> None:
+    """Fill values[chunk] for each chunk, reusing one share's buffers.
+
+    Each step is the serial per-chunk expression written with out= and
+    in-place operations in the same operand order, so the values keep their
+    bits.
+    """
+    phase, cos, sin, spec, term, sq_re, sq_im, power = buffers
+    for chunk in chunks:
+        r = chunk.stop - chunk.start
+        ph, a, b = phase[:r], spec[:r], term[:r]
+        np.multiply(times[chunk, None, None], e, out=ph)
+        ph /= hbar
+        np.multiply(np.cos(ph, out=cos[:r]), u, out=a)
+        np.multiply(np.sin(ph, out=sin[:r]), w, out=b)
+        a += b
+        np.fft.fft(a, out=a)
+        sq = np.square(a.real, out=sq_re[:r])
+        sq += np.square(a.imag, out=sq_im[:r])
+        values[chunk] = scale * (np.sum(sq, axis=1, out=power[:r]) @ k)
+
+
 def _series_wide(field: SpinorMomentumField, times: np.ndarray) -> np.ndarray:
     """<x>(t) = -(hbar dp / n) sum_k k |fft(a(t))_k|^2 (Parseval), one FFT per time.
 
     Costs n log n per time on an n-mode grid, whatever the packet's support.
     Spinor components that are zero in both u and w stay zero and are skipped.
+    The time chunks are split into up to _MAX_SHARES contiguous shares, one
+    per usable core: the calling thread works the first and a worker thread
+    each other one, each with its own chunk buffers, so memory stays flat in
+    the number of times.  Chunks and their arithmetic are the serial ones, so
+    the values do not depend on the share count.
     """
     grid, hbar = field.grid, field.params.hbar
     e, u, w = _cos_sin_split(field)
@@ -222,11 +268,32 @@ def _series_wide(field: SpinorMomentumField, times: np.ndarray) -> np.ndarray:
     scale = -hbar * grid.dp / grid.n
     k = grid.wavenumbers
     values = np.empty(len(times))
-    for chunk in _time_chunks(len(times), u.size):
-        phase = times[chunk, None, None] * e / hbar
-        spec = np.fft.fft(np.cos(phase) * u + np.sin(phase) * w)
-        power = np.sum(spec.real**2 + spec.imag**2, axis=1)
-        values[chunk] = scale * (power @ k)
+    chunks = list(_time_chunks(len(times), u.size))
+    n_shares = min(_MAX_SHARES, _usable_cores(), len(chunks))
+    shares = [chunks[len(chunks) * i // n_shares:len(chunks) * (i + 1) // n_shares]
+              for i in range(n_shares)]
+    rows = chunks[0].stop - chunks[0].start
+    buffers = [_chunk_buffers(rows, *u.shape) for _ in shares]
+    args = (times, e, hbar, u, w, k, scale, values)
+    errors = []
+
+    def work(share, share_buffers):
+        try:
+            _wide_share(share, share_buffers, *args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=pair)
+               for pair in zip(shares[1:], buffers[1:])]
+    for worker in workers:
+        worker.start()
+    try:
+        _wide_share(shares[0], buffers[0], *args)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return values
 
 
@@ -239,7 +306,10 @@ def position_series(field: SpinorMomentumField, t_max: float,
     whose support (the contiguous modes above 1e-18 of the peak spinor norm)
     spans s of n modes takes the s x s bilinear form when s^2 <= n log2 n and
     one batched FFT per time otherwise.  Times are processed in chunks of at
-    most 2^13 complex elements, so memory stays flat in ``n_samples``.
+    most 2^13 complex elements, so memory stays flat in ``n_samples``; the
+    FFT path reuses one set of chunk buffers per share of the chunks and
+    works up to two shares at once, on the calling thread and one worker
+    thread, with the same values as one serial loop.
     ``expect_position(evolve(field, t))`` is the reference this matches.
     """
     if t_max == 0:

@@ -88,14 +88,17 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def render_line_plot(series_list, labels, path, title: str = "") -> None:
     """Write a static SVG line chart; identical inputs give identical bytes.
 
-    ``series_list`` holds TimeSeries-like objects with .times and .values.
+    ``series_list`` holds TimeSeries-like objects whose .times and .values
+    are arrays with ``tolist()``.
     """
     if not series_list:
         raise ValueError("render_line_plot needs at least one series")
     if len(labels) != len(series_list):
         raise ValueError("one label per series required")
-    xs = [t for s in series_list for t in s.times]
-    ys = [v for s in series_list for v in s.values]
+    # Python floats: per-point arithmetic and formatting on numpy scalars is slower.
+    points = [(s.times.tolist(), s.values.tolist()) for s in series_list]
+    xs = [t for times, _ in points for t in times]
+    ys = [v for _, values in points for v in values]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -138,10 +141,9 @@ def render_line_plot(series_list, labels, path, title: str = "") -> None:
                      f'font-family="sans-serif" font-size="11">{yt:.4g}</text>')
     parts.append(f'<text x="{_ML + pw // 2}" y="{_H - 10}" text-anchor="middle" '
                  'font-family="sans-serif" font-size="13">t</text>')
-    for idx, (series, label) in enumerate(zip(series_list, labels)):
+    for idx, ((times, values), label) in enumerate(zip(points, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}"
-                       for t, v in zip(series.times, series.values))
+        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, values))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = _MT + 18 * idx

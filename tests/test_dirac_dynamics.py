@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -264,6 +267,104 @@ class TestSeriesPaths:
         wide = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
         series = dd.position_series(wide, 5.0, 64)
         np.testing.assert_array_equal(series.values, dd._series_wide(wide, series.times))
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Worker threads started by the code under test, on two usable cores."""
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(dd.threading, "Thread", CountingThread)
+        monkeypatch.setattr(dd, "_usable_cores", lambda: 2)
+        return started
+
+    @staticmethod
+    def serial_wide(field, times):
+        """The wide path as one serial loop of fresh per-chunk arrays."""
+        hbar = field.params.hbar
+        e, u, w = dd._cos_sin_split(field)
+        live = np.any(u != 0, axis=0) | np.any(w != 0, axis=0)
+        u, w = u[:, live].T, w[:, live].T
+        scale = -hbar * field.grid.dp / field.grid.n
+        values = np.empty(len(times))
+        for chunk in dd._time_chunks(len(times), u.size):
+            phase = times[chunk, None, None] * e / hbar
+            spec = np.fft.fft(np.cos(phase) * u + np.sin(phase) * w)
+            power = np.sum(spec.real**2 + spec.imag**2, axis=1)
+            values[chunk] = scale * (power @ field.grid.wavenumbers)
+        return values
+
+    @pytest.mark.parametrize("n_samples, workers", [(4096, 1), (4097, 1), (3, 1), (1, 0)],
+                             ids=["4096", "4097-short-last-chunk", "3", "1-single-chunk"])
+    def test_wide_shares_match_serial_chunks(self, wide, starts, n_samples, workers):
+        # Two complex components of 2048 modes give 2 times per chunk.
+        times = np.linspace(0.0, 50.0, n_samples)
+        np.testing.assert_array_equal(dd._series_wide(wide, times),
+                                      self.serial_wide(wide, times))
+        assert len(starts) == workers
+        assert not any(worker.is_alive() for worker in starts)
+
+    def test_more_shares_than_cores_under_fast_switching(self, wide, starts, monkeypatch):
+        # Four shares, twice _MAX_SHARES, with a thread switch forced every microsecond.
+        monkeypatch.setattr(dd, "_MAX_SHARES", 4)
+        monkeypatch.setattr(dd, "_usable_cores", lambda: 4)
+        times = np.linspace(0.0, 50.0, 256)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values = dd._series_wide(wide, times)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(values, self.serial_wide(wide, times))
+        assert len(starts) == 3
+        assert not any(worker.is_alive() for worker in starts)
+
+    def test_one_core_starts_no_thread(self, wide, starts, monkeypatch):
+        monkeypatch.setattr(dd, "_usable_cores", lambda: 1)
+        times = np.linspace(0.0, 50.0, 512)
+        np.testing.assert_array_equal(dd._series_wide(wide, times),
+                                      self.serial_wide(wide, times))
+        assert starts == []
+
+    def test_public_functions_run_on_calling_thread(self, wide, starts, monkeypatch):
+        # The trace layer keeps one span stack and counts public calls, so
+        # the worker thread may run private code only.
+        callers = {}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                callers.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, obj in list(vars(dd).items()):
+            if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+                monkeypatch.setattr(dd, name, recording(name, obj))
+        dd.position_series(wide, 50.0, 4096)
+        assert len(starts) == 1
+        assert "mode_energy" in callers
+        assert set().union(*callers.values()) == {threading.get_ident()}
+
+    def test_worker_error_raised_on_calling_thread(self, wide, starts, monkeypatch):
+        share, caller = dd._wide_share, threading.get_ident()
+
+        def failing_in_worker(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("worker share failed")
+            share(*args)
+
+        monkeypatch.setattr(dd, "_wide_share", failing_in_worker)
+        with pytest.raises(FloatingPointError, match="worker share failed"):
+            dd._series_wide(wide, np.linspace(0.0, 50.0, 64))
+        assert len(starts) == 1
 
 
 class TestSlidingAverage:
