@@ -5,14 +5,14 @@ exact per momentum mode through the closed-form propagator
 exp(-i H t/hbar) = cos(E t/hbar) I - i sin(E t/hbar) H/E, so every measured
 frequency and amplitude reflects the dynamics, not an integrator.  The
 position expectation is taken directly in momentum space via the spectral
-derivative; a whole time series of it comes from the same propagator in
-closed form (``position_series``), with no per-time evolution.
+derivative.  A whole time series of it comes from the Heisenberg-picture
+solution x(t) = x(0) + c^2 p H^-1 t + Zitterbewegung term, one weight and one
+frequency 2E/hbar per mode (``position_series``), with no per-time evolution;
+``evolve`` and ``expect_position`` are the reference it is checked against.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,29 +102,6 @@ def expect_energy(field: SpinorMomentumField) -> float:
     return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
 
 
-def zb_decomposition(field: SpinorMomentumField, t: float) -> tuple[float, complex]:
-    """(drift_rate, zb_offset) of the evolved state.
-
-    drift_rate is the expectation of c^2 p H^-1; zb_offset that of
-    (i hbar c / 2)(alpha_z - c p H^-1) H^-1, whose operator norm at p = 0 is
-    hbar/(2 m c).  Positive- or negative-projected states give zb_offset = 0
-    because the operator is odd under the energy projectors.
-    """
-    params = field.params
-    if params.m <= 0:
-        raise ValueError("zb_decomposition requires m > 0 (H(0) would be singular)")
-    evolved = evolve(field, t)
-    p = field.grid.points
-    e = mode_energy(p, params)
-    h_amps = _apply_hamiltonian(evolved.amps, p, params)
-    # H^-1 = H / E^2 since H^2 = E^2.
-    drift = np.sum(np.conj(evolved.amps) * (params.c**2 * p / e**2)[:, None] * h_amps) * field.grid.dp
-    # (alpha - c p H^-1) H^-1 psi = alpha (H psi)/E^2 - c p psi / E^2  (H^2 = E^2)
-    zb_apply = ((h_amps @ ALPHA[2]) - (params.c * p)[:, None] * evolved.amps) / e[:, None] ** 2
-    zb = (1j * params.hbar * params.c / 2) * np.sum(np.conj(evolved.amps) * zb_apply) * field.grid.dp
-    return float(np.real(drift)), complex(zb)
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled real observable."""
@@ -149,184 +126,72 @@ def zb_frequency(params: PhysicalParams) -> float:
     return 2 * params.m * params.c**2 / params.hbar
 
 
-# Modes whose spinor norm is at most this share of the peak are left out of a
-# narrow packet's series; free evolution keeps each mode's norm, so the
-# support found at t = 0 holds at every time.
-_SUPPORT_CUT = 1e-18
-# Upper bound on the complex elements of one time chunk of the series.
-_CHUNK_ELEMENTS = 2**13
-# A wide series runs its time chunks on at most this many cores at once.
-_MAX_SHARES = 2
+# Rows and columns of one block of the time grid: each block of _BLOCK**2
+# times is one (_BLOCK x s) @ (s x _BLOCK) complex product over s modes, so
+# memory stays flat in the number of times.
+_BLOCK = 16
 
 
-def _support(amps: np.ndarray) -> slice:
-    """Contiguous range of modes whose spinor norm exceeds _SUPPORT_CUT * max."""
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
-    inside = np.flatnonzero(norm > _SUPPORT_CUT * norm.max())
-    return slice(int(inside[0]), int(inside[-1]) + 1)
+def _zb_weights(field: SpinorMomentumField):
+    """(v, omega, weights) with <x>(t) = <x>(0) + v t + Re sum weights (e^{i omega t} - 1).
 
-
-def _cos_sin_split(field: SpinorMomentumField, modes: slice = slice(None)):
-    """(E, u, w) with evolve(field, t).amps = cos(E t/hbar) u + sin(E t/hbar) w."""
-    p = field.grid.points[modes]
-    e = mode_energy(p, field.params)
-    u = field.amps[modes]
-    w = -1j * _apply_hamiltonian(u, p, field.params) / e[:, None]
-    return e, u, w
-
-
-def _time_chunks(n_times: int, width: int):
-    """Slices of at most _CHUNK_ELEMENTS // width times (at least one)."""
-    step = max(1, _CHUNK_ELEMENTS // width)
-    for start in range(0, n_times, step):
-        yield slice(start, min(start + step, n_times))
-
-
-def _series_narrow(field: SpinorMomentumField, times: np.ndarray,
-                   support: slice) -> np.ndarray:
-    """<x>(t) as the real bilinear form v(t)^T B v(t), v = [cos(E t/hbar), sin(E t/hbar)].
-
-    B holds the four real s x s blocks Re(M o (u^* u^T)), Re(M o (u^* w^T)),
-    Re(M o (w^* u^T)) and Re(M o (w^* w^T)), where M = i hbar dp D is the
-    spectral derivative restricted to the support.  D is circulant, so M is
-    read off its first column ifft(i k).  Costs s^2 per time for a support of
-    s modes.
+    In the Heisenberg picture x(t) = x(0) + c^2 p H^-1 t + Z (e^{-2iHt/hbar} - 1)
+    with Z = (i hbar c / 2)(alpha_z - c p H^-1) H^-1, whose operator norm at
+    p = 0 is hbar/(2 m c).  Z is Hermitian and odd under the energy projectors,
+    so mode p contributes weight 2 a_+^dag Z a_- dp = -(i hbar c / E) a_+^dag
+    alpha_z a_- dp at omega = 2 E/hbar: a positive- or negative-projected
+    packet has no Zitterbewegung.  v is the expectation of c^2 p H^-1.
     """
-    grid, hbar = field.grid, field.params.hbar
-    e, u, w = _cos_sin_split(field, support)
-    s = len(e)
-    col = (1j * hbar * grid.dp) * np.fft.ifft(1j * grid.wavenumbers)
-    j = np.arange(s)
-    m = col[np.subtract.outer(j, j) % grid.n]
-    form = np.empty((2 * s, 2 * s))
-    block = np.empty_like(m)
-    for rows, left in ((slice(0, s), u), (slice(s, 2 * s), w)):
-        for cols, right in ((slice(0, s), u), (slice(s, 2 * s), w)):
-            np.matmul(left.conj(), right.T, out=block)
-            block *= m
-            form[rows, cols] = block.real
-    values = np.empty(len(times))
-    for chunk in _time_chunks(len(times), s):
-        phase = times[chunk, None] * e / hbar
-        v = np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
-        values[chunk] = np.sum((v @ form) * v, axis=1)
-    return values
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _chunk_buffers(rows: int, components: int, modes: int) -> tuple:
-    """Phase, cos, sin, spectrum, sin term, |re|^2, |im|^2 and power of one share."""
-    phase = np.empty((rows, 1, modes))
-    spec = np.empty((rows, components, modes), dtype=complex)
-    return (phase, np.empty_like(phase), np.empty_like(phase), spec, np.empty_like(spec),
-            np.empty(spec.shape), np.empty(spec.shape), np.empty((rows, modes)))
-
-
-def _wide_share(chunks, buffers, times, e, hbar, u, w, k, scale, values) -> None:
-    """Fill values[chunk] for each chunk, reusing one share's buffers.
-
-    Each step is the serial per-chunk expression written with out= and
-    in-place operations in the same operand order, so the values keep their
-    bits.
-    """
-    phase, cos, sin, spec, term, sq_re, sq_im, power = buffers
-    for chunk in chunks:
-        r = chunk.stop - chunk.start
-        ph, a, b = phase[:r], spec[:r], term[:r]
-        np.multiply(times[chunk, None, None], e, out=ph)
-        ph /= hbar
-        np.multiply(np.cos(ph, out=cos[:r]), u, out=a)
-        np.multiply(np.sin(ph, out=sin[:r]), w, out=b)
-        a += b
-        np.fft.fft(a, out=a)
-        sq = np.square(a.real, out=sq_re[:r])
-        sq += np.square(a.imag, out=sq_im[:r])
-        values[chunk] = scale * (np.sum(sq, axis=1, out=power[:r]) @ k)
-
-
-def _series_wide(field: SpinorMomentumField, times: np.ndarray) -> np.ndarray:
-    """<x>(t) = -(hbar dp / n) sum_k k |fft(a(t))_k|^2 (Parseval), one FFT per time.
-
-    Costs n log n per time on an n-mode grid, whatever the packet's support.
-    Spinor components that are zero in both u and w stay zero and are skipped.
-    The time chunks are split into up to _MAX_SHARES contiguous shares, one
-    per usable core: the calling thread works the first and a worker thread
-    each other one, each with its own chunk buffers, so memory stays flat in
-    the number of times.  Chunks and their arithmetic are the serial ones, so
-    the values do not depend on the share count.
-    """
-    grid, hbar = field.grid, field.params.hbar
-    e, u, w = _cos_sin_split(field)
-    live = np.any(u != 0, axis=0) | np.any(w != 0, axis=0)
-    u, w = u[:, live].T, w[:, live].T  # (components, modes): FFT along the last axis
-    scale = -hbar * grid.dp / grid.n
-    k = grid.wavenumbers
-    values = np.empty(len(times))
-    chunks = list(_time_chunks(len(times), u.size))
-    n_shares = min(_MAX_SHARES, _usable_cores(), len(chunks))
-    shares = [chunks[len(chunks) * i // n_shares:len(chunks) * (i + 1) // n_shares]
-              for i in range(n_shares)]
-    rows = chunks[0].stop - chunks[0].start
-    buffers = [_chunk_buffers(rows, *u.shape) for _ in shares]
-    args = (times, e, hbar, u, w, k, scale, values)
-    errors = []
-
-    def work(share, share_buffers):
-        try:
-            _wide_share(share, share_buffers, *args)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=pair)
-               for pair in zip(shares[1:], buffers[1:])]
-    for worker in workers:
-        worker.start()
-    try:
-        _wide_share(shares[0], buffers[0], *args)
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
-    return values
+    params, dp = field.params, field.grid.dp
+    p = field.grid.points
+    e = mode_energy(p, params)
+    h_amps = _apply_hamiltonian(field.amps, p, params)
+    # H^-1 = H / E^2 since H^2 = E^2.
+    v = np.sum(np.conj(field.amps) * (params.c**2 * p / e**2)[:, None] * h_amps).real * dp
+    plus = (field.amps + h_amps / e[:, None]) / 2
+    minus = field.amps - plus
+    weights = (-1j * params.hbar * params.c * dp / e) * np.sum(
+        np.conj(plus) * (minus @ ALPHA[2]), axis=1)
+    return float(v), 2 * e / params.hbar, weights
 
 
 def position_series(field: SpinorMomentumField, t_max: float,
                     n_samples: int) -> TimeSeries:
     """<x>(t) sampled uniformly on [0, t_max], in closed form for all times at once.
 
-    Free evolution is diagonal in p, a(t) = cos(E t/hbar) u + sin(E t/hbar) w
-    with w = -i H u / E, so <x>(t) needs no per-time ``evolve``.  A packet
-    whose support (the contiguous modes above 1e-18 of the peak spinor norm)
-    spans s of n modes takes the s x s bilinear form when s^2 <= n log2 n and
-    one batched FFT per time otherwise.  Times are processed in chunks of at
-    most 2^13 complex elements, so memory stays flat in ``n_samples``; the
-    FFT path reuses one set of chunk buffers per share of the chunks and
-    works up to two shares at once, on the calling thread and one worker
-    thread, with the same values as one serial loop.
-    ``expect_position(evolve(field, t))`` is the reference this matches.
+    <x>(t) = <x>(0) + v t + Re sum_p C_p (e^{i omega_p t} - 1), with (v, omega,
+    C) from ``_zb_weights`` and <x>(0) from ``expect_position``.  Times are
+    t = (i _BLOCK + k) dt, so e^{i omega t} factors into a row
+    e^{i omega i _BLOCK dt} times a fixed _BLOCK-column table e^{i omega k dt},
+    and each block of _BLOCK rows is one complex matrix product.
+
+    The formula holds on the whole line, while ``expect_position`` measures on
+    the periodic position box of the grid, so the last value is checked
+    against ``expect_position(evolve(field, t))``: a gap above 1e-9 (relative
+    beyond |<x>| = 1) means the packet wraps around the box and raises
+    ValueError.
     """
-    if t_max == 0:
-        return TimeSeries(times=np.array([0.0]),
-                          values=np.array([expect_position(field)]))
     # 2 samples per oscillation period with a 4x safety factor.
     required = np.ceil(4 * 2 * t_max * zb_frequency(field.params) / (2 * np.pi))
     if n_samples < required:
         raise ValueError(f"n_samples={n_samples} undersamples the oscillation; "
                          f"need >= {required:.0f}")
-    times = np.linspace(0.0, t_max, n_samples)
-    support = _support(field.amps)
-    s, n = support.stop - support.start, field.grid.n
-    if s * s <= n * np.log2(n):
-        values = _series_narrow(field, times, support)
-    else:
-        values = _series_wide(field, times)
+    times = np.linspace(0.0, t_max, n_samples if t_max > 0 else 1)
+    dt = t_max / max(len(times) - 1, 1)
+    v, omega, weights = _zb_weights(field)
+    step = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * dt))
+    zb = np.empty(((len(times) + _BLOCK - 1) // _BLOCK, _BLOCK), dtype=complex)
+    for start in range(0, len(zb), _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, len(zb))) * (_BLOCK * dt)
+        np.matmul(weights * np.exp(1j * np.outer(rows, omega)), step,
+                  out=zb[start:start + len(rows)])
+    values = (expect_position(field) - weights.sum().real) + v * times \
+        + zb.real.ravel()[:len(times)]
+    reference = expect_position(evolve(field, times[-1]))
+    if abs(values[-1] - reference) > 1e-9 * max(1.0, abs(reference)):
+        raise ValueError(f"the packet wraps around the position box by t={times[-1]:g} "
+                         f"(<x> {values[-1]:.6g} on the line, {reference:.6g} on the "
+                         f"grid); raise --grid-n or lower --t-max")
     return TimeSeries(times=times, values=values)
 
 

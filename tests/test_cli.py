@@ -182,6 +182,18 @@ class TestZitterbewegungCommand:
         svg = (tmp_path / "zitterbewegung.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("flags", [["--p0", "3", "--t-max", "100"], ["--t-max", "200"]],
+                             ids=["p0-3-t-max-100", "t-max-200"])
+    def test_packet_wrapping_around_the_box_is_config_error(self, tmp_path, capsys, flags):
+        # Without the box check both runs exit 1: the wrapped grid series FAILs checks.
+        code = run(["zitterbewegung", "--n-samples", "8192", "--output-dir", tmp_path]
+                   + flags)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("chronon: config error: the packet wraps around")
+        assert "--grid-n" in lines[0] and "--t-max" in lines[0]
+
 
 class TestAveragingCommand:
     def test_fast_run(self, tmp_path):

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -178,14 +175,18 @@ class TestExpectPosition:
 
 
 class TestZbDecomposition:
+    """The per-mode Heisenberg weights behind position_series."""
+
     def test_positive_packet_has_no_zb(self, positive):
-        _, zb = dd.zb_decomposition(positive, 2.5)
-        assert abs(zb) <= 1e-10
+        _, _, weights = dd._zb_weights(positive)
+        assert np.max(np.abs(weights)) <= 1e-10
 
     def test_rest_packet_bounded_by_matrix_norm(self, mixed):
+        # The ZB term of <x>(t) is <Z>(t) = Re sum_p C_p e^{i omega_p t}.
         bound = dd.zb_operator_norm_at_rest(PARAMS)
         assert bound == 0.5
-        amplitudes = [abs(dd.zb_decomposition(mixed, t)[1])
+        _, omega, weights = dd._zb_weights(mixed)
+        amplitudes = [abs(np.sum(weights * np.exp(1j * omega * t)).real)
                       for t in np.linspace(0, np.pi, 16)]
         assert max(amplitudes) <= bound + 1e-10
         assert max(amplitudes) > 0.1  # interference is actually present
@@ -196,7 +197,7 @@ class TestZbDecomposition:
         assert dd.zb_operator_norm_at_rest(PARAMS) / 2 == dd.zb_operator_norm_at_rest(heavy)
 
     def test_drift_rate_matches_positive_expectation(self, positive):
-        drift, _ = dd.zb_decomposition(positive, 0.0)
+        drift, _, _ = dd._zb_weights(positive)
         p = GRID.points
         e = dd.mode_energy(p, PARAMS)
         weights = np.sum(np.abs(positive.amps) ** 2, axis=1) * GRID.dp
@@ -232,7 +233,14 @@ class TestPositionSeries:
 
 
 class TestSeriesPaths:
-    """Both closed-form series paths against expect_position(evolve(f, t))."""
+    """position_series against expect_position(evolve(f, t)) at sampled times."""
+
+    @staticmethod
+    def assert_matches_evolution(f, series, every):
+        n = len(series.times)
+        sampled = np.unique(np.r_[np.arange(0, n, every), n - 1])
+        reference = [dd.expect_position(dd.evolve(f, t)) for t in series.times[sampled]]
+        np.testing.assert_allclose(series.values[sampled], reference, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mode, n, p0, sigma_p, mass", [
         ("mixed", 1024, 0.0, 0.1, 1.0),
@@ -244,127 +252,25 @@ class TestSeriesPaths:
     def test_paths_match_per_time_evolution(self, mode, n, p0, sigma_p, mass):
         params = PhysicalParams(m=mass)
         f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), params, p0, sigma_p, mode, SEED)
-        # Every 13th of the 4096 default times spans several chunks of either path.
-        times = np.linspace(0.0, 50.0, 4096)[::13]
-        sampled = np.arange(0, len(times), 10)
-        reference = [dd.expect_position(dd.evolve(f, t)) for t in times[sampled]]
-        assert len(sampled) >= 32
-        narrow = dd._series_narrow(f, times, dd._support(f.amps))
-        wide = dd._series_wide(f, times)
-        np.testing.assert_allclose(narrow[sampled], reference, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(wide[sampled], reference, rtol=0, atol=1e-13)
+        # Every 130th of 4096 times spans many blocks of 16 x 16 times.
+        self.assert_matches_evolution(f, dd.position_series(f, 50.0, 4096), 130)
 
-    def test_support_rule(self, mixed, positive):
-        # Modes whose spinor norm exceeds 1e-18 of the peak: 65 and 66 of 1024.
-        assert dd._support(mixed.amps) == slice(480, 545)
-        assert dd._support(positive.amps) == slice(480, 546)
-        wide = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
-        assert dd._support(wide.amps) == slice(0, 2048)
+    def test_partial_last_block(self, mixed):
+        # 4097 = 16 * 256 + 1 times: the last block holds a single time.
+        series = dd.position_series(mixed, 50.0, 4097)
+        assert len(series.values) == 4097 and series.times[-1] == 50.0
+        self.assert_matches_evolution(mixed, series, 97)
 
-    def test_cost_model_picks_path(self, mixed, mixed_series):
-        narrow = dd._series_narrow(mixed, mixed_series.times, dd._support(mixed.amps))
-        np.testing.assert_array_equal(mixed_series.values, narrow)
-        wide = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
-        series = dd.position_series(wide, 5.0, 64)
-        np.testing.assert_array_equal(series.values, dd._series_wide(wide, series.times))
+    def test_one_sample_with_positive_t_max(self, mixed):
+        series = dd.position_series(mixed, 0.1, 1)
+        np.testing.assert_array_equal(series.times, [0.0])
+        assert series.values[0] == dd.expect_position(mixed)
 
-    @pytest.fixture(scope="class")
-    def wide(self):
-        return dd.init_packet(GridSpec1D(n=2048, p_max=20.0), PARAMS, 0.0, 2.0, "mixed", SEED)
-
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """Worker threads started by the code under test, on two usable cores."""
-        started = []
-
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(dd.threading, "Thread", CountingThread)
-        monkeypatch.setattr(dd, "_usable_cores", lambda: 2)
-        return started
-
-    @staticmethod
-    def serial_wide(field, times):
-        """The wide path as one serial loop of fresh per-chunk arrays."""
-        hbar = field.params.hbar
-        e, u, w = dd._cos_sin_split(field)
-        live = np.any(u != 0, axis=0) | np.any(w != 0, axis=0)
-        u, w = u[:, live].T, w[:, live].T
-        scale = -hbar * field.grid.dp / field.grid.n
-        values = np.empty(len(times))
-        for chunk in dd._time_chunks(len(times), u.size):
-            phase = times[chunk, None, None] * e / hbar
-            spec = np.fft.fft(np.cos(phase) * u + np.sin(phase) * w)
-            power = np.sum(spec.real**2 + spec.imag**2, axis=1)
-            values[chunk] = scale * (power @ field.grid.wavenumbers)
-        return values
-
-    @pytest.mark.parametrize("n_samples, workers", [(4096, 1), (4097, 1), (3, 1), (1, 0)],
-                             ids=["4096", "4097-short-last-chunk", "3", "1-single-chunk"])
-    def test_wide_shares_match_serial_chunks(self, wide, starts, n_samples, workers):
-        # Two complex components of 2048 modes give 2 times per chunk.
-        times = np.linspace(0.0, 50.0, n_samples)
-        np.testing.assert_array_equal(dd._series_wide(wide, times),
-                                      self.serial_wide(wide, times))
-        assert len(starts) == workers
-        assert not any(worker.is_alive() for worker in starts)
-
-    def test_more_shares_than_cores_under_fast_switching(self, wide, starts, monkeypatch):
-        # Four shares, twice _MAX_SHARES, with a thread switch forced every microsecond.
-        monkeypatch.setattr(dd, "_MAX_SHARES", 4)
-        monkeypatch.setattr(dd, "_usable_cores", lambda: 4)
-        times = np.linspace(0.0, 50.0, 256)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            values = dd._series_wide(wide, times)
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(values, self.serial_wide(wide, times))
-        assert len(starts) == 3
-        assert not any(worker.is_alive() for worker in starts)
-
-    def test_one_core_starts_no_thread(self, wide, starts, monkeypatch):
-        monkeypatch.setattr(dd, "_usable_cores", lambda: 1)
-        times = np.linspace(0.0, 50.0, 512)
-        np.testing.assert_array_equal(dd._series_wide(wide, times),
-                                      self.serial_wide(wide, times))
-        assert starts == []
-
-    def test_public_functions_run_on_calling_thread(self, wide, starts, monkeypatch):
-        # The trace layer keeps one span stack and counts public calls, so
-        # the worker thread may run private code only.
-        callers = {}
-
-        def recording(name, fn):
-            def wrapper(*args, **kwargs):
-                callers.setdefault(name, set()).add(threading.get_ident())
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name, obj in list(vars(dd).items()):
-            if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
-                monkeypatch.setattr(dd, name, recording(name, obj))
-        dd.position_series(wide, 50.0, 4096)
-        assert len(starts) == 1
-        assert "mode_energy" in callers
-        assert set().union(*callers.values()) == {threading.get_ident()}
-
-    def test_worker_error_raised_on_calling_thread(self, wide, starts, monkeypatch):
-        share, caller = dd._wide_share, threading.get_ident()
-
-        def failing_in_worker(*args):
-            if threading.get_ident() != caller:
-                raise FloatingPointError("worker share failed")
-            share(*args)
-
-        monkeypatch.setattr(dd, "_wide_share", failing_in_worker)
-        with pytest.raises(FloatingPointError, match="worker share failed"):
-            dd._series_wide(wide, np.linspace(0.0, 50.0, 64))
-        assert len(starts) == 1
+    @pytest.mark.parametrize("p0, t_max", [(3.0, 100.0), (0.0, 200.0)])
+    def test_packet_wrapping_around_the_box_rejected(self, p0, t_max):
+        f = dd.init_packet(GRID, PARAMS, p0, 0.1, "mixed", SEED)
+        with pytest.raises(ValueError, match="wraps around the position box"):
+            dd.position_series(f, t_max, 8192)
 
 
 class TestSlidingAverage:
@@ -465,7 +371,7 @@ class TestAveragingSuppression:
         series = dd.position_series(f, 50.0, 4096)
         averaged = dd.sliding_average(series, PARAMS.compton_time())
         slope = np.polyfit(averaged.times, averaged.values, 1)[0]
-        drift, _ = dd.zb_decomposition(f, 0.0)
+        drift, _, _ = dd._zb_weights(f)
         assert slope == pytest.approx(drift, rel=1e-4)
 
 
