@@ -26,45 +26,69 @@ from chronon.config import (
 )
 from chronon.reporting import Report, render_line_plot, write_csv
 
-CLIFFORD_TOL = 1e-12
-KAPPA_TOL = 1e-8
-SPIN_TOL = 1e-12
-LORENTZ_TOL = 1e-10
-COVARIANCE_TOL = 1e-12
-HEISENBERG_1D_TOL = 1e-7
-SNYDER_2D_TOL = 1e-6
-RESIDUAL_FLOOR = 1e-12
-MIN_RESOLVED_N = 64
-DICHOTOMY_FACTOR = 1e6
-ZB_FREQ_RTOL = 0.01
-SINC_RTOL = 0.05
-FULL_PERIOD_SUPPRESSION = 100.0
+# Every gate of the battery: report line name, less any " (n=...)" suffix ->
+# (comparator, tolerance).  "<=" and ">=" compare the measured value with the
+# tolerance itself; "abs" bounds |measured - expected| by the tolerance, and
+# "rel" by the tolerance times |expected|.
+GATES = {
+    "clifford residual": ("<=", 1e-12),
+    "Compton deformation factor": ("rel", 1e-15),
+    "deformation factor (a=0)": ("abs", 0.0),
+    "normalization kappa": ("abs", 1e-8),
+    "lorentz closure residual": ("<=", 1e-10),
+    "normalization search residual": ("<=", 1e-10),
+    "rotation covariance max total residual": ("<=", 1e-12),
+    "heisenberg-1d residual": ("<=", 1e-7),
+    "coordinate-xy-2d residual": ("<=", 1e-6),
+    "mixed-2d residual": ("<=", 1e-6),
+    "canonical-limit-heisenberg-1d residual": ("<=", 1e-8),
+    "canonical-limit-coordinate-xy-2d residual": ("<=", 1e-8),
+    "canonical-limit-mixed-2d residual": ("<=", 1e-8),
+    "mixed packet oscillation frequency": ("rel", 0.01),
+    "positive-projected component at ZB frequency": ("<=", 1e-8),
+    "mixed/positive amplitude dichotomy": (">=", 1e6),
+    "full-period window suppression": (">=", 100.0),
+    "Compton window attenuation": ("rel", 0.05),
+}
+# Numbers that are not gates.
+SPIN_TOL = 1e-12  # per eigenvalue, in the spin-1/2 spectrum test
+ORBITAL_FLOOR = 1e-3  # orbital action counted as nonzero; transverse momentum in units of mc
+AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
+RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
+MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
 
 
-def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
+def _gate(report: Report, name: str, measured, expected=None) -> None:
+    """Add line ``name``, with its expected text and verdict from its GATES row."""
+    op, tol = GATES[name.partition(" (n=")[0]]
+    if op in ("<=", ">="):
+        expected = f"{op} {tol:g}"
+        ok = measured <= tol if op == "<=" else measured >= tol
+    else:
+        ok = abs(measured - expected) <= tol * (abs(expected) if op == "rel" else 1)
+    report.add(name, measured, expected, ok)
+
+
+def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     params = cfg.params()
     dset = ga.build_dirac_set(params)
     report = Report("verify-algebra")
 
-    clifford = ga.verify_clifford(dset)
-    report.add("clifford residual", clifford, f"<= {CLIFFORD_TOL}", clifford <= CLIFFORD_TOL)
-
-    factor = ga.deformation_factor(params, params.m * params.c, "space")
-    expected_factor = 1.0 + (params.a * params.m * params.c / params.hbar) ** 2
-    report.add("Compton deformation factor", factor, expected_factor,
-               abs(factor - expected_factor) <= 1e-15 * expected_factor)
+    _gate(report, "clifford residual", ga.verify_clifford(dset))
+    mc = params.m * params.c
+    factor = ga.deformation_factor(params, mc, "space")
+    coefficient = (params.a * params.m * params.c / params.hbar) ** 2
+    _gate(report, "Compton deformation factor", factor, 1.0 + coefficient)
     report.add("mixed deformation coefficient at Compton momentum",
-               ga.mixed_deformation_rhs(params, params.m * params.c, params.m * params.c),
-               (params.a * params.m * params.c / params.hbar) ** 2, None)
+               ga.mixed_deformation_rhs(params, mc, mc), coefficient, None)
 
     if params.a == 0:
-        report.add("deformation factor (a=0)", factor, 1.0, factor == 1.0)
+        _gate(report, "deformation factor (a=0)", factor, 1.0)
         for name in ("normalization kappa", "spin spectrum", "lorentz closure"):
             report.skip(name, "undeformed limit")
     else:
         kappa, kappa_t, resid = ga.solve_normalization(dset, params)
-        report.add("normalization kappa", kappa, "0.5",
-                   abs(kappa - 0.5) <= KAPPA_TOL)
+        _gate(report, "normalization kappa", kappa, 0.5)
         report.add("normalization kappa_t", kappa_t, "+-0.5j (non-Hermitian time coordinate)",
                    None)
         rep = ga.coordinate_rep(dset, params, kappa, kappa_t)
@@ -75,11 +99,8 @@ def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
         report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
                    "; ".join(str(np.round(s, 6)) for s in spectra),
                    f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
-        closure = ga.verify_lorentz_algebra(gen, params.hbar)
-        report.add("lorentz closure residual", closure, f"<= {LORENTZ_TOL}",
-                   closure <= LORENTZ_TOL)
-        report.add("normalization search residual", resid, f"<= {LORENTZ_TOL}",
-                   resid <= LORENTZ_TOL)
+        _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(gen, params.hbar))
+        _gate(report, "normalization search residual", resid)
 
     rng = np.random.default_rng(cfg.seed)
     momenta = rng.uniform(-1.0, 1.0, size=(100, 3)) * params.m * params.c
@@ -90,10 +111,9 @@ def run_verify_algebra(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
             res_orb, res_tot = ga.rotation_covariance_check(dset, params, p, axis)
             worst_total = max(worst_total, res_tot)
             transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
-            if transverse > 1e-3 * params.m * params.c and res_orb <= 1e-3:
+            if transverse > ORBITAL_FLOOR * params.m * params.c and res_orb <= ORBITAL_FLOOR:
                 orbital_ok = False
-    report.add("rotation covariance max total residual", worst_total,
-               f"<= {COVARIANCE_TOL}", worst_total <= COVARIANCE_TOL)
+    _gate(report, "rotation covariance max total residual", worst_total)
     report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
                "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
     report.add("orbital rotation sign convention",
@@ -120,18 +140,7 @@ def _snyder_rows(cfg: RunConfig, params, ns_1d, ns_2d):
     return rows
 
 
-def _monotone_ok(residuals: list[float], floor: float) -> bool:
-    # Roundoff floor scales with the deformed coefficient (a*p_max/hbar)^2,
-    # so the caller passes a coefficient-scaled floor.
-    for prev, nxt in zip(residuals, residuals[1:]):
-        if prev <= floor or nxt <= floor:
-            continue
-        if nxt > prev / 4:
-            return False
-    return True
-
-
-def run_snyder(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
+def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     params = cfg.params()
     report = Report("snyder")
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
@@ -143,91 +152,82 @@ def run_snyder(cfg: RunConfig, outdir: str) -> tuple[Report, list[str]]:
     for check, pairs in by_check.items():
         pairs.sort()
         finest_n, finest_r = pairs[-1]
-        tol = 1e-8 if "canonical" in check else (
-            HEISENBERG_1D_TOL if "1d" in check else SNYDER_2D_TOL)
         if finest_n < MIN_RESOLVED_N:
             report.add(f"{check} residual (n={finest_n})", finest_r,
                        f"below minimum resolution n={MIN_RESOLVED_N}", None)
         else:
-            report.add(f"{check} residual (n={finest_n})", finest_r, f"<= {tol:g}",
-                       finest_r <= tol)
+            _gate(report, f"{check} residual (n={finest_n})", finest_r)
+            # The roundoff floor scales with the deformed coefficient (a*p_max/hbar)^2.
             p_max = cfg.p_max if "1d" in check else cfg.p_max_2d
             floor = RESIDUAL_FLOOR * (1 + (params.a * p_max / params.hbar) ** 2)
-            mono = _monotone_ok([r for _, r in pairs], floor)
+            resids = [r for _, r in pairs]
+            mono = all(nxt <= prev / 4 or min(prev, nxt) <= floor
+                       for prev, nxt in zip(resids, resids[1:]))
             report.add(f"{check} refinement monotonicity",
                        "falls >= 4x per doubling (or at floor)" if mono else "violated",
                        ">= 4x per doubling until 1e-12 floor", mono)
-    table = os.path.join(outdir, "snyder_residuals.csv")
-    write_csv(table, ["check", "n", "a", "residual"], [list(r) for r in rows])
+    write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"),
+              ["check", "n", "a", "residual"], [list(r) for r in rows])
     return report, ["snyder_residuals.csv"]
 
 
 def _packet_pair_series(cfg: RunConfig):
+    """<x>(t) of the mixed packet and of its positive-energy projection."""
     params = cfg.params()
     grid = sr.GridSpec1D(n=cfg.grid_n, p_max=cfg.p_max)
-    series = {}
-    for mode in ("mixed", "positive"):
-        packet = dd.init_packet(grid, params, cfg.p0, cfg.sigma_p, mode=mode,
-                                spinor_seed=cfg.spinor_seed)
-        series[mode] = dd.position_series(packet, cfg.t_max, cfg.n_samples)
-    return series["mixed"], series["positive"]
+    return tuple(dd.position_series(dd.init_packet(grid, params, cfg.p0, cfg.sigma_p, mode=mode,
+                                                   spinor_seed=cfg.spinor_seed),
+                                    cfg.t_max, cfg.n_samples)
+                 for mode in ("mixed", "positive"))
 
 
-def run_zitterbewegung(cfg: RunConfig, outdir: str,
-                       series_pair=None) -> tuple[Report, list[str]]:
+def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     params = cfg.params()
     report = Report("zitterbewegung")
-    mixed, positive = series_pair or _packet_pair_series(cfg)
+    mixed, positive = series_pair
     omega_zb = dd.zb_frequency(params)
     meas = dd.measure_oscillation(mixed)
-    report.add("mixed packet oscillation frequency", meas.omega, omega_zb,
-               meas.detected and abs(meas.omega - omega_zb) <= ZB_FREQ_RTOL * omega_zb)
+    _gate(report, "mixed packet oscillation frequency", meas.omega, omega_zb)
     bound = dd.zb_operator_norm_at_rest(params)
     report.add("mixed packet oscillation amplitude", meas.amplitude,
-               f"<= hbar/(2mc) = {bound:g}", meas.amplitude <= bound * (1 + 1e-9))
+               f"<= hbar/(2mc) = {bound:g}", meas.amplitude <= bound * (1 + AMPLITUDE_SLACK))
     pos_amp = dd.amplitude_at(positive, omega_zb)
-    report.add("positive-projected component at ZB frequency", pos_amp, "<= 1e-8",
-               pos_amp <= 1e-8)
+    _gate(report, "positive-projected component at ZB frequency", pos_amp)
     pos_meas = dd.measure_oscillation(positive)
     report.add("positive-projected spectrum",
                "no oscillation detected" if not pos_meas.detected
                else f"peak at omega={pos_meas.omega:g}", "no oscillation detected", None)
-    factor = meas.amplitude / max(pos_amp, 1e-300)
-    report.add("mixed/positive amplitude dichotomy", factor,
-               f">= {DICHOTOMY_FACTOR:g}", factor >= DICHOTOMY_FACTOR)
+    _gate(report, "mixed/positive amplitude dichotomy", meas.amplitude / max(pos_amp, 1e-300))
     outputs = ["zitterbewegung.csv"]
-    write_csv(os.path.join(outdir, "zitterbewegung.csv"),
+    write_csv(os.path.join(cfg.output_dir, "zitterbewegung.csv"),
               ["t", "x_mixed", "x_positive"],
               [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
                                         positive.values.tolist())])
     if cfg.emit_plots:
         render_line_plot([mixed, positive], ["mixed", "positive-projected"],
-                         os.path.join(outdir, "zitterbewegung.svg"),
+                         os.path.join(cfg.output_dir, "zitterbewegung.svg"),
                          title="position expectation vs time")
         outputs.append("zitterbewegung.svg")
     return report, outputs
 
 
-def run_averaging(cfg: RunConfig, outdir: str,
-                  series_pair=None) -> tuple[Report, list[str]]:
+def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     params = cfg.params()
     report = Report("averaging")
-    mixed, _positive = series_pair or _packet_pair_series(cfg)
+    mixed, _positive = series_pair
     omega_zb = dd.zb_frequency(params)
     raw_amp = dd.amplitude_at(mixed, omega_zb)
     t_compton = params.compton_time()
     t_period = 2 * np.pi / omega_zb
 
     avg_period = dd.sliding_average(mixed, t_period)
-    supp = raw_amp / max(dd.amplitude_at(avg_period, omega_zb), 1e-300)
-    report.add("full-period window suppression", supp,
-               f">= {FULL_PERIOD_SUPPRESSION:g}", supp >= FULL_PERIOD_SUPPRESSION)
+    _gate(report, "full-period window suppression",
+          raw_amp / max(dd.amplitude_at(avg_period, omega_zb), 1e-300))
 
     avg_compton = dd.sliding_average(mixed, t_compton)
-    ratio = dd.amplitude_at(avg_compton, omega_zb) / raw_amp
     predicted = abs(np.sinc(omega_zb * t_compton / 2 / np.pi))  # |sin(x)/x|, x = w*W/2
-    report.add("Compton window attenuation", ratio, predicted,
-               abs(ratio - predicted) <= SINC_RTOL * predicted)
+    _gate(report, "Compton window attenuation",
+          dd.amplitude_at(avg_compton, omega_zb) / raw_amp, predicted)
 
     if cfg.window is not None:
         extra = dd.sliding_average(mixed, cfg.window)  # may raise -> config error
@@ -240,13 +240,13 @@ def run_averaging(cfg: RunConfig, outdir: str,
     # window of blanks at each end lines the averaged column up with the raw one.
     half = (len(mixed.values) - len(avg_compton.values)) // 2
     averaged = [""] * half + avg_compton.values.tolist() + [""] * half
-    write_csv(os.path.join(outdir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
+    write_csv(os.path.join(cfg.output_dir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
               [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
                                         averaged)])
     if cfg.emit_plots:
         render_line_plot([mixed, avg_compton, avg_period],
                          ["raw", "compton window", "full-period window"],
-                         os.path.join(outdir, "averaging.svg"),
+                         os.path.join(cfg.output_dir, "averaging.svg"),
                          title="Compton-scale averaging")
         outputs.append("averaging.svg")
     return report, outputs
@@ -275,11 +275,13 @@ RUNNERS = {
     "zitterbewegung": run_zitterbewegung,
     "averaging": run_averaging,
 }
+# command -> the runners it chains, in report order
+CHAINS = {**{name: (name,) for name in RUNNERS}, "all": tuple(RUNNERS)}
+PACKET_RUNNERS = {"zitterbewegung", "averaging"}  # they read the (mixed, positive) pair
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     flag_values = {attr: getattr(args, attr) for _, (attr, _) in KEY_SPECS.items()}
     try:
         file_values = read_config_file(args.config) if args.config else {}
@@ -294,24 +296,21 @@ def main(argv=None) -> int:
         print(f"chronon: cannot create output dir: {exc}", file=sys.stderr)
         return 3
 
+    names = CHAINS[cfg.command]
     try:
-        outputs: list[str] = []
-        if cfg.command == "all":
-            combined = Report("all")
-            series_pair = _packet_pair_series(cfg)
-            for name in ("verify-algebra", "snyder"):
-                rep, outs = RUNNERS[name](cfg, cfg.output_dir)
-                combined.extend(rep)
+        # Units far outside the float range overflow or underflow: numpy raises too.
+        with np.errstate(over="raise", invalid="raise"):
+            series_pair = _packet_pair_series(cfg) if PACKET_RUNNERS.intersection(names) else None
+            report, outputs = Report(cfg.command), []
+            for name in names:
+                rep, outs = RUNNERS[name](cfg, series_pair)
+                report.extend(rep)
                 outputs.extend(outs)
-            for name in ("zitterbewegung", "averaging"):
-                rep, outs = RUNNERS[name](cfg, cfg.output_dir, series_pair)
-                combined.extend(rep)
-                outputs.extend(outs)
-            report = combined
-        else:
-            report, outputs = RUNNERS[cfg.command](cfg, cfg.output_dir)
     except ValueError as exc:
         print(f"chronon: config error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"chronon: config error: out of floating-point range: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"chronon: I/O error: {exc}", file=sys.stderr)

@@ -59,6 +59,10 @@ def init_packet(grid: GridSpec1D, params: PhysicalParams, p0: float, sigma_p: fl
     if mode not in ("mixed", "positive", "negative"):
         raise ValueError(f"unknown packet mode {mode!r}")
     p = grid.points
+    e = mode_energy(p, params)
+    if not np.all(np.isfinite(e) & (e > 0)):
+        raise ValueError("every mode energy must be positive and finite; "
+                         "mass and c are out of floating-point range")
     envelope = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2))
     seed = np.asarray(spinor_seed, dtype=complex)
     if seed.shape != (4,):
@@ -67,7 +71,6 @@ def init_packet(grid: GridSpec1D, params: PhysicalParams, p0: float, sigma_p: fl
     if mode != "mixed":
         sign = 1.0 if mode == "positive" else -1.0
         h_amps = _apply_hamiltonian(amps, p, params)
-        e = mode_energy(p, params)
         amps = (amps + sign * h_amps / e[:, None]) / 2
     total = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dp)
     if total < 1e-14:
@@ -95,11 +98,6 @@ def position_expectation(field: SpinorMomentumField) -> complex:
 
 def expect_position(field: SpinorMomentumField) -> float:
     return position_expectation(field).real
-
-
-def expect_energy(field: SpinorMomentumField) -> float:
-    h_amps = _apply_hamiltonian(field.amps, field.grid.points, field.params)
-    return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
 
 
 @dataclass(frozen=True)

@@ -117,18 +117,6 @@ def _position_2d(grad, coeffs, axis: int, hbar: float) -> np.ndarray:
     return out
 
 
-def snyder_position_apply_2d(f: np.ndarray, grid: GridSpec1D,
-                             params: PhysicalParams, axis: int) -> np.ndarray:
-    """x_axis f with x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j.
-
-    ``f`` is sampled on the (p_x, p_y) product grid, axis 0 = p_x.
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 (x) or 1 (y)")
-    return _position_2d(_gradient_2d(f, grid), _coefficients_2d(grid, params),
-                        axis, params.hbar)
-
-
 def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
                                       f: np.ndarray) -> tuple[float, float]:
     """Relative residuals (r_xy, r_mixed) of the 2-D commutator identities.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from chronon import cli
 from chronon import dirac_dynamics as dd
-from chronon.cli import main
+from chronon.cli import RUNNERS, main
 from chronon.config import ConfigError, read_config_file, resolve
 from chronon.reporting import Report, fmt_number, render_line_plot
 
@@ -88,14 +89,26 @@ class TestExitStatuses:
         assert run(["zitterbewegung", "--mass", "-1",
                     "--output-dir", tmp_path]) == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--t-max", "inf"),
-        ("--p-max", "nan"),
-        ("--spinor-seed", "nan,0,1,0"),
-        ("--mass", "nan"),
-    ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan"])
-    def test_non_finite_input_exits_2(self, tmp_path, capsys, flag, value):
-        assert run(["all", flag, value, "--output-dir", tmp_path]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["all", "--t-max", "inf"],
+        ["all", "--p-max", "nan"],
+        ["all", "--spinor-seed", "nan,0,1,0"],
+        ["all", "--mass", "nan"],
+        # Finite but out of float range: Python float ** overflows, or
+        # (m c^2)^2 underflows to 0 and the rest-mode energy with it.
+        ["all", "--c", "1e200"],
+        ["all", "--a", "1e200"],
+        ["all", "--hbar", "1e200"],
+        ["all", "--mass", "1e-300"],
+        ["zitterbewegung", "--mass", "1e-300"],
+        ["averaging", "--mass", "1e-300"],
+        ["verify-algebra", "--c", "1e200"],
+        ["snyder", "--a", "1e200"],
+    ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan", "c-1e200", "a-1e200",
+            "hbar-1e200", "mass-1e-300", "zitterbewegung-mass-1e-300",
+            "averaging-mass-1e-300", "verify-algebra-c-1e200", "snyder-a-1e200"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("chronon: config error:")
         assert err.count("\n") == 1
@@ -279,3 +292,43 @@ class TestAllCommand:
             assert marker in report
         for name in ("snyder_residuals.csv", "zitterbewegung.csv", "averaging.csv"):
             assert (combined / name).exists()
+        # The same lines, in the same order, as the four commands run one by one.
+        lines = []
+        for command in RUNNERS:
+            assert run([command, "--output-dir", tmp_path / command] + FAST_ZB) == 0
+            lines += (tmp_path / command / "report.txt").read_text().splitlines()[1:-1]
+        assert report.splitlines()[1:-1] == lines
+
+
+def gated_line_names(report_text):
+    """Names of the PASS/FAIL lines of a report, less any " (n=...)" suffix."""
+    return {line.split(": measured ")[0].partition(" (n=")[0]
+            for line in report_text.splitlines()
+            if line.endswith((": PASS", ": FAIL"))}
+
+
+class TestGates:
+    @pytest.mark.parametrize("op, tol, expected, at_tol, past_tol", [
+        ("<=", 1e-6, None, 1e-6, np.nextafter(1e-6, np.inf)),
+        (">=", 100.0, None, 100.0, np.nextafter(100.0, -np.inf)),
+        ("abs", 0.25, 2.0, 2.25, np.nextafter(2.25, np.inf)),
+        # rel: the tolerance 0.25 times |-8| allows a gap of 2.
+        ("rel", 0.25, -8.0, -6.0, np.nextafter(-6.0, np.inf)),
+    ], ids=["le", "ge", "abs", "rel"])
+    def test_tolerance_is_inclusive_and_one_ulp_past_fails(self, monkeypatch, op, tol,
+                                                           expected, at_tol, past_tol):
+        monkeypatch.setitem(cli.GATES, "probe", (op, tol))
+        report = Report("t")
+        cli._gate(report, "probe", at_tol, expected)
+        cli._gate(report, "probe (n=64)", past_tol, expected)
+        assert [line.status for line in report.lines] == ["PASS", "FAIL"]
+        shown = f"{op} {tol:g}" if expected is None else fmt_number(expected)
+        assert {line.expected for line in report.lines} == {shown}
+
+    def test_every_gate_names_a_battery_line(self, tmp_path):
+        names = set()
+        for argv in (["all"] + FAST_ZB, ["snyder", "--a", "0"], ["verify-algebra", "--a", "0"]):
+            out = tmp_path / argv[0]
+            assert run(argv + ["--output-dir", out]) == 0
+            names |= gated_line_names((out / "report.txt").read_text())
+        assert set(cli.GATES) <= names

@@ -11,6 +11,12 @@ GRID = GridSpec1D(n=1024, p_max=20.0)
 SEED = (1.0, 0.0, 1.0, 0.0)
 
 
+def expect_energy(field):
+    """<psi|H|psi> summed over the momentum grid."""
+    h_amps = dd._apply_hamiltonian(field.amps, field.grid.points, field.params)
+    return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
+
+
 @pytest.fixture(scope="module")
 def mixed():
     return dd.init_packet(GRID, PARAMS, 0.0, 0.1, "mixed", SEED)
@@ -119,6 +125,12 @@ class TestInitPacket:
         with pytest.raises(ValueError):
             dd.init_packet(GRID, PARAMS, 0.0, 0.1, "projected", SEED)
 
+    @pytest.mark.parametrize("mode", ["mixed", "positive"])
+    def test_zero_rest_energy_rejected(self, mode):
+        # (m c^2)^2 underflows to 0, so the p = 0 mode has E = 0.
+        with pytest.raises(ValueError, match="mode energy"):
+            dd.init_packet(GRID, PhysicalParams(m=1e-300), 0.0, 0.1, mode, SEED)
+
 
 class TestEvolve:
     def test_t_zero_identity(self, mixed):
@@ -142,8 +154,8 @@ class TestEvolve:
         assert abs(dd.evolve(mixed, 1000.0).norm() - 1) <= 1e-12
 
     def test_energy_conserved_long_time(self, mixed):
-        e0 = dd.expect_energy(mixed)
-        e1 = dd.expect_energy(dd.evolve(mixed, 1000.0))
+        e0 = expect_energy(mixed)
+        e1 = expect_energy(dd.evolve(mixed, 1000.0))
         assert abs(e1 - e0) <= 1e-10 * abs(e0)
 
 

@@ -22,6 +22,12 @@ def grid():
     return sr.GridSpec1D(n=1024, p_max=20.0)
 
 
+def position_apply_2d(f, grid, params, axis):
+    """x_axis f with x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j, axis 0 = p_x."""
+    return sr._position_2d(sr._gradient_2d(f, grid), sr._coefficients_2d(grid, params),
+                           axis, params.hbar)
+
+
 class TestGridSpec:
     def test_spacing(self, grid):
         assert grid.dp == pytest.approx(40.0 / 1024)
@@ -122,7 +128,7 @@ class TestPositionApply2D:
     def test_undeformed_limit(self, grid2):
         p0 = PhysicalParams(a=0.0)
         f = sr.gaussian_2d(grid2, center=(0.5, -0.3))
-        got = sr.snyder_position_apply_2d(f, grid2, p0, axis=0)
+        got = position_apply_2d(f, grid2, p0, axis=0)
         expected = 1j * p0.hbar * sr.spectral_derivative(f, grid2, axis=0)
         np.testing.assert_array_equal(got, expected)
 
@@ -130,7 +136,7 @@ class TestPositionApply2D:
         # At p_x = 0 the p_x p_y coefficient vanishes, so x acts as the
         # deformed-diagonal term alone there.
         f = sr.gaussian_2d(grid2)
-        got = sr.snyder_position_apply_2d(f, grid2, params, axis=0)
+        got = position_apply_2d(f, grid2, params, axis=0)
         ix = grid2.n // 2  # p_x = 0 row
         diag_only = 1j * params.hbar * sr.spectral_derivative(f, grid2, axis=0)[ix]
         np.testing.assert_allclose(got[ix], diag_only, atol=1e-10)
@@ -140,12 +146,13 @@ class TestPositionApply2D:
         py = grid2.points[None, :]
         f = np.exp(-(px**2 + py**2) / 2).astype(complex)
         expected = 1j * ((1 + px**2) * (-px) + px * py * (-py)) * f
-        got = sr.snyder_position_apply_2d(f, grid2, params, axis=0)
+        got = position_apply_2d(f, grid2, params, axis=0)
         assert np.max(np.abs(got - expected)) <= 1e-8
 
     def test_bad_axis_rejected(self, grid2, params):
-        with pytest.raises(ValueError):
-            sr.snyder_position_apply_2d(sr.gaussian_2d(grid2), grid2, params, axis=2)
+        # The coefficient table has one diagonal entry per axis, so no third axis.
+        with pytest.raises(IndexError):
+            position_apply_2d(sr.gaussian_2d(grid2), grid2, params, axis=2)
 
 
 class TestCommutatorResidual2D:
@@ -193,7 +200,7 @@ class TestCommutatorResidual2D:
     @pytest.mark.parametrize("a", [None, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
     def test_matches_twelve_derivative_composition(self, a, center):
         # The residual shares one gradient per operand (8 derivatives); composing
-        # it from the public operators takes 12 and must give the same bits.
+        # it from whole x and y applications takes 12 and must give the same bits.
         grid, params = sr.GridSpec1D(n=64, p_max=12.0), PhysicalParams(a=a)
         hbar = params.hbar
         px = grid.points[:, None]
@@ -201,10 +208,10 @@ class TestCommutatorResidual2D:
         f = sr.gaussian_2d(grid, center=center)
 
         def x(g):
-            return sr.snyder_position_apply_2d(g, grid, params, axis=0)
+            return position_apply_2d(g, grid, params, axis=0)
 
         def y(g):
-            return sr.snyder_position_apply_2d(g, grid, params, axis=1)
+            return position_apply_2d(g, grid, params, axis=1)
 
         xf, yf = x(f), y(f)
         lz = 1j * hbar * (py * sr.spectral_derivative(f, grid, axis=0)
