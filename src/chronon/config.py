@@ -64,6 +64,18 @@ class RunConfig:
             raise ConfigError("grid and sample counts are too small")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be strictly positive")
+        # Derived scales the checks multiply, square or divide by; a defaults to hbar/(m c).
+        m, c, hbar = self.mass, self.c, self.hbar
+        a, a_keys, length = ("a", "a", self.a) if self.a is not None else (
+            "(hbar/(mass c))", "hbar mass c", hbar / (m * c) if m * c else math.inf)
+        coefficient = length * m * c / hbar
+        for name, keys, value, may_vanish in (
+                ("mass c^2", "mass c", m * c * c, False),
+                (f"{a}^2", a_keys, length * length, self.a == 0),
+                (f"({a} mass c/hbar)^2", f"{a_keys} mass c hbar", coefficient * coefficient, True)):
+            if not (value < math.inf and (value > 0 or may_vanish)):
+                given = ", ".join(f"{k}={getattr(self, k):g}" for k in dict.fromkeys(keys.split()))
+                raise ConfigError(f"{name} is out of floating-point range at {given}")
         return self
 
 

@@ -173,7 +173,7 @@ def position_series(field: SpinorMomentumField, t_max: float,
     required = np.ceil(4 * 2 * t_max * zb_frequency(field.params) / (2 * np.pi))
     if n_samples < required:
         raise ValueError(f"n_samples={n_samples} undersamples the oscillation; "
-                         f"need >= {required:.0f}")
+                         f"need >= {required:g}")
     times = np.linspace(0.0, t_max, n_samples if t_max > 0 else 1)
     dt = t_max / max(len(times) - 1, 1)
     v, omega, weights = _zb_weights(field)
@@ -214,7 +214,7 @@ def sliding_average(series: TimeSeries, window: float) -> TimeSeries:
     k = window_samples(dt, window)
     if k > len(series.values):
         span = series.times[-1] - series.times[0]
-        raise ValueError(f"window {window:g} needs {k} samples but the series has "
+        raise ValueError(f"window {window:g} needs {k:g} samples but the series has "
                          f"{len(series.values)} (span {span:g})")
     half = (k - 1) // 2
     values = np.convolve(series.values, np.full(k, 1.0 / k), mode="valid")

@@ -10,6 +10,7 @@ vanish in the continuum.
 
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
+Real f takes rfft/irfft, which drop the complex path's imaginary Nyquist term.
 """
 
 from __future__ import annotations
@@ -49,12 +50,18 @@ class GridSpec1D:
 
 
 def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0) -> np.ndarray:
-    """d f / dp along ``axis`` via the discrete Fourier transform."""
-    f = np.asarray(f, dtype=complex)
+    """d f / dp along ``axis`` by FFT; a real f takes rfft/irfft and gives a real
+    result, without the imaginary Nyquist term that the complex path keeps."""
+    real = np.isrealobj(f)
+    f = np.asarray(f, dtype=float if real else complex)
     if f.shape[axis] != grid.n:
         raise ValueError(f"axis {axis} has {f.shape[axis]} samples, grid has {grid.n}")
     shape = [1] * f.ndim
-    shape[axis] = grid.n
+    shape[axis] = -1
+    if real:
+        out = np.fft.rfft(f, axis=axis)
+        out *= 1j * grid.wavenumbers[:grid.n // 2 + 1].reshape(shape)
+        return np.fft.irfft(out, n=grid.n, axis=axis)
     out = np.fft.fft(f, axis=axis)
     out *= 1j * grid.wavenumbers.reshape(shape)
     return np.fft.ifft(out, axis=axis, out=out)
@@ -90,16 +97,13 @@ def heisenberg_residual_1d(grid: GridSpec1D, params: PhysicalParams,
 
 
 def gaussian_2d(grid: GridSpec1D, center=(0.0, 0.0), width: float = 1.0) -> np.ndarray:
-    px = grid.points[:, None]
-    py = grid.points[None, :]
-    r2 = (px - center[0]) ** 2 + (py - center[1]) ** 2
-    return np.exp(-r2 / (2 * width**2)).astype(complex)
+    px, py = grid.points[:, None], grid.points[None, :]
+    return np.exp(-((px - center[0]) ** 2 + (py - center[1]) ** 2) / (2 * width**2))
 
 
 def _coefficients_2d(grid: GridSpec1D, params: PhysicalParams):
     """((1 + b p_x^2) as a column, (1 + b p_y^2) as a row), b p_x p_y; b = (a/hbar)^2."""
-    px = grid.points[:, None]
-    py = grid.points[None, :]
+    px, py = grid.points[:, None], grid.points[None, :]
     b = (params.a / params.hbar) ** 2
     return (1.0 + b * px * px, 1.0 + b * py * py), b * px * py
 
@@ -109,11 +113,11 @@ def _gradient_2d(g: np.ndarray, grid: GridSpec1D) -> tuple[np.ndarray, np.ndarra
 
 
 def _position_2d(grad, coeffs, axis: int, hbar: float) -> np.ndarray:
-    """x_axis g from g's gradient (dg/dp_x, dg/dp_y) and ``_coefficients_2d``."""
+    """x_axis g / i from g's gradient (dg/dp_x, dg/dp_y) and ``_coefficients_2d``."""
     diag, cross = coeffs
     out = diag[axis] * grad[axis]
     out += cross * grad[1 - axis]
-    out *= 1j * hbar
+    out *= hbar
     return out
 
 
@@ -121,35 +125,34 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
                                       f: np.ndarray) -> tuple[float, float]:
     """Relative residuals (r_xy, r_mixed) of the 2-D commutator identities.
 
-    r_xy checks [x, y] f = (i a^2/hbar) L_z f; r_mixed checks
-    [x, p_y] f = i*hbar*(a/hbar)^2 p_x p_y f.  Each of the 8 distinct
-    derivatives (the gradients of f, x f, y f and p_y f) is computed once.
+    r_xy checks [x, y] f = (i a^2/hbar) L_z f; r_mixed checks [x, p_y] f =
+    i*hbar*(a/hbar)^2 p_x p_y f.  Each of the 8 distinct derivatives (the
+    gradients of f, x f, y f and p_y f) is computed once, on real arrays.
     """
+    if np.iscomplexobj(f):
+        raise ValueError("the 2-D witness f must be a real array")
     hbar, a = params.hbar, params.a
     coeffs = _coefficients_2d(grid, params)
-    px = grid.points[:, None]
-    py = grid.points[None, :]
+    px, py = grid.points[:, None], grid.points[None, :]
 
-    # f's gradient serves x f, y f and L_z f = i*hbar*(p_y df/dp_x - p_x df/dp_y).
-    # Each n x n array is dropped after its last use, which bounds peak memory;
-    # the in-place steps keep the operand order of the plain expressions.
+    # x_axis g = i P_axis g with P_axis = _position_2d, so xf = P_0 f, yf = P_1 f, comm =
+    # -([x, y] f - (i a^2/hbar) L_z f) = P_0 yf - P_1 xf - a^2 (p_y df/dp_x - p_x df/dp_y)
+    # and mixed = ([x, p_y] f - i hbar (a/hbar)^2 p_x p_y f)/i are all real.  Each n x n
+    # array is dropped after its last use, which bounds peak memory.
     grad = _gradient_2d(f, grid)
     xf = _position_2d(grad, coeffs, 0, hbar)
     yf = _position_2d(grad, coeffs, 1, hbar)
-    rhs_xy = py * grad[0]
-    rhs_xy -= px * grad[1]
-    rhs_xy *= 1j * hbar
-    rhs_xy *= 1j * a**2 / hbar
+    comm = py * grad[0]
+    comm -= px * grad[1]
+    comm *= -a**2
     del grad
-    comm = _position_2d(_gradient_2d(yf, grid), coeffs, 0, hbar)
+    comm += _position_2d(_gradient_2d(yf, grid), coeffs, 0, hbar)
     del yf
     comm -= _position_2d(_gradient_2d(xf, grid), coeffs, 1, hbar)
-    comm -= rhs_xy
-    del rhs_xy
 
     mixed = _position_2d(_gradient_2d(py * f, grid), coeffs, 0, hbar)
     mixed -= py * xf
-    mixed -= 1j * hbar * (a / hbar) ** 2 * px * py * f
+    mixed -= hbar * (a / hbar) ** 2 * px * py * f
 
     mask = np.outer(interior_mask(grid.n), interior_mask(grid.n))
     fnorm = np.linalg.norm(f[mask])

@@ -45,6 +45,13 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             read_config_file(str(path))
 
+    def test_derived_scale_range(self):
+        # (a m c/hbar)^2 may underflow to 0; a nonzero a whose square does may not.
+        assert resolve("snyder", {}, {"mass": 1e-200, "a": 1.0}).a == 1.0
+        assert resolve("snyder", {}, {"a": 0.0}).a == 0.0
+        with pytest.raises(ConfigError, match="a\\^2 is out of floating-point range at a=1e-200"):
+            resolve("snyder", {}, {"a": 1e-200})
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ConfigError):
             resolve("zitterbewegung", {}, {"mass": -1.0})
@@ -89,29 +96,36 @@ class TestExitStatuses:
         assert run(["zitterbewegung", "--mass", "-1",
                     "--output-dir", tmp_path]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["all", "--t-max", "inf"],
-        ["all", "--p-max", "nan"],
-        ["all", "--spinor-seed", "nan,0,1,0"],
-        ["all", "--mass", "nan"],
-        # Finite but out of float range: Python float ** overflows, or
-        # (m c^2)^2 underflows to 0 and the rest-mode energy with it.
-        ["all", "--c", "1e200"],
-        ["all", "--a", "1e200"],
-        ["all", "--hbar", "1e200"],
-        ["all", "--mass", "1e-300"],
-        ["zitterbewegung", "--mass", "1e-300"],
-        ["averaging", "--mass", "1e-300"],
-        ["verify-algebra", "--c", "1e200"],
-        ["snyder", "--a", "1e200"],
+    @pytest.mark.parametrize("argv, named", [
+        (["all", "--t-max", "inf"], None),
+        (["all", "--p-max", "nan"], None),
+        (["all", "--spinor-seed", "nan,0,1,0"], None),
+        (["all", "--mass", "nan"], None),
+        # Finite, but a derived scale (m c^2, a^2, (a m c/hbar)^2, with a =
+        # hbar/(m c) by default) is out of floating-point range: the line names the key.
+        (["all", "--c", "1e200"], "c=1e+200"),
+        (["all", "--a", "1e200"], "a=1e+200"),
+        (["all", "--hbar", "1e200"], "hbar=1e+200"),
+        (["all", "--mass", "1e-300"], "mass=1e-300"),
+        (["zitterbewegung", "--mass", "1e-300"], "mass=1e-300"),
+        (["averaging", "--mass", "1e-300"], "mass=1e-300"),
+        (["verify-algebra", "--c", "1e200"], "c=1e+200"),
+        (["snyder", "--a", "1e200"], "a=1e+200"),
+        (["verify-algebra", "--mass", "1e-300"], "mass=1e-300"),
+        # The required sample count prints in :g form, not as a 300-digit integer.
+        (["all", "--t-max", "1e300"], "need >= 2.54648e+300"),
+        (["all", "--window", "1e300"], "needs 8.19e+301 samples"),
     ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan", "c-1e200", "a-1e200",
             "hbar-1e200", "mass-1e-300", "zitterbewegung-mass-1e-300",
-            "averaging-mass-1e-300", "verify-algebra-c-1e200", "snyder-a-1e200"])
-    def test_non_finite_input_exits_2(self, tmp_path, capsys, argv):
+            "averaging-mass-1e-300", "verify-algebra-c-1e200", "snyder-a-1e200",
+            "verify-algebra-mass-1e-300", "t-max-1e300", "window-1e300"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("chronon: config error:")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 200
+        if named:
+            assert named in err
 
     def test_unwritable_output_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
@@ -160,6 +174,15 @@ class TestSnyderCommand:
         assert run(["snyder", "--a", "0", "--output-dir", tmp_path]) == 0
         table = (tmp_path / "snyder_residuals.csv").read_text()
         assert "canonical-limit-heisenberg-1d" in table
+
+    @pytest.mark.parametrize("a", [None, "0", "0.5"], ids=["compton", "a0", "a0.5"])
+    def test_2d_refinement_monotone_up_to_1024(self, tmp_path, a):
+        # n = 256, 512 and 1024 on the real half-spectrum transforms.
+        assert run(["snyder", "--grid-n-2d", "1024", "--output-dir", tmp_path]
+                   + (["--a", a] if a else [])) == 0
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        mono = [line for line in lines if "-2d refinement monotonicity" in line]
+        assert len(mono) == 2 and all(line.endswith(": PASS") for line in mono)
 
     def test_coarse_grid_reported_as_info(self, tmp_path):
         assert run(["snyder", "--grid-n", "8", "--grid-n-2d", "8",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronon import snyder_rep as sr
+from chronon.cli import RESIDUAL_FLOOR
 from chronon.gamma_algebra import PhysicalParams
 
 
@@ -24,8 +25,8 @@ def grid():
 
 def position_apply_2d(f, grid, params, axis):
     """x_axis f with x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j, axis 0 = p_x."""
-    return sr._position_2d(sr._gradient_2d(f, grid), sr._coefficients_2d(grid, params),
-                           axis, params.hbar)
+    return 1j * sr._position_2d(sr._gradient_2d(f, grid), sr._coefficients_2d(grid, params),
+                                axis, params.hbar)
 
 
 class TestGridSpec:
@@ -65,6 +66,18 @@ class TestSpectralDerivative:
     def test_size_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):
             sr.spectral_derivative(np.ones(16), grid)
+
+    @pytest.mark.parametrize("ndim, axis", [(1, 0), (2, 0), (2, 1)],
+                             ids=["1d", "2d-axis0", "2d-axis1"])
+    def test_real_input_takes_half_spectrum(self, grid2, ndim, axis):
+        # rfft/irfft drop the imaginary Nyquist term; the real parts agree.
+        f = (sr.gaussian_1d(grid2, center=0.4).real if ndim == 1
+             else sr.gaussian_2d(grid2, center=(0.5, -0.3)))
+        got = sr.spectral_derivative(f, grid2, axis=axis)
+        expected = sr.spectral_derivative(f.astype(complex), grid2, axis=axis)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, expected.real, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
 
 
 class TestPositionApply1D:
@@ -167,6 +180,11 @@ class TestCommutatorResidual2D:
         assert r_xy <= 1e-6
         assert r_mixed <= 1e-6
 
+    def test_complex_witness_rejected(self, grid2, params):
+        with pytest.raises(ValueError, match="real"):
+            sr.coordinate_commutator_residual_2d(grid2, params,
+                                                 sr.gaussian_2d(grid2).astype(complex))
+
     def test_rotationally_symmetric_witness_annihilated(self, grid2, params):
         # L_z f = i*hbar*(p_y df/dp_x - p_x df/dp_y)
         f = sr.gaussian_2d(grid2)
@@ -199,13 +217,14 @@ class TestCommutatorResidual2D:
     @pytest.mark.parametrize("center", [(0.0, 0.0), (1.5, -2.0)], ids=["centred", "offset"])
     @pytest.mark.parametrize("a", [None, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
     def test_matches_twelve_derivative_composition(self, a, center):
-        # The residual shares one gradient per operand (8 derivatives); composing
-        # it from whole x and y applications takes 12 and must give the same bits.
+        # The residual shares one gradient per operand (8 real derivatives);
+        # composing it from whole complex x and y applications takes 12.  The two
+        # agree within the roundoff floor of the refinement check.
         grid, params = sr.GridSpec1D(n=64, p_max=12.0), PhysicalParams(a=a)
         hbar = params.hbar
         px = grid.points[:, None]
         py = grid.points[None, :]
-        f = sr.gaussian_2d(grid, center=center)
+        f = sr.gaussian_2d(grid, center=center).astype(complex)
 
         def x(g):
             return position_apply_2d(g, grid, params, axis=0)
@@ -223,16 +242,20 @@ class TestCommutatorResidual2D:
         fnorm = np.linalg.norm(f[mask])
         expected = (float(np.linalg.norm(comm[mask]) / fnorm),
                     float(np.linalg.norm(mixed[mask]) / fnorm))
-        assert sr.coordinate_commutator_residual_2d(grid, params, f) == expected
+        got = sr.coordinate_commutator_residual_2d(grid, params, f.real)
+        bound = RESIDUAL_FLOOR * (1 + (params.a * grid.p_max / hbar) ** 2)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=bound)
 
     def test_each_derivative_computed_once(self, params, monkeypatch):
-        # d/dp_x and d/dp_y of f, x f, y f and p_y f: 8 spectral derivatives.
+        # d/dp_x and d/dp_y of f, x f, y f and p_y f: 8 spectral derivatives,
+        # each of a real array.
         calls = []
         derivative = sr.spectral_derivative
 
-        def counted(*args, **kwargs):
+        def counted(g, *args, **kwargs):
+            assert g.dtype == np.float64
             calls.append(kwargs["axis"])
-            return derivative(*args, **kwargs)
+            return derivative(g, *args, **kwargs)
 
         monkeypatch.setattr(sr, "spectral_derivative", counted)
         grid = sr.GridSpec1D(n=64, p_max=12.0)
