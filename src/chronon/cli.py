@@ -52,7 +52,7 @@ GATES = {
 }
 # Numbers that are not gates.
 SPIN_TOL = 1e-12  # per eigenvalue, in the spin-1/2 spectrum test
-ORBITAL_FLOOR = 1e-3  # orbital action counted as nonzero; transverse momentum in units of mc
+ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| / (hbar c mc) and of p_transverse / mc
 AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
@@ -111,7 +111,9 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
             res_orb, res_tot = ga.rotation_covariance_check(dset, params, p, axis)
             worst_total = max(worst_total, res_tot)
             transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
-            if transverse > ORBITAL_FLOOR * params.m * params.c and res_orb <= ORBITAL_FLOOR:
+            # res_orb = ||L_i H|| = 2 hbar c p_transverse carries units of hbar*c*mc.
+            if transverse > ORBITAL_FLOOR * params.m * params.c and \
+                    res_orb / (params.hbar * params.c * mc) <= ORBITAL_FLOOR:
                 orbital_ok = False
     _gate(report, "rotation covariance max total residual", worst_total)
     report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
@@ -167,7 +169,7 @@ def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
                        "falls >= 4x per doubling (or at floor)" if mono else "violated",
                        ">= 4x per doubling until 1e-12 floor", mono)
     write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"),
-              ["check", "n", "a", "residual"], [list(r) for r in rows])
+              ["check", "n", "a", "residual"], list(zip(*rows)))
     return report, ["snyder_residuals.csv"]
 
 
@@ -200,9 +202,7 @@ def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     _gate(report, "mixed/positive amplitude dichotomy", meas.amplitude / max(pos_amp, 1e-300))
     outputs = ["zitterbewegung.csv"]
     write_csv(os.path.join(cfg.output_dir, "zitterbewegung.csv"),
-              ["t", "x_mixed", "x_positive"],
-              [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
-                                        positive.values.tolist())])
+              ["t", "x_mixed", "x_positive"], [mixed.times, mixed.values, positive.values])
     if cfg.emit_plots:
         render_line_plot([mixed, positive], ["mixed", "positive-projected"],
                          os.path.join(cfg.output_dir, "zitterbewegung.svg"),
@@ -241,8 +241,7 @@ def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     half = (len(mixed.values) - len(avg_compton.values)) // 2
     averaged = [""] * half + avg_compton.values.tolist() + [""] * half
     write_csv(os.path.join(cfg.output_dir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
-              [list(row) for row in zip(mixed.times.tolist(), mixed.values.tolist(),
-                                        averaged)])
+              [mixed.times, mixed.values, averaged])
     if cfg.emit_plots:
         render_line_plot([mixed, avg_compton, avg_period],
                          ["raw", "compton window", "full-period window"],

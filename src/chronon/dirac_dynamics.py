@@ -177,14 +177,18 @@ def position_series(field: SpinorMomentumField, t_max: float,
     times = np.linspace(0.0, t_max, n_samples if t_max > 0 else 1)
     dt = t_max / max(len(times) - 1, 1)
     v, omega, weights = _zb_weights(field)
+    offset = expect_position(field) - weights.sum().real
+    # A mode whose weight is exactly 0 (the envelope underflows there) adds
+    # exactly nothing, so the tables and products skip it.
+    live = weights != 0
+    omega, weights = omega[live], weights[live]
     step = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * dt))
     zb = np.empty(((len(times) + _BLOCK - 1) // _BLOCK, _BLOCK), dtype=complex)
     for start in range(0, len(zb), _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, len(zb))) * (_BLOCK * dt)
         np.matmul(weights * np.exp(1j * np.outer(rows, omega)), step,
                   out=zb[start:start + len(rows)])
-    values = (expect_position(field) - weights.sum().real) + v * times \
-        + zb.real.ravel()[:len(times)]
+    values = offset + v * times + zb.real.ravel()[:len(times)]
     reference = expect_position(evolve(field, times[-1]))
     if abs(values[-1] - reference) > 1e-9 * max(1.0, abs(reference)):
         raise ValueError(f"the packet wraps around the position box by t={times[-1]:g} "

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
@@ -67,11 +69,38 @@ class Report:
         self.lines.extend(other.lines)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+# Rows formatted per write: memory stays flat in the length of the table.
+_CSV_ROWS = 1024
+
+
+def _fmt_column(col) -> list[str]:
+    """``fmt_number`` of each cell, with a float array formatted in one pass.
+
+    '{:.9g}' is ``fmt_number``'s rule for every float except 0 (either sign)
+    and magnitudes below 1e-3, so only those go back through ``fmt_number``.
+    """
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        return [fmt_number(v) for v in col]
+    values = col.tolist()
+    out = list(map("{:.9g}".format, values))
+    for i in np.flatnonzero(np.abs(col) < 1e-3).tolist():
+        out[i] = fmt_number(values[i])
+    return out
+
+
+def write_csv(path, header: list[str], columns: list) -> None:
+    """Write equal-length ``columns`` under ``header``, each cell as ``fmt_number`` prints it.
+
+    A float array column is formatted a block of rows at a time; any other
+    column (strings, ints, blank padding) cell by cell.
+    """
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("write_csv needs columns of equal length")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_number(v) for v in row) + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            cells = [_fmt_column(col[start:start + _CSV_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
@@ -89,18 +118,16 @@ def render_line_plot(series_list, labels, path, title: str = "") -> None:
     """Write a static SVG line chart; identical inputs give identical bytes.
 
     ``series_list`` holds TimeSeries-like objects whose .times and .values
-    are arrays with ``tolist()``.
+    are float arrays.
     """
     if not series_list:
         raise ValueError("render_line_plot needs at least one series")
     if len(labels) != len(series_list):
         raise ValueError("one label per series required")
-    # Python floats: per-point arithmetic and formatting on numpy scalars is slower.
-    points = [(s.times.tolist(), s.values.tolist()) for s in series_list]
-    xs = [t for times, _ in points for t in times]
-    ys = [v for _, values in points for v in values]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo = min(float(s.times.min()) for s in series_list)
+    x_hi = max(float(s.times.max()) for s in series_list)
+    y_lo = min(float(s.values.min()) for s in series_list)
+    y_hi = max(float(s.values.max()) for s in series_list)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -110,6 +137,8 @@ def render_line_plot(series_list, labels, path, title: str = "") -> None:
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
+    # Scalars (ticks) and whole arrays (polylines) take the same operations in
+    # the same order, so a point's pixel coordinates do not depend on which.
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * pw
 
@@ -141,9 +170,10 @@ def render_line_plot(series_list, labels, path, title: str = "") -> None:
                      f'font-family="sans-serif" font-size="11">{yt:.4g}</text>')
     parts.append(f'<text x="{_ML + pw // 2}" y="{_H - 10}" text-anchor="middle" '
                  'font-family="sans-serif" font-size="13">t</text>')
-    for idx, ((times, values), label) in enumerate(zip(points, labels)):
+    for idx, (series, label) in enumerate(zip(series_list, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(times, values))
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx(series.times).tolist(),
+                           sy(series.values).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = _MT + 18 * idx

@@ -75,11 +75,10 @@ def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D,
     return 1j * params.hbar * coeff * spectral_derivative(f, grid)
 
 
-def interior_mask(n: int, fraction: float = 0.8) -> np.ndarray:
+def interior(n: int, fraction: float = 0.8) -> slice:
+    """The central ``fraction`` of n grid points along one axis."""
     margin = int(round(n * (1 - fraction) / 2))
-    mask = np.zeros(n, dtype=bool)
-    mask[margin:n - margin] = True
-    return mask
+    return slice(margin, n - margin)
 
 
 def gaussian_1d(grid: GridSpec1D, center: float = 0.0, width: float = 1.0) -> np.ndarray:
@@ -92,8 +91,8 @@ def heisenberg_residual_1d(grid: GridSpec1D, params: PhysicalParams,
     p = grid.points
     lhs = snyder_position_apply_1d(p * f, grid, params) - p * snyder_position_apply_1d(f, grid, params)
     rhs = 1j * params.hbar * (1.0 + (params.a * p / params.hbar) ** 2) * f
-    mask = interior_mask(grid.n)
-    return float(np.linalg.norm((lhs - rhs)[mask]) / np.linalg.norm(f[mask]))
+    inner = interior(grid.n)
+    return float(np.linalg.norm((lhs - rhs)[inner]) / np.linalg.norm(f[inner]))
 
 
 def gaussian_2d(grid: GridSpec1D, center=(0.0, 0.0), width: float = 1.0) -> np.ndarray:
@@ -119,6 +118,12 @@ def _position_2d(grad, coeffs, axis: int, hbar: float) -> np.ndarray:
     out += cross * grad[1 - axis]
     out *= hbar
     return out
+
+
+def _norm_2d(g: np.ndarray) -> float:
+    # einsum, not np.linalg.norm: OpenBLAS splits a dot product this long over
+    # worker threads, whose wake-up costs more than the sum and slows what follows.
+    return np.sqrt(np.einsum("ij,ij->", g, g))
 
 
 def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
@@ -154,8 +159,6 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
     mixed -= py * xf
     mixed -= hbar * (a / hbar) ** 2 * px * py * f
 
-    mask = np.outer(interior_mask(grid.n), interior_mask(grid.n))
-    fnorm = np.linalg.norm(f[mask])
-    r_xy = float(np.linalg.norm(comm[mask]) / fnorm)
-    r_mixed = float(np.linalg.norm(mixed[mask]) / fnorm)
-    return r_xy, r_mixed
+    inner = (interior(grid.n),) * 2
+    fnorm = _norm_2d(f[inner])
+    return float(_norm_2d(comm[inner]) / fnorm), float(_norm_2d(mixed[inner]) / fnorm)

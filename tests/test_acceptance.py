@@ -117,7 +117,8 @@ def test_05_snyder_residuals_and_convergence(announce):
 
 def test_06_rotation_covariance(dset, announce):
     rng = np.random.default_rng(42)
-    momenta = rng.uniform(-1.0, 1.0, size=(100, 3)) * PARAMS.m * PARAMS.c
+    mc = PARAMS.m * PARAMS.c
+    momenta = rng.uniform(-1.0, 1.0, size=(100, 3)) * mc
     worst = 0.0
     orbital_ok = True
     for p in momenta:
@@ -125,7 +126,7 @@ def test_06_rotation_covariance(dset, announce):
             res_orb, res_tot = ga.rotation_covariance_check(dset, PARAMS, p, axis)
             worst = max(worst, res_tot)
             transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
-            if transverse > 1e-3 and res_orb <= 1e-3:
+            if transverse > 1e-3 * mc and res_orb / (PARAMS.hbar * PARAMS.c * mc) <= 1e-3:
                 orbital_ok = False
     announce(6, "rotation covariance over 100 momenta x 3 axes",
              worst <= 1e-12 and orbital_ok, f"max total residual {worst:.3e}")

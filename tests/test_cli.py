@@ -162,6 +162,15 @@ class TestVerifyAlgebraCommand:
         assert run(["verify-algebra", "--mass", "2", "--output-dir", tmp_path]) == 0
         assert "Compton deformation factor: measured 2" in (tmp_path / "report.txt").read_text()
 
+    def test_orbital_action_judged_in_units_of_mc(self, tmp_path):
+        # ||L_i H|| = 2 hbar c p_transverse is about 1e-150 here: nonzero in units of hbar c mc.
+        assert run(["verify-algebra", "--mass", "1e-150", "--a", "1",
+                    "--output-dir", tmp_path]) == 0
+        line = next(line for line in (tmp_path / "report.txt").read_text().splitlines()
+                    if line.startswith("orbital action nonzero off-axis"))
+        assert line.endswith("measured all 300 cases, expected > 1e-3 whenever transverse "
+                             "momentum > 1e-3: PASS")
+
 
 class TestSnyderCommand:
     def test_default_run(self, tmp_path):

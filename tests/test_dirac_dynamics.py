@@ -285,6 +285,42 @@ class TestSeriesPaths:
             dd.position_series(f, t_max, 8192)
 
 
+def full_mode_series(field, t_max, n_samples):
+    """<x>(t) from ``_zb_weights`` summed over every mode, zero weights included.
+
+    The phases factor as in ``position_series``, e^{i w (i B dt)} e^{i w (k dt)}
+    for t = (i B + k) dt, so only the order of the sum differs.
+    """
+    v, omega, weights = dd._zb_weights(field)
+    times = np.linspace(0.0, t_max, n_samples)
+    dt = t_max / (n_samples - 1)
+    block = dd._BLOCK
+    zb = [np.sum(weights * np.exp(1j * (i * (block * dt) * omega))
+                 * np.exp(1j * (omega * (k * dt))))
+          for i, k in (divmod(j, block) for j in range(n_samples))]
+    return dd.expect_position(field) - weights.sum().real + v * times + np.real(zb)
+
+
+class TestZeroWeightModes:
+    """position_series skips the modes whose weight is exactly 0."""
+
+    @pytest.mark.parametrize("mode, n, sigma_p, t_max, has_zeros", [
+        ("mixed", 1024, 0.1, 50.0, True),
+        ("positive", 1024, 0.1, 50.0, True),
+        ("mixed", 2048, 2.0, 25.0, False),
+    ], ids=["default-mixed", "default-positive", "packet-wide"])
+    def test_matches_full_mode_sum(self, mode, n, sigma_p, t_max, has_zeros):
+        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), PARAMS, 0.0, sigma_p, mode, SEED)
+        _, _, weights = dd._zb_weights(f)
+        # The default packet's envelope underflows, so the skip is exercised;
+        # packet-wide's has no zero weight and takes every mode as before.
+        assert bool(np.any(weights == 0)) == has_zeros
+        series = dd.position_series(f, t_max, 1024)
+        reference = full_mode_series(f, t_max, 1024)
+        np.testing.assert_array_less(np.abs(series.values - reference),
+                                     1e-15 * np.maximum(1.0, np.abs(reference)))
+
+
 class TestSlidingAverage:
     def test_constant_series_unchanged(self):
         t = np.linspace(0, 10, 256)
