@@ -39,9 +39,6 @@ class SpinorMomentumField:
     amps: np.ndarray  # shape (n, 4)
     params: PhysicalParams
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2) * self.grid.dp))
-
 
 def init_packet(grid: GridSpec1D, params: PhysicalParams, p0: float, sigma_p: float,
                 mode: str = "mixed", spinor_seed=(1.0, 0.0, 1.0, 0.0)) -> SpinorMomentumField:

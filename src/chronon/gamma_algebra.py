@@ -4,9 +4,9 @@ Builds the block matrices (beta diagonal, alpha off-diagonal with Pauli
 blocks) once, as the read-only ``BETA`` and ``ALPHA`` that every other layer
 uses, checks the Clifford relations in signature (+,-,-,-), represents the
 noncommuting coordinates as x_i = kappa*a*alpha_i and t = kappa_t*(a/c)*beta,
-recovers the normalization constants by search, extracts rotation and boost
-generators from the coordinate brackets, and verifies that the angular part
-carries spin one-half.
+recovers the normalization constants by least squares, extracts rotation and
+boost generators from the coordinate brackets, and verifies that the angular
+part carries spin one-half.
 
 Sign conventions fixed here (the source relations leave them open):
 
@@ -20,6 +20,7 @@ Sign conventions fixed here (the source relations leave them open):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """||A||_F; math.hypot scales internally, so entries near the float range survive."""
+    return math.hypot(*np.abs(a).ravel().tolist())
 
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -126,8 +128,6 @@ class CoordinateRep:
 
     t_hat: np.ndarray
     x_hat: tuple[np.ndarray, np.ndarray, np.ndarray]
-    kappa: complex
-    kappa_t: complex
     params: PhysicalParams
 
 
@@ -135,8 +135,7 @@ def coordinate_rep(dset: DiracMatrixSet, params: PhysicalParams,
                    kappa: complex, kappa_t: complex) -> CoordinateRep:
     x_hat = tuple(kappa * params.a * a for a in dset.alpha)
     t_hat = kappa_t * (params.a / params.c) * dset.beta
-    return CoordinateRep(t_hat=t_hat, x_hat=x_hat, kappa=complex(kappa),
-                         kappa_t=complex(kappa_t), params=params)
+    return CoordinateRep(t_hat=t_hat, x_hat=x_hat, params=params)
 
 
 @dataclass(frozen=True)
@@ -169,12 +168,6 @@ def _levi_civita() -> np.ndarray:
 _EPS = _levi_civita()
 
 
-def _jk_bracket(J, K, i: int, j: int) -> np.ndarray:
-    """[J_i, K_j] - i eps_ijk K_k, which vanishes on a closed algebra."""
-    target = sum(_EPS[i, j, k] * K[k] for k in range(3))
-    return commutator(J[i], K[j]) - 1j * target
-
-
 def verify_lorentz_algebra(gen: GeneratorSet, hbar: float) -> float:
     """Max residual of the J/K closure relations with J = L/hbar, K = M/hbar.
 
@@ -190,7 +183,8 @@ def verify_lorentz_algebra(gen: GeneratorSet, hbar: float) -> float:
         worst = max(worst, frobenius(commutator(K[i], K[j]) + 1j * J[k]))
     for i in range(3):
         for j in range(3):
-            worst = max(worst, frobenius(_jk_bracket(J, K, i, j)))
+            target = sum(_EPS[i, j, k] * K[k] for k in range(3))
+            worst = max(worst, frobenius(commutator(J[i], K[j]) - 1j * target))
     return worst
 
 
@@ -210,104 +204,45 @@ def is_spin_half(spectra, hbar: float, tol: float = 1e-12) -> bool:
     return all(np.max(np.abs(vals - target)) <= tol for vals in spectra)
 
 
-_GRID_STEP = 1.0 / 16.0
-_GRID_HALF_WIDTH = 2.0
-_TIE_TOL = 1e-12
-_ZOOM_POINTS = 17
-_ZOOM_SHRINK = 4
-_ZOOM_MIN_HALF_WIDTH = 1e-12
+def _least_squares(brackets, targets) -> complex:
+    """z minimizing sum_k ||z B_k - T_k||_F^2, or 0 when every B_k vanishes."""
+    norm2 = sum(np.vdot(b, b).real for b in brackets)
+    if not norm2:
+        return 0j
+    return complex(sum(np.vdot(b, t) for b, t in zip(brackets, targets)) / norm2)
 
 
-def _square(center: complex, half_width: float, points: int) -> np.ndarray:
-    """points x points candidates centred on ``center``, flattened real part first."""
-    axis = np.linspace(-half_width, half_width, points)
-    return (center + axis[:, None] + 1j * axis[None, :]).ravel()
-
-
-def _complex_grid_search(residual) -> complex:
-    """Scan the complex square [-2,2]^2 at step 1/16, then zoom in on the best point.
-
-    ``residual`` maps an array of candidates to an array of residuals, so each
-    grid is one call.  On the coarse 65 x 65 grid, candidates within 1e-12 of
-    the minimum tie, and ties break toward larger real part, then larger
-    imaginary part, so symmetric minima resolve deterministically.  Each zoom
-    level is a 17 x 17 grid around the current best point that takes the strict
-    (first) minimum; its half-width starts at one coarse step and shrinks 4x
-    per level until it is below 1e-12.
-    """
-    steps = int(round(2 * _GRID_HALF_WIDTH / _GRID_STEP)) + 1
-    grid = _square(0j, _GRID_HALF_WIDTH, steps)
-    r = residual(grid)
-    ties = grid[r <= r.min() + _TIE_TOL]
-    best = ties[np.lexsort((ties.imag, ties.real))[-1]]
-    half_width = _GRID_STEP
-    while half_width >= _ZOOM_MIN_HALF_WIDTH:
-        grid = _square(best, half_width, _ZOOM_POINTS)
-        best = grid[np.argmin(residual(grid))]
-        half_width /= _ZOOM_SHRINK
-    return complex(best)
-
-
-def _kappa_residual(dset: DiracMatrixSet, params: PhysicalParams):
-    """Batched ||[x, y] - (i a^2 / hbar)(hbar/2) Sigma_z||_F over candidate kappas.
-
-    [x, y] = kappa^2 [a alpha_x, a alpha_y], so one bracket serves every candidate.
-    """
-    hbar, a = params.hbar, params.a
-    target = (1j * a**2 / hbar) * (hbar / 2) * dset.sigma_big[2]
-    bracket = commutator(a * dset.alpha[0], a * dset.alpha[1])
-
-    def residual(kappa):
-        k2 = np.asarray(kappa)[..., None, None] ** 2
-        return np.linalg.norm(k2 * bracket - target, axis=(-2, -1))
-    return residual
-
-
-def _kappa_t_residual(dset: DiracMatrixSet, params: PhysicalParams, kappa: complex):
-    """Batched ``verify_lorentz_algebra`` residual over candidate kappa_t at fixed kappa.
-
-    J does not depend on kappa_t and K_i = kappa_t K1_i, with K1 the boosts at
-    kappa_t = 1.  So [J,J] - iJ is constant, [K,K] + iJ = kappa_t^2 [K1,K1] + iJ
-    is quadratic and [J,K] - i eps K = kappa_t ([J,K1] - i eps K1) is linear;
-    every bracket is computed once.
-    """
-    hbar = params.hbar
-    gen = extract_generators(coordinate_rep(dset, params, kappa, 1.0))
-    J = [l / hbar for l in gen.L]
-    K1 = [m / hbar for m in gen.M]
-    jj = max(frobenius(commutator(J[i], J[j]) - 1j * J[k]) for i, j, k in _CYCLIC)
-    kk_quad = [commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC]
-    kk_const = [1j * J[k] for _, _, k in _CYCLIC]
-    jk = max(frobenius(_jk_bracket(J, K1, i, j)) for i in range(3) for j in range(3))
-
-    def residual(kappa_t):
-        kt = np.asarray(kappa_t)
-        worst = np.maximum(jj, np.abs(kt) * jk)
-        kt2 = kt[..., None, None] ** 2
-        for quad, const in zip(kk_quad, kk_const):
-            worst = np.maximum(worst, np.linalg.norm(kt2 * quad + const, axis=(-2, -1)))
-        return worst
-    return residual
+def _root(z: complex) -> complex:
+    """The square root of z with the larger real part, then the larger imaginary part."""
+    r = complex(np.sqrt(z))
+    return max(r, -r, key=lambda w: (w.real, w.imag))
 
 
 def solve_normalization(dset: DiracMatrixSet,
                         params: PhysicalParams) -> tuple[complex, complex, float]:
-    """Recover the coordinate normalizations by residual minimization.
+    """Recover the coordinate normalizations by least squares on their squares.
 
-    kappa balances [x, y] against (i a^2 / hbar) * (hbar/2) Sigma_z; kappa_t
-    then minimizes the Lorentz-closure residual of the extracted generators.
-    Both are direct searches (``_complex_grid_search``) whose residuals take
-    every candidate of a grid in one array call; the closed forms kappa = 1/2
-    and kappa_t = i/2 are not used.  Returns (kappa, kappa_t, residual of the
-    best pair).  Both sides of the kappa balance scale as a^2, so the result
-    is a-independent.
+    [x, y] = kappa^2 a^2 [alpha_x, alpha_y] must equal (i a^2 / hbar) S_z; a^2
+    cancels, so kappa^2 is the least-squares z of z [alpha_x, alpha_y] =
+    (i/hbar) S_z.  At that kappa, K_i = kappa_t K1_i with K1 the boosts at
+    kappa_t = 1, and kappa_t^2 is the least-squares z of z [K1_i, K1_j] =
+    -i J_k over the cyclic triples.  The closed forms kappa = 1/2 and
+    kappa_t = i/2 are not used.  Returns (kappa, kappa_t, residual), the
+    residual being the larger of ||kappa^2 [alpha_x, alpha_y] - (i/hbar) S_z||_F
+    and the Lorentz-closure residual at (kappa, kappa_t).
     """
-    kappa_residual = _kappa_residual(dset, params)
-    kappa = _complex_grid_search(kappa_residual)
-    kappa_t_residual = _kappa_t_residual(dset, params, kappa)
-    kappa_t = _complex_grid_search(kappa_t_residual)
-    residual = max(float(kappa_residual(kappa)), float(kappa_t_residual(kappa_t)))
-    return kappa, kappa_t, residual
+    hbar = params.hbar
+    bracket = commutator(dset.alpha[0], dset.alpha[1])
+    target = (1j / hbar) * dset.spin[2]
+    kappa = _root(_least_squares([bracket], [target]))
+    gen = extract_generators(coordinate_rep(dset, params, kappa, 1.0))
+    J = [l / hbar for l in gen.L]
+    K1 = [m / hbar for m in gen.M]
+    kappa_t = _root(_least_squares([commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC],
+                                   [-1j * J[k] for _, _, k in _CYCLIC]))
+    closure = verify_lorentz_algebra(
+        extract_generators(coordinate_rep(dset, params, kappa, kappa_t)), hbar)
+    return kappa, kappa_t, max(frobenius(kappa**2 * bracket - target), closure)
 
 
 def deformation_factor(params: PhysicalParams, p: float, which: str = "space") -> float:

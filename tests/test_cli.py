@@ -1,10 +1,15 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronon import cli
 from chronon import dirac_dynamics as dd
 from chronon.cli import RUNNERS, main
-from chronon.config import ConfigError, read_config_file, resolve
+from chronon.config import ConfigError, RunConfig, read_config_file, resolve
 from chronon.reporting import Report, fmt_number, render_line_plot
 
 FAST_ZB = ["--grid-n", "1024", "--t-max", "25", "--n-samples", "1024",
@@ -170,6 +175,34 @@ class TestVerifyAlgebraCommand:
                     if line.startswith("orbital action nonzero off-axis"))
         assert line.endswith("measured all 300 cases, expected > 1e-3 whenever transverse "
                              "momentum > 1e-3: PASS")
+
+    def test_orbital_action_survives_squared_underflow(self, tmp_path):
+        # ||L_i H|| is about 1e-200 here: its squared entries underflow, the norm must not.
+        assert run(["verify-algebra", "--mass", "1e-200", "--a", "1",
+                    "--output-dir", tmp_path]) == 0
+        assert "orbital action nonzero off-axis: measured all 300 cases" in \
+            (tmp_path / "report.txt").read_text()
+
+    @given(st.floats(-150, 150), st.one_of(st.none(), st.floats(-150, 150)))
+    @settings(max_examples=80, deadline=None)
+    def test_units_over_the_float_range(self, tmp_path_factory, log_mass, log_a):
+        # At hbar = c = 1, a config that validate accepts passes; any other
+        # exits 2 with one line.
+        mass, a = 10.0 ** log_mass, None if log_a is None else 10.0 ** log_a
+        try:
+            RunConfig("verify-algebra", mass=mass, a=a).validate()
+            valid = True
+        except ConfigError:
+            valid = False
+        argv = ["verify-algebra", "--mass", repr(mass), "--output-dir",
+                tmp_path_factory.mktemp("units")] + ([] if a is None else ["--a", repr(a)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        if valid:
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 2 and err.getvalue().count("\n") == 1
 
 
 class TestSnyderCommand:

@@ -17,6 +17,11 @@ def expect_energy(field):
     return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
 
 
+def norm(field):
+    """sqrt(sum |psi|^2 dp) over the momentum grid."""
+    return float(np.sqrt(np.sum(np.abs(field.amps) ** 2) * field.grid.dp))
+
+
 @pytest.fixture(scope="module")
 def mixed():
     return dd.init_packet(GRID, PARAMS, 0.0, 0.1, "mixed", SEED)
@@ -89,8 +94,8 @@ class TestOneHamiltonian:
 
 class TestInitPacket:
     def test_unit_norm(self, mixed, positive):
-        assert abs(mixed.norm() - 1) <= 1e-12
-        assert abs(positive.norm() - 1) <= 1e-12
+        assert abs(norm(mixed) - 1) <= 1e-12
+        assert abs(norm(positive) - 1) <= 1e-12
 
     def test_positive_mode_annihilated_by_minus_projector(self, positive):
         p = GRID.points
@@ -151,7 +156,7 @@ class TestEvolve:
         assert np.max(np.abs(lhs.amps - rhs.amps)) <= 1e-12
 
     def test_norm_conserved_long_time(self, mixed):
-        assert abs(dd.evolve(mixed, 1000.0).norm() - 1) <= 1e-12
+        assert abs(norm(dd.evolve(mixed, 1000.0)) - 1) <= 1e-12
 
     def test_energy_conserved_long_time(self, mixed):
         e0 = expect_energy(mixed)

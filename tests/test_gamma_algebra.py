@@ -124,7 +124,7 @@ class TestSolveNormalization:
                                   gamma=dset.gamma, sigma_big=dset.sigma_big,
                                   spin=dset.spin)
         _, _, resid = ga.solve_normalization(broken, params)
-        expected = frobenius((1j * params.a**2 / 2) * dset.sigma_big[2])
+        expected = frobenius((1j / params.hbar) * dset.spin[2])  # a^2 has cancelled
         assert resid >= expected - 1e-12
         assert resid > 0
 
@@ -134,33 +134,7 @@ UNIT_IDS = ["defaults", "m2-a0.5", "hbar2-c3", "a0.1", "a7.5"]
 
 
 class TestBatchedSearch:
-    """The array residuals and zoom search against per-point evaluation."""
-
-    @pytest.fixture(scope="class")
-    def candidates(self):
-        rng = np.random.default_rng(2)
-        return rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-
-    @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
-    def test_kappa_residual_matches_per_point(self, kwargs, candidates):
-        p = ga.PhysicalParams(**kwargs)
-        dset = ga.build_dirac_set(p)
-        target = (1j * p.a**2 / p.hbar) * (p.hbar / 2) * dset.sigma_big[2]
-        reference = [frobenius(commutator(k * p.a * dset.alpha[0], k * p.a * dset.alpha[1])
-                               - target) for k in candidates]
-        np.testing.assert_allclose(ga._kappa_residual(dset, p)(candidates), reference,
-                                   rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("kappa", [0.5, 0.45 + 0.05j])
-    @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
-    def test_kappa_t_residual_matches_per_point(self, kwargs, kappa, candidates):
-        p = ga.PhysicalParams(**kwargs)
-        dset = ga.build_dirac_set(p)
-        reference = [ga.verify_lorentz_algebra(
-            ga.extract_generators(ga.coordinate_rep(dset, p, kappa, kt)), p.hbar)
-            for kt in candidates]
-        np.testing.assert_allclose(ga._kappa_t_residual(dset, p, kappa)(candidates),
-                                   reference, rtol=1e-13, atol=0)
+    """The least-squares solve recovers kappa = 1/2 and kappa_t = i/2 at several units."""
 
     @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
     def test_search_recovers_closed_forms(self, kwargs):
@@ -170,15 +144,33 @@ class TestBatchedSearch:
         assert abs(kappa_t - 0.5j) <= 1e-12
         assert resid <= 1e-10
 
-    def test_zoom_reaches_off_grid_minimum(self):
-        z0 = 0.123456789 - 1.23456789j
-        best = ga._complex_grid_search(lambda z: np.abs(z - z0))
-        assert abs(best - z0) <= 1e-12
 
-    def test_coarse_tie_prefers_larger_real_then_imaginary(self):
-        # |z^2 - 1/4| vanishes at +-1/2, both on the coarse grid.
-        assert ga._complex_grid_search(lambda z: np.abs(z**2 - 0.25)) == 0.5
-        assert ga._complex_grid_search(lambda z: np.abs(z**2 + 0.25)) == 0.5j
+class TestLeastSquaresSolve:
+    @pytest.mark.parametrize("z, root", [
+        (0.25 + 0j, 0.5), (complex(0.25, -0.0), 0.5), (-0.25 + 0j, 0.5j),
+        (complex(-0.25, -0.0), 0.5j), (0j, 0), (0.5j, 0.5 + 0.5j), (-0.5j, 0.5 - 0.5j),
+    ])
+    def test_root_prefers_larger_real_then_imaginary(self, z, root):
+        # np.sqrt(-0.25 - 0j) is -0.5j; the rule picks its negative.
+        assert ga._root(z) == root
+
+    def test_flipped_spin_target_gives_imaginary_kappa(self, params):
+        # [x, y] = -(i a^2/hbar) S_z needs kappa^2 = -1/4: the root with Im > 0.
+        dset = ga.build_dirac_set(params)
+        flipped = ga.DiracMatrixSet(beta=dset.beta, alpha=dset.alpha, gamma=dset.gamma,
+                                    sigma_big=dset.sigma_big,
+                                    spin=tuple(-s for s in dset.spin))
+        kappa, _, _ = ga.solve_normalization(flipped, params)
+        assert kappa == 0.5j
+
+    @pytest.mark.parametrize("kwargs", [dict(a=1e-100), dict(a=1e100), dict(hbar=1e150)],
+                             ids=["a1e-100", "a1e100", "hbar1e150"])
+    def test_units_far_from_one(self, kwargs):
+        # a^2 cancels from the brackets before they are solved, so the Dirac set
+        # gives the closed forms and a zero residual at any scale, without overflow.
+        p = ga.PhysicalParams(**kwargs)
+        with np.errstate(over="raise", invalid="raise"):
+            assert ga.solve_normalization(ga.build_dirac_set(p), p) == (0.5, 0.5j, 0.0)
 
 
 class TestGenerators:

@@ -6,6 +6,7 @@ stay the same.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +60,10 @@ class TestCommutator:
         rhs = commutator(a, c) + commutator(b, c)
         scale = max(frobenius(a) + frobenius(b), 1.0) * max(frobenius(c), 1.0)
         assert frobenius(lhs - rhs) <= 1e-10 * scale
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_entries_near_the_float_range(self, scale):
+        # Squaring these entries underflows or overflows; the norm must not.
+        assert frobenius(np.full((4, 4), 3j * scale)) == pytest.approx(12 * scale, rel=1e-15, abs=0)
