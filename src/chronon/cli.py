@@ -24,7 +24,7 @@ from chronon.config import (
     read_config_file,
     resolve,
 )
-from chronon.reporting import Report, render_line_plot, write_csv
+from chronon.reporting import Report, fmt_column, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
 # (comparator, tolerance).  "<=" and ">=" compare the measured value with the
@@ -239,7 +239,7 @@ def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     # sliding_average returns a centred slice of the times, so padding half a
     # window of blanks at each end lines the averaged column up with the raw one.
     half = (len(mixed.values) - len(avg_compton.values)) // 2
-    averaged = [""] * half + avg_compton.values.tolist() + [""] * half
+    averaged = [""] * half + fmt_column(avg_compton.values) + [""] * half
     write_csv(os.path.join(cfg.output_dir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
               [mixed.times, mixed.values, averaged])
     if cfg.emit_plots:

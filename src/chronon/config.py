@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 from chronon.gamma_algebra import PhysicalParams
@@ -76,6 +77,11 @@ class RunConfig:
             if not (value < math.inf and (value > 0 or may_vanish)):
                 given = ", ".join(f"{k}={getattr(self, k):g}" for k in dict.fromkeys(keys.split()))
                 raise ConfigError(f"{name} is out of floating-point range at {given}")
+        # The Gaussian witnesses square the box edge: p^2 in 1-D, p_x^2 + p_y^2 in 2-D.
+        for name, key, edge, squares in (("p-max^2", "p-max", self.p_max, 1),
+                                         ("2 p-max-2d^2", "p-max-2d", self.p_max_2d, 2)):
+            if not edge < math.sqrt(sys.float_info.max / squares):
+                raise ConfigError(f"{name} is out of floating-point range at {key}={edge:g}")
         return self
 
 

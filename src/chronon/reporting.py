@@ -73,7 +73,7 @@ class Report:
 _CSV_ROWS = 1024
 
 
-def _fmt_column(col) -> list[str]:
+def fmt_column(col) -> list[str]:
     """``fmt_number`` of each cell, with a float array formatted in one pass.
 
     '{:.9g}' is ``fmt_number``'s rule for every float except 0 (either sign)
@@ -99,7 +99,7 @@ def write_csv(path, header: list[str], columns: list) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_ROWS):
-            cells = [_fmt_column(col[start:start + _CSV_ROWS]) for col in columns]
+            cells = [fmt_column(col[start:start + _CSV_ROWS]) for col in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -11,6 +11,7 @@ vanish in the continuum.
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
 Real f takes rfft/irfft, which drop the complex path's imaginary Nyquist term.
+The 2-D check runs in cache-sized panels, with a whole-array composition's arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from chronon.gamma_algebra import PhysicalParams
+
+# Elements per 2-D panel: 128 KiB of float64 and its half spectrum stay in cache.
+# At 2^15, a 256^2 grid's two panels lift the traced peak past 5 n^2 floats.
+_PANEL = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,9 @@ class GridSpec1D:
         return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dp)
 
 
-def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0) -> np.ndarray:
-    """d f / dp along ``axis`` by FFT; a real f takes rfft/irfft and gives a real
-    result, without the imaginary Nyquist term that the complex path keeps."""
+def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0, out=None) -> np.ndarray:
+    """d f / dp along ``axis`` by FFT, into ``out`` if given; a real f takes rfft/irfft and
+    gives a real result, without the imaginary Nyquist term that the complex path keeps."""
     real = np.isrealobj(f)
     f = np.asarray(f, dtype=float if real else complex)
     if f.shape[axis] != grid.n:
@@ -59,12 +64,12 @@ def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0) -> np.nd
     shape = [1] * f.ndim
     shape[axis] = -1
     if real:
-        out = np.fft.rfft(f, axis=axis)
-        out *= 1j * grid.wavenumbers[:grid.n // 2 + 1].reshape(shape)
-        return np.fft.irfft(out, n=grid.n, axis=axis)
-    out = np.fft.fft(f, axis=axis)
-    out *= 1j * grid.wavenumbers.reshape(shape)
-    return np.fft.ifft(out, axis=axis, out=out)
+        spectrum = np.fft.rfft(f, axis=axis)
+        spectrum *= 1j * grid.wavenumbers[:grid.n // 2 + 1].reshape(shape)
+        return np.fft.irfft(spectrum, n=grid.n, axis=axis, out=out)
+    spectrum = np.fft.fft(f, axis=axis)
+    spectrum *= 1j * grid.wavenumbers.reshape(shape)
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum if out is None else out)
 
 
 def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D,
@@ -101,23 +106,31 @@ def gaussian_2d(grid: GridSpec1D, center=(0.0, 0.0), width: float = 1.0) -> np.n
 
 
 def _coefficients_2d(grid: GridSpec1D, params: PhysicalParams):
-    """((1 + b p_x^2) as a column, (1 + b p_y^2) as a row), b p_x p_y; b = (a/hbar)^2."""
+    """(1 + b p_x^2, 1 + b p_y^2), (b p_x, p_y): p_x a column, p_y a row; b = (a/hbar)^2."""
     px, py = grid.points[:, None], grid.points[None, :]
     b = (params.a / params.hbar) ** 2
-    return (1.0 + b * px * px, 1.0 + b * py * py), b * px * py
+    return (1.0 + b * px * px, 1.0 + b * py * py), (b * px, py)
 
 
-def _gradient_2d(g: np.ndarray, grid: GridSpec1D) -> tuple[np.ndarray, np.ndarray]:
-    return spectral_derivative(g, grid, axis=0), spectral_derivative(g, grid, axis=1)
-
-
-def _position_2d(grad, coeffs, axis: int, hbar: float) -> np.ndarray:
-    """x_axis g / i from g's gradient (dg/dp_x, dg/dp_y) and ``_coefficients_2d``."""
-    diag, cross = coeffs
-    out = diag[axis] * grad[axis]
-    out += cross * grad[1 - axis]
+def _position_2d(grad, coeffs, axis: int, hbar: float, rows=slice(None), out=None):
+    """x_axis g / i on ``rows`` from g's gradient there and ``_coefficients_2d``."""
+    (diag_x, diag_y), (bpx, py) = coeffs
+    out = np.multiply((diag_x[rows], diag_y)[axis], grad[axis], out=out)
+    out += bpx[rows] * py * grad[1 - axis]
     out *= hbar
     return out
+
+
+def _gradient_panels(g, grid: GridSpec1D, dx: np.ndarray, dy: np.ndarray):
+    """Yield (rows, (dg/dp_x, dg/dp_y) there) per panel of len(dy) rows, g(index) = g[index];
+    all of dg/dp_x goes into ``dx`` first, by column panels, and dg/dp_y into ``dy``."""
+    step = len(dy)
+    for start in range(0, grid.n, step):
+        cols = np.s_[:, start:start + step]
+        spectral_derivative(g(cols), grid, axis=0, out=dx[cols])
+    for start in range(0, grid.n, step):
+        rows = slice(start, start + step)
+        yield rows, (dx[rows], spectral_derivative(g(rows), grid, axis=1, out=dy))
 
 
 def _norm_2d(g: np.ndarray) -> float:
@@ -132,32 +145,38 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
 
     r_xy checks [x, y] f = (i a^2/hbar) L_z f; r_mixed checks [x, p_y] f =
     i*hbar*(a/hbar)^2 p_x p_y f.  Each of the 8 distinct derivatives (the
-    gradients of f, x f, y f and p_y f) is computed once, on real arrays.
+    gradients of f, x f, y f and p_y f) is computed once, on real panels.
     """
     if np.iscomplexobj(f):
         raise ValueError("the 2-D witness f must be a real array")
-    hbar, a = params.hbar, params.a
-    coeffs = _coefficients_2d(grid, params)
+    hbar, a, n = params.hbar, params.a, grid.n
     px, py = grid.points[:, None], grid.points[None, :]
 
     # x_axis g = i P_axis g with P_axis = _position_2d, so xf = P_0 f, yf = P_1 f, comm =
     # -([x, y] f - (i a^2/hbar) L_z f) = P_0 yf - P_1 xf - a^2 (p_y df/dp_x - p_x df/dp_y)
-    # and mixed = ([x, p_y] f - i hbar (a/hbar)^2 p_x p_y f)/i are all real.  Each n x n
-    # array is dropped after its last use, which bounds peak memory.
-    grad = _gradient_2d(f, grid)
-    xf = _position_2d(grad, coeffs, 0, hbar)
-    yf = _position_2d(grad, coeffs, 1, hbar)
-    comm = py * grad[0]
-    comm -= px * grad[1]
-    comm *= -a**2
-    del grad
-    comm += _position_2d(_gradient_2d(yf, grid), coeffs, 0, hbar)
+    # and mixed = ([x, p_y] f - i hbar (a/hbar)^2 p_x p_y f)/i are all real.  Row panels are
+    # finished while their d/dp_y is in cache, so dx, xf, yf and comm are the only n x n arrays;
+    # mixed is written over xf, and each pass after the first writes P_axis over its grad.
+    dx, xf, yf, comm = (np.empty((n, n)) for _ in range(4))
+    dy = np.empty((min(n, max(1, _PANEL // n)), n))
+    coeffs = _coefficients_2d(grid, params)
+    for r, grad in _gradient_panels(f.__getitem__, grid, dx, dy):
+        _position_2d(grad, coeffs, 0, hbar, r, out=xf[r])
+        _position_2d(grad, coeffs, 1, hbar, r, out=yf[r])
+        lz = np.multiply(py, grad[0], out=comm[r])
+        lz -= px[r] * grad[1]
+        lz *= -a**2
+    for r, grad in _gradient_panels(yf.__getitem__, grid, dx, dy):
+        comm[r] += _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
     del yf
-    comm -= _position_2d(_gradient_2d(xf, grid), coeffs, 1, hbar)
-
-    mixed = _position_2d(_gradient_2d(py * f, grid), coeffs, 0, hbar)
-    mixed -= py * xf
-    mixed -= hbar * (a / hbar) ** 2 * px * py * f
+    for r, grad in _gradient_panels(xf.__getitem__, grid, dx, dy):
+        comm[r] -= _position_2d(grad, coeffs, 1, hbar, r, out=grad[1])
+    mixed, py_full = xf, np.broadcast_to(py, (n, n))
+    for r, grad in _gradient_panels(lambda ix: py_full[ix] * f[ix], grid, dx, dy):
+        row = _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
+        row -= py * xf[r]
+        row -= hbar * (a / hbar) ** 2 * px[r] * py * f[r]
+        mixed[r] = row
 
     inner = (interior(grid.n),) * 2
     fnorm = _norm_2d(f[inner])

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from chronon import cli
 from chronon import dirac_dynamics as dd
+from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
 from chronon.config import ConfigError, RunConfig, read_config_file, resolve
 from chronon.reporting import Report, fmt_number, render_line_plot
@@ -56,6 +59,18 @@ class TestConfigResolution:
         assert resolve("snyder", {}, {"a": 0.0}).a == 0.0
         with pytest.raises(ConfigError, match="a\\^2 is out of floating-point range at a=1e-200"):
             resolve("snyder", {}, {"a": 1e-200})
+
+    @pytest.mark.parametrize("attr, name, witness", [
+        ("p_max", "p-max\\^2", sr.gaussian_1d), ("p_max_2d", "2 p-max-2d\\^2", sr.gaussian_2d)])
+    def test_box_edge_range(self, attr, name, witness):
+        # The largest edge validate accepts squares without overflow in its witness.
+        squares = 2 if attr == "p_max_2d" else 1
+        limit = math.sqrt(sys.float_info.max / squares)
+        edge = getattr(resolve("snyder", {}, {attr: math.nextafter(limit, 0)}), attr)
+        with np.errstate(over="raise"):
+            witness(sr.GridSpec1D(n=8, p_max=edge))
+        with pytest.raises(ConfigError, match=f"^{name} is out of floating-point range at"):
+            resolve("snyder", {}, {attr: limit})
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ConfigError):
@@ -120,10 +135,14 @@ class TestExitStatuses:
         # The required sample count prints in :g form, not as a 300-digit integer.
         (["all", "--t-max", "1e300"], "need >= 2.54648e+300"),
         (["all", "--window", "1e300"], "needs 8.19e+301 samples"),
+        # The Gaussian witnesses square the box edges.
+        (["snyder", "--p-max", "1e160"], "p-max=1e+160"),
+        (["snyder", "--p-max-2d", "1e160"], "p-max-2d=1e+160"),
     ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan", "c-1e200", "a-1e200",
             "hbar-1e200", "mass-1e-300", "zitterbewegung-mass-1e-300",
             "averaging-mass-1e-300", "verify-algebra-c-1e200", "snyder-a-1e200",
-            "verify-algebra-mass-1e-300", "t-max-1e300", "window-1e300"])
+            "verify-algebra-mass-1e-300", "t-max-1e300", "window-1e300",
+            "snyder-p-max-1e160", "snyder-p-max-2d-1e160"])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,46 @@ def grid():
     return sr.GridSpec1D(n=1024, p_max=20.0)
 
 
+def gradient_2d(g, grid):
+    return sr.spectral_derivative(g, grid, axis=0), sr.spectral_derivative(g, grid, axis=1)
+
+
 def position_apply_2d(f, grid, params, axis):
     """x_axis f with x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j, axis 0 = p_x."""
-    return 1j * sr._position_2d(sr._gradient_2d(f, grid), sr._coefficients_2d(grid, params),
+    return 1j * sr._position_2d(gradient_2d(f, grid), sr._coefficients_2d(grid, params),
                                 axis, params.hbar)
+
+
+def whole_array_residual_2d(grid, params, f):
+    """The 2-D residuals composed on whole n x n arrays, one step after another.
+
+    ``coordinate_commutator_residual_2d`` does the same per-element arithmetic
+    in the same operand order on panels, so the two agree to the bit.
+    """
+    hbar, a = params.hbar, params.a
+    px, py = grid.points[:, None], grid.points[None, :]
+    b = (a / hbar) ** 2
+    diag, cross = (1.0 + b * px * px, 1.0 + b * py * py), b * px * py
+
+    def position(grad, axis):
+        out = diag[axis] * grad[axis]
+        out += cross * grad[1 - axis]
+        out *= hbar
+        return out
+
+    grad = gradient_2d(f, grid)
+    xf, yf = position(grad, 0), position(grad, 1)
+    comm = py * grad[0]
+    comm -= px * grad[1]
+    comm *= -a**2
+    comm += position(gradient_2d(yf, grid), 0)
+    comm -= position(gradient_2d(xf, grid), 1)
+    mixed = position(gradient_2d(py * f, grid), 0)
+    mixed -= py * xf
+    mixed -= hbar * (a / hbar) ** 2 * px * py * f
+    inner = (sr.interior(grid.n),) * 2
+    fnorm = sr._norm_2d(f[inner])
+    return float(sr._norm_2d(comm[inner]) / fnorm), float(sr._norm_2d(mixed[inner]) / fnorm)
 
 
 class TestGridSpec:
@@ -247,20 +285,45 @@ class TestCommutatorResidual2D:
         np.testing.assert_allclose(got, expected, rtol=0, atol=bound)
 
     def test_each_derivative_computed_once(self, params, monkeypatch):
-        # d/dp_x and d/dp_y of f, x f, y f and p_y f: 8 spectral derivatives,
-        # each of a real array.
-        calls = []
+        # d/dp_x and d/dp_y of f, x f, y f and p_y f, each over the whole grid once,
+        # in panels of real arrays: 4 n^2 elements differentiated along each axis.
         derivative = sr.spectral_derivative
 
         def counted(g, *args, **kwargs):
             assert g.dtype == np.float64
-            calls.append(kwargs["axis"])
+            elements[kwargs["axis"]] += g.size
             return derivative(g, *args, **kwargs)
 
         monkeypatch.setattr(sr, "spectral_derivative", counted)
-        grid = sr.GridSpec1D(n=64, p_max=12.0)
-        sr.coordinate_commutator_residual_2d(grid, params, sr.gaussian_2d(grid))
-        assert sorted(calls) == [0, 0, 0, 0, 1, 1, 1, 1]
+        for n in (64, 256):  # one panel, four panels
+            elements = {0: 0, 1: 0}
+            grid = sr.GridSpec1D(n=n, p_max=12.0)
+            sr.coordinate_commutator_residual_2d(grid, params, sr.gaussian_2d(grid))
+            assert elements == {0: 4 * n * n, 1: 4 * n * n}
+
+    @pytest.mark.parametrize("n", [16, 256], ids=["one-panel", "four-panels"])
+    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
+                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
+    def test_panels_match_whole_arrays_bitwise(self, n, units):
+        grid, params = sr.GridSpec1D(n=n, p_max=12.0), PhysicalParams(**units)
+        f = sr.gaussian_2d(grid, center=(0.3, -0.7))
+        assert sr.coordinate_commutator_residual_2d(grid, params, f) == \
+            whole_array_residual_2d(grid, params, f)
+
+    def test_traced_peak_below_five_grid_arrays(self, params):
+        # Four n x n float64 arrays are live at most, plus a few row panels; the
+        # whole-array composition peaked at eight.
+        n = 256
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        f = sr.gaussian_2d(grid)
+        sr.coordinate_commutator_residual_2d(grid, params, f)  # numpy.fft loads on first use
+        tracemalloc.start()
+        try:
+            sr.coordinate_commutator_residual_2d(grid, params, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n * n
 
 
 class TestLinearity:
