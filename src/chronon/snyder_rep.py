@@ -12,19 +12,29 @@ Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
 Real f takes rfft/irfft, which drop the complex path's imaginary Nyquist term.
 The 2-D check runs in cache-sized panels, with a whole-array composition's arithmetic.
+From 8 panels up, with 2 usable cores, each column and row pass runs its first half of
+panels on one worker thread (spectral derivatives and the private panel helpers only, so
+it opens no tracer span) under the caller's context, and its second half on the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from chronon.gamma_algebra import PhysicalParams
+from chronon.gamma_algebra import PhysicalParams, _frozen
 
 # Elements per 2-D panel: 128 KiB of float64 and its half spectrum stay in cache.
 # At 2^15, a 256^2 grid's two panels lift the traced peak past 5 n^2 floats.
 _PANEL = 1 << 14
+# Below this many panels a pass stays on the calling thread: at 256^2 (4 panels) a
+# second thread's panel temporaries lift the traced peak past 5 n^2 floats.
+_MIN_SPLIT_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -44,14 +54,15 @@ class GridSpec1D:
     def dp(self) -> float:
         return 2 * self.p_max / self.n
 
-    @property
+    # Built once per grid and read-only, since every caller shares the same array.
+    @cached_property
     def points(self) -> np.ndarray:
-        return -self.p_max + self.dp * np.arange(self.n)
+        return _frozen(-self.p_max + self.dp * np.arange(self.n))
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         # Fourier duals of the p axis (dimension of length/hbar in context).
-        return 2 * np.pi * np.fft.fftfreq(self.n, d=self.dp)
+        return _frozen(2 * np.pi * np.fft.fftfreq(self.n, d=self.dp))
 
 
 def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0, out=None) -> np.ndarray:
@@ -121,16 +132,58 @@ def _position_2d(grad, coeffs, axis: int, hbar: float, rows=slice(None), out=Non
     return out
 
 
-def _gradient_panels(g, grid: GridSpec1D, dx: np.ndarray, dy: np.ndarray):
-    """Yield (rows, (dg/dp_x, dg/dp_y) there) per panel of len(dy) rows, g(index) = g[index];
-    all of dg/dp_x goes into ``dx`` first, by column panels, and dg/dp_y into ``dy``."""
-    step = len(dy)
-    for start in range(0, grid.n, step):
-        cols = np.s_[:, start:start + step]
-        spectral_derivative(g(cols), grid, axis=0, out=dx[cols])
-    for start in range(0, grid.n, step):
-        rows = slice(start, start + step)
-        yield rows, (dx[rows], spectral_derivative(g(rows), grid, axis=1, out=dy))
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _split(work, n: int, shares: int) -> None:
+    """work(start, stop) over [0, n); with 2 shares the first half runs on a worker thread
+    under a copy of the caller's context (so np.errstate holds there) and the second half
+    here.  The worker is joined even if this half raises, and its error is raised here."""
+    if shares == 1:
+        work(0, n)
+        return
+    errors, context = [], contextvars.copy_context()
+
+    def first_half():
+        try:
+            context.run(work, 0, n // 2)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=first_half)
+    worker.start()
+    try:
+        work(n // 2, n)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _gradient_pass(g, body, grid: GridSpec1D, dx: np.ndarray, shares: int) -> None:
+    """body(rows, (dg/dp_x, dg/dp_y) there) per row panel of _PANEL elements, g(index) = g[index].
+    All of dg/dp_x goes into ``dx`` first, by column panels; each share takes d/dp_y into
+    a panel buffer of its own.  Shares hold whole panels and write only their own rows."""
+    n = grid.n
+    step = min(n, max(1, _PANEL // n))
+
+    def columns(start, stop):
+        for s in range(start, stop, step):
+            cols = np.s_[:, s:s + step]
+            spectral_derivative(g(cols), grid, axis=0, out=dx[cols])
+
+    def rows(start, stop):
+        dy = np.empty((step, n))
+        for s in range(start, stop, step):
+            r = slice(s, s + step)
+            body(r, (dx[r], spectral_derivative(g(r), grid, axis=1, out=dy)))
+
+    _split(columns, n, shares)
+    _split(rows, n, shares)
 
 
 def _norm_2d(g: np.ndarray) -> float:
@@ -158,25 +211,35 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
     # finished while their d/dp_y is in cache, so dx, xf, yf and comm are the only n x n arrays;
     # mixed is written over xf, and each pass after the first writes P_axis over its grad.
     dx, xf, yf, comm = (np.empty((n, n)) for _ in range(4))
-    dy = np.empty((min(n, max(1, _PANEL // n)), n))
+    mixed, py_full = xf, np.broadcast_to(py, (n, n))
     coeffs = _coefficients_2d(grid, params)
-    for r, grad in _gradient_panels(f.__getitem__, grid, dx, dy):
+    grid.wavenumbers  # cached here, before any worker thread reads it
+    shares = 2 if n * n >= _MIN_SPLIT_PANELS * _PANEL and _usable_cores() >= 2 else 1
+
+    def f_rows(r, grad):
         _position_2d(grad, coeffs, 0, hbar, r, out=xf[r])
         _position_2d(grad, coeffs, 1, hbar, r, out=yf[r])
         lz = np.multiply(py, grad[0], out=comm[r])
         lz -= px[r] * grad[1]
         lz *= -a**2
-    for r, grad in _gradient_panels(yf.__getitem__, grid, dx, dy):
+
+    def yf_rows(r, grad):
         comm[r] += _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
-    del yf
-    for r, grad in _gradient_panels(xf.__getitem__, grid, dx, dy):
+
+    def xf_rows(r, grad):
         comm[r] -= _position_2d(grad, coeffs, 1, hbar, r, out=grad[1])
-    mixed, py_full = xf, np.broadcast_to(py, (n, n))
-    for r, grad in _gradient_panels(lambda ix: py_full[ix] * f[ix], grid, dx, dy):
+
+    def mixed_rows(r, grad):
         row = _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
         row -= py * xf[r]
         row -= hbar * (a / hbar) ** 2 * px[r] * py * f[r]
         mixed[r] = row
+
+    _gradient_pass(f.__getitem__, f_rows, grid, dx, shares)
+    _gradient_pass(yf.__getitem__, yf_rows, grid, dx, shares)
+    del yf
+    _gradient_pass(xf.__getitem__, xf_rows, grid, dx, shares)
+    _gradient_pass(lambda ix: py_full[ix] * f[ix], mixed_rows, grid, dx, shares)
 
     inner = (interior(grid.n),) * 2
     fnorm = _norm_2d(f[inner])

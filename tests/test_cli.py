@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -150,6 +152,23 @@ class TestExitStatuses:
         assert err.count("\n") == 1 and len(err) < 200
         if named:
             assert named in err
+
+    def test_overflow_on_worker_thread_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The 512^2 residual runs its first half of the columns on a worker thread;
+        # the 128^2 and 256^2 ones, on a constant, run first and pass.
+        def overflowing(grid):
+            f = np.ones((grid.n, grid.n))
+            if grid.n == 512:
+                f[:, :grid.n // 2] = 1e306
+            return f
+
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(sr, "gaussian_2d", overflowing)
+        assert run(["snyder", "--grid-n-2d", "512", "--no-emit-plots",
+                    "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronon: config error: out of floating-point range: overflow")
+        assert err.count("\n") == 1
 
     def test_unwritable_output_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
@@ -382,6 +401,23 @@ class TestAllCommand:
             assert run([command, "--output-dir", tmp_path / command] + FAST_ZB) == 0
             lines += (tmp_path / command / "report.txt").read_text().splitlines()[1:-1]
         assert report.splitlines()[1:-1] == lines
+
+    def test_numpy_ma_never_imported(self, tmp_path):
+        # np.median imports numpy.ma (about 12 ms) on first use; nothing else should.
+        script = (
+            "import sys\n"
+            "from chronon.cli import main\n"
+            "main(['all', '--output-dir', sys.argv[1] + '/all'])\n"
+            "assert 'numpy.ma' not in sys.modules, 'all'\n"
+            "main(['zitterbewegung', '--sigma-p', '2', '--grid-n', '2048',\n"
+            "      '--output-dir', sys.argv[1] + '/wide'])\n"
+            "assert 'numpy.ma' not in sys.modules, 'zitterbewegung'\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def gated_line_names(report_text):

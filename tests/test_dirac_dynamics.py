@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
@@ -395,6 +397,18 @@ class TestMeasureOscillation:
         t = np.linspace(0, 1, 8)
         with pytest.raises(ValueError):
             dd.measure_oscillation(dd.TimeSeries(times=t, values=np.sin(t)))
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, np.inf, np.nan])),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_median_is_np_median_bitwise(self, values):
+        # Ties, signed zeros, infinities and NaN payloads included; inf - inf and
+        # overflowing means give the same nan or inf on both sides.
+        values = np.array(values)
+        with np.errstate(all="ignore"):
+            expected, got = np.median(values), dd._median(values)
+        assert type(got) is np.float64
+        assert got.tobytes() == expected.tobytes()
 
     def test_frequency_scales_with_mass(self):
         heavy = PhysicalParams(m=2.0)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -67,6 +69,30 @@ def whole_array_residual_2d(grid, params, f):
     return float(sr._norm_2d(comm[inner]) / fnorm), float(sr._norm_2d(mixed[inner]) / fnorm)
 
 
+def traced_peak(grid, params, f):
+    """Peak traced bytes of one 2-D residual, after a first call has loaded numpy.fft."""
+    sr.coordinate_commutator_residual_2d(grid, params, f)
+    tracemalloc.start()
+    try:
+        sr.coordinate_commutator_residual_2d(grid, params, f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    return started
+
+
 class TestGridSpec:
     def test_spacing(self, grid):
         assert grid.dp == pytest.approx(40.0 / 1024)
@@ -81,6 +107,15 @@ class TestGridSpec:
     def test_rejects_bad_pmax(self):
         with pytest.raises(ValueError):
             sr.GridSpec1D(n=16, p_max=0.0)
+
+    @pytest.mark.parametrize("name", ["points", "wavenumbers"])
+    def test_arrays_cached_read_only(self, name):
+        grid = sr.GridSpec1D(n=64, p_max=3.0)
+        first = getattr(grid, name)
+        assert getattr(grid, name) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
 
 
 class TestSpectralDerivative:
@@ -287,15 +322,17 @@ class TestCommutatorResidual2D:
     def test_each_derivative_computed_once(self, params, monkeypatch):
         # d/dp_x and d/dp_y of f, x f, y f and p_y f, each over the whole grid once,
         # in panels of real arrays: 4 n^2 elements differentiated along each axis.
-        derivative = sr.spectral_derivative
+        derivative, lock = sr.spectral_derivative, threading.Lock()
 
         def counted(g, *args, **kwargs):
             assert g.dtype == np.float64
-            elements[kwargs["axis"]] += g.size
+            with lock:  # the worker thread counts too
+                elements[kwargs["axis"]] += g.size
             return derivative(g, *args, **kwargs)
 
         monkeypatch.setattr(sr, "spectral_derivative", counted)
-        for n in (64, 256):  # one panel, four panels
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        for n in (64, 256, 512):  # one panel, four panels, sixteen on two threads
             elements = {0: 0, 1: 0}
             grid = sr.GridSpec1D(n=n, p_max=12.0)
             sr.coordinate_commutator_residual_2d(grid, params, sr.gaussian_2d(grid))
@@ -310,20 +347,60 @@ class TestCommutatorResidual2D:
         assert sr.coordinate_commutator_residual_2d(grid, params, f) == \
             whole_array_residual_2d(grid, params, f)
 
+    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
+                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
+    def test_threaded_panels_match_whole_arrays_bitwise(self, units, monkeypatch):
+        # Sixteen panels, split over two threads that switch as often as the interpreter
+        # allows: each element still takes the same operations in the same order.
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        grid, params = sr.GridSpec1D(n=512, p_max=12.0), PhysicalParams(**units)
+        f = sr.gaussian_2d(grid, center=(0.3, -0.7))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sr.coordinate_commutator_residual_2d(grid, params, f)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == whole_array_residual_2d(grid, params, f)
+
+    @pytest.mark.parametrize("n, cores, threaded", [(256, 2, False), (512, 1, False),
+                                                    (512, 2, True)],
+                             ids=["four-panels", "one-core", "sixteen-panels"])
+    def test_worker_thread_only_when_split(self, params, monkeypatch, started_threads,
+                                           n, cores, threaded):
+        monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        sr.coordinate_commutator_residual_2d(grid, params, sr.gaussian_2d(grid))
+        assert (len(started_threads) >= 1) == threaded
+        assert not any(thread.is_alive() for thread in started_threads)
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["worker", "caller"])
+    def test_overflow_raised_on_calling_thread(self, params, monkeypatch, started_threads,
+                                               half):
+        # The worker takes the first half of the columns. It runs under the caller's
+        # context, so np.errstate raises there rather than warning, and it is joined
+        # before an error in either half leaves the call.
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        grid = sr.GridSpec1D(n=512, p_max=12.0)
+        f = sr.gaussian_2d(grid)
+        f[:, half * grid.n // 2:(half + 1) * grid.n // 2] = 1e306
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            sr.coordinate_commutator_residual_2d(grid, params, f)
+        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+
     def test_traced_peak_below_five_grid_arrays(self, params):
         # Four n x n float64 arrays are live at most, plus a few row panels; the
         # whole-array composition peaked at eight.
         n = 256
         grid = sr.GridSpec1D(n=n, p_max=12.0)
-        f = sr.gaussian_2d(grid)
-        sr.coordinate_commutator_residual_2d(grid, params, f)  # numpy.fft loads on first use
-        tracemalloc.start()
-        try:
-            sr.coordinate_commutator_residual_2d(grid, params, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * 8 * n * n
+        assert traced_peak(grid, params, sr.gaussian_2d(grid)) <= 5 * 8 * n * n
+
+    def test_traced_peak_below_five_grid_arrays_threaded(self, params, monkeypatch):
+        # Each thread adds only its own row panels.
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        n = 512
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        assert traced_peak(grid, params, sr.gaussian_2d(grid)) <= 5 * 8 * n * n
 
 
 class TestLinearity:
