@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 
 import numpy as np
@@ -102,19 +103,15 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
         _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(gen, params.hbar))
         _gate(report, "normalization search residual", resid)
 
-    rng = np.random.default_rng(cfg.seed)
-    momenta = rng.uniform(-1.0, 1.0, size=(100, 3)) * params.m * params.c
-    worst_total = 0.0
-    orbital_ok = True
-    for p in momenta:
-        for axis in range(3):
-            res_orb, res_tot = ga.rotation_covariance_check(dset, params, p, axis)
-            worst_total = max(worst_total, res_tot)
-            transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
-            # res_orb = ||L_i H|| = 2 hbar c p_transverse carries units of hbar*c*mc.
-            if transverse > ORBITAL_FLOOR * params.m * params.c and \
-                    res_orb / (params.hbar * params.c * mc) <= ORBITAL_FLOOR:
-                orbital_ok = False
+    uniform = random.Random(cfg.seed).uniform
+    momenta = np.reshape([uniform(-1.0, 1.0) for _ in range(300)], (100, 3)) * params.m * params.c
+    orbital, total = ga.rotation_covariance_check(dset, params, momenta)
+    transverse = np.hypot(momenta[:, [1, 0, 0]], momenta[:, [2, 2, 1]]).ravel().tolist()
+    worst_total = max(0.0, *total)
+    # ||L_i H|| = 2 hbar c p_transverse carries units of hbar*c*mc.
+    orbital_ok = all(not (t > ORBITAL_FLOOR * params.m * params.c and
+                          res / (params.hbar * params.c * mc) <= ORBITAL_FLOOR)
+                     for t, res in zip(transverse, orbital))
     _gate(report, "rotation covariance max total residual", worst_total)
     report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
                "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
@@ -255,16 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chronon",
                                      description="quantized-spacetime algebra checks "
                                                  "and Dirac wave-packet experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        for key, (attr, parse) in KEY_SPECS.items():
-            if key == "emit-plots":
-                p.add_argument(f"--{key}", dest=attr, default=None,
-                               action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(f"--{key}", dest=attr, default=None, type=parse)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="flat key = value config file")
+    for key, (attr, parse) in KEY_SPECS.items():
+        if key == "emit-plots":
+            parser.add_argument(f"--{key}", dest=attr, default=None,
+                                action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(f"--{key}", dest=attr, default=None, type=parse)
     return parser
 
 

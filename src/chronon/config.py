@@ -65,6 +65,8 @@ class RunConfig:
             raise ConfigError("grid and sample counts are too small")
         if self.window is not None and self.window <= 0:
             raise ConfigError("window must be strictly positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         # Derived scales the checks multiply, square or divide by; a defaults to hbar/(m c).
         m, c, hbar = self.mass, self.c, self.hbar
         a, a_keys, length = ("a", "a", self.a) if self.a is not None else (

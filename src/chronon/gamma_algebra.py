@@ -5,8 +5,11 @@ blocks) once, as the read-only ``BETA`` and ``ALPHA`` that every other layer
 uses, checks the Clifford relations in signature (+,-,-,-), represents the
 noncommuting coordinates as x_i = kappa*a*alpha_i and t = kappa_t*(a/c)*beta,
 recovers the normalization constants by least squares, extracts rotation and
-boost generators from the coordinate brackets, and verifies that the angular
-part carries spin one-half.
+boost generators from the coordinate brackets, verifies that the angular part
+carries spin one-half, and checks the rotational covariance of the free
+Hamiltonian for all (momentum, axis) cases in one pass over stacked 4x4
+arrays, each case through the operations of a lone 4x4 in the same order, so
+its norms are bit-identical to the one-case check.
 
 Sign conventions fixed here (the source relations leave them open):
 
@@ -266,29 +269,29 @@ def mixed_deformation_rhs(params: PhysicalParams, p1: float, p2: float) -> float
 
 def free_hamiltonian(dset: DiracMatrixSet, params: PhysicalParams,
                      p: np.ndarray) -> np.ndarray:
-    """H(p) = c * alpha.p + beta m c^2 for a 3-vector momentum."""
+    """H(p) = c * alpha.p + beta m c^2 for momenta of shape (..., 3): one 4x4 per momentum."""
     p = np.asarray(p, dtype=float)
     h = params.m * params.c**2 * dset.beta.astype(complex)
     for i in range(3):
-        h = h + params.c * p[i] * dset.alpha[i]
+        h = h + (params.c * p[..., i, None, None]) * dset.alpha[i]
     return h
 
 
 def rotation_covariance_check(dset: DiracMatrixSet, params: PhysicalParams,
-                              p: np.ndarray, axis: int = 2) -> tuple[float, float]:
+                              momenta: np.ndarray) -> tuple[list[float], list[float]]:
     """Orbital vs orbital-plus-spin rotation action on the free Hamiltonian.
 
-    The orbital action about ``axis`` i is evaluated in closed form from the
-    linearity of H in p: L_i H = i*hbar*c*(p_j alpha_k - p_k alpha_j) with
-    (i, j, k) cyclic.  Returns (||L_i H||_F, ||L_i H + [H, S_i]||_F); the
-    second vanishes identically, showing the spin term is required whenever
-    the first does not.
+    For each row p of the (n, 3) ``momenta`` and each axis i, L_i H =
+    i*hbar*c*(p_j alpha_k - p_k alpha_j) with (i, j, k) cyclic, in closed form
+    from the linearity of H in p.  Returns (||L_i H||_F, ||L_i H + [H, S_i]||_F)
+    as two lists in (row, axis) order; the second vanishes identically, showing
+    the spin term is required whenever the first does not.
     """
-    p = np.asarray(p, dtype=float)
-    i, j, k = _CYCLIC[axis]
-    orbital = 1j * params.hbar * params.c * (
-        p[j] * dset.alpha[k] - p[k] * dset.alpha[j]
-    )
-    h = free_hamiltonian(dset, params, p)
-    total = orbital + commutator(h, dset.spin[i])
-    return frobenius(orbital), frobenius(total)
+    p = np.asarray(momenta, dtype=float)
+    h, col = free_hamiltonian(dset, params, p), p[:, :, None, None]
+    orbital = np.stack([1j * params.hbar * params.c * (col[:, j] * dset.alpha[k] -
+                                                        col[:, k] * dset.alpha[j])
+                        for _, j, k in _CYCLIC], axis=1)
+    total = orbital + np.stack([commutator(h, s) for s in dset.spin], axis=1)
+    return tuple([math.hypot(*m) for m in np.abs(a).reshape(-1, 16).tolist()]
+                 for a in (orbital, total))

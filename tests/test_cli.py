@@ -14,7 +14,8 @@ from chronon import cli
 from chronon import dirac_dynamics as dd
 from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
-from chronon.config import ConfigError, RunConfig, read_config_file, resolve
+from chronon.config import (COMMANDS, KEY_SPECS, ConfigError, RunConfig, read_config_file,
+                            resolve)
 from chronon.reporting import Report, fmt_number, render_line_plot
 
 FAST_ZB = ["--grid-n", "1024", "--t-max", "25", "--n-samples", "1024",
@@ -103,6 +104,42 @@ class TestConfigResolution:
         assert resolve("snyder", {}, {"output_dir": "here"}).output_dir == "here"
 
 
+# KEY_SPECS key -> (flag text, or None for the --no- form of a boolean; parsed value)
+FLAG_SAMPLES = {
+    "hbar": ("2", 2.0), "c": ("3", 3.0), "mass": ("0.5", 0.5), "a": ("0.25", 0.25),
+    "grid-n": ("64", 64), "p-max": ("10", 10.0), "grid-n-2d": ("32", 32),
+    "p-max-2d": ("6", 6.0), "p0": ("0.5", 0.5), "sigma-p": ("0.2", 0.2),
+    "spinor-seed": ("1,0,1j,0", (1 + 0j, 0j, 1j, 0j)), "t-max": ("20", 20.0),
+    "n-samples": ("512", 512), "window": ("1.5", 1.5), "output-dir": ("somewhere", "somewhere"),
+    "emit-plots": (None, False), "seed": ("7", 7),
+}
+
+
+def parsed_config(argv):
+    """The RunConfig that main() resolves from argv, with no config file."""
+    args = cli.build_parser().parse_args(argv)
+    return resolve(args.command, {}, {attr: getattr(args, attr) for attr, _ in KEY_SPECS.values()})
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_parses_for_every_command(self, command):
+        assert set(FLAG_SAMPLES) == set(KEY_SPECS)
+        argv = [command]
+        for key, (text, _) in FLAG_SAMPLES.items():
+            argv += [f"--no-{key}"] if text is None else [f"--{key}", text]
+        expected = RunConfig(command, **{KEY_SPECS[key][0]: value
+                                         for key, (_, value) in FLAG_SAMPLES.items()})
+        assert parsed_config(argv) == expected
+        # Flags may also come before the command.
+        assert parsed_config(argv[1:] + [command]) == expected
+
+    @pytest.mark.parametrize("flags, emit", [([], True), (["--no-emit-plots"], False),
+                                             (["--emit-plots"], True)])
+    def test_emit_plots_flag(self, flags, emit):
+        assert parsed_config(["snyder"] + flags).emit_plots is emit
+
+
 class TestExitStatuses:
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -113,6 +150,26 @@ class TestExitStatuses:
         with pytest.raises(SystemExit) as exc:
             main(["snyder", "--frobnicate", "1"])
         assert exc.value.code == 2
+
+    def test_unknown_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "chronon: error: argument command: invalid choice: 'frobnicate'")
+
+    def test_flags_without_command_are_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--mass", "2", "--no-emit-plots"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "chronon: error: the following arguments are required: command"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        assert run([command, "--seed", "-1", "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == \
+            "chronon: config error: seed must be nonnegative, got -1\n"
 
     def test_negative_mass_exits_2(self, tmp_path):
         assert run(["zitterbewegung", "--mass", "-1",
@@ -280,6 +337,7 @@ class TestZitterbewegungCommand:
         table = (tmp_path / "zitterbewegung.csv").read_text().splitlines()
         assert table[0] == "t,x_mixed,x_positive"
         assert len(table) == 1025
+        assert not list(tmp_path.glob("*.svg"))  # FAST_ZB has --no-emit-plots
 
     def test_mass_scaling(self, tmp_path):
         assert run(["zitterbewegung", "--mass", "2", "--output-dir", tmp_path,
@@ -384,6 +442,15 @@ class TestReportAndFormatting:
         assert "polyline" in path.read_text()
 
 
+def run_fresh(script, tmp_path):
+    """Run ``script`` with argv[1] = tmp_path in a fresh interpreter that imports this chronon."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+
+
 class TestAllCommand:
     def test_all_equivalent_to_sequence(self, tmp_path):
         combined = tmp_path / "all"
@@ -412,11 +479,20 @@ class TestAllCommand:
             "main(['zitterbewegung', '--sigma-p', '2', '--grid-n', '2048',\n"
             "      '--output-dir', sys.argv[1] + '/wide'])\n"
             "assert 'numpy.ma' not in sys.modules, 'zitterbewegung'\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True)
+        done = run_fresh(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_numpy_random_never_imported(self, tmp_path):
+        # The covariance momenta come from the stdlib random module; numpy.random
+        # (and the OpenSSL hashing it loads) costs 13-16 ms to import.
+        script = (
+            "import sys\n"
+            "from chronon.cli import main\n"
+            "for argv in ('all', 'verify-algebra', 'verify-algebra --mass 2 --a 0.5',\n"
+            "             'verify-algebra --hbar 2 --c 3', 'verify-algebra --a 0'):\n"
+            "    main(argv.split() + ['--output-dir', sys.argv[1] + '/' + argv])\n"
+            "    assert 'numpy.random' not in sys.modules, argv\n")
+        done = run_fresh(script, tmp_path)
         assert done.returncode == 0, done.stderr
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronon import gamma_algebra as ga
 from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
@@ -8,6 +10,21 @@ from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_h
 def is_degenerate(gen, tol=1e-14):
     """True when every rotation and boost generator vanishes."""
     return all(frobenius(g) <= tol for g in gen.L + gen.M)
+
+
+def per_case_covariance(dset, params, p, axis):
+    """The rotation covariance check of one momentum and axis, one 4x4 at a time.
+
+    ``ga.rotation_covariance_check`` runs every case as stacked arrays with the
+    same per-element operations in the same order, so the two agree to the bit.
+    """
+    p = np.asarray(p, dtype=float)
+    i, j, k = ga._CYCLIC[axis]
+    orbital = 1j * params.hbar * params.c * (p[j] * dset.alpha[k] - p[k] * dset.alpha[j])
+    h = params.m * params.c**2 * dset.beta.astype(complex)
+    for n in range(3):
+        h = h + params.c * p[n] * dset.alpha[n]
+    return frobenius(orbital), frobenius(orbital + commutator(h, dset.spin[i]))
 
 
 @pytest.fixture(scope="module")
@@ -267,25 +284,63 @@ class TestDeformationFactors:
 
 
 class TestRotationCovariance:
+    @staticmethod
+    def check(dset, params, p, axis):
+        orbital, total = ga.rotation_covariance_check(dset, params, [p])
+        return orbital[axis], total[axis]
+
     def test_axis_aligned_momentum(self, dset, params):
-        res_orb, res_tot = ga.rotation_covariance_check(dset, params, [0, 0, 1], axis=2)
+        res_orb, res_tot = self.check(dset, params, [0, 0, 1], axis=2)
         assert res_orb == 0 and res_tot == 0
 
     def test_transverse_momentum(self, dset, params):
-        res_orb, res_tot = ga.rotation_covariance_check(dset, params, [1, 0, 0], axis=2)
+        res_orb, res_tot = self.check(dset, params, [1, 0, 0], axis=2)
         assert res_orb == pytest.approx(2.0, rel=1e-12)
         assert res_tot <= 1e-12
 
     def test_rest_momentum(self, dset, params):
-        res_orb, res_tot = ga.rotation_covariance_check(dset, params, [0, 0, 0], axis=2)
+        res_orb, res_tot = self.check(dset, params, [0, 0, 0], axis=2)
         assert res_orb == 0 and res_tot == 0
 
     def test_random_momenta_all_axes(self, dset, params):
         rng = np.random.default_rng(42)
-        for p in rng.uniform(-1, 1, size=(100, 3)):
+        momenta = rng.uniform(-1, 1, size=(100, 3))
+        orbital, total = ga.rotation_covariance_check(dset, params, momenta)
+        assert len(orbital) == len(total) == 300
+        for n, p in enumerate(momenta):
             for axis in range(3):
-                res_orb, res_tot = ga.rotation_covariance_check(dset, params, p, axis)
+                res_orb, res_tot = orbital[3 * n + axis], total[3 * n + axis]
                 assert res_tot <= 1e-12
                 transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
                 if transverse > 1e-3:
                     assert res_orb > 1e-3
+
+
+# The four operator-sweep unit sets, and one whose total residual is far from 0.
+UNIT_SETS = [{}, {"m": 2.0, "a": 0.5}, {"hbar": 2.0, "c": 3.0}, {"a": 0.0},
+             {"hbar": 1e-60, "c": 1e60}]
+
+
+class TestBatchedCovarianceBitwise:
+    @staticmethod
+    def assert_bitwise(units, momenta):
+        params = ga.PhysicalParams(**units)
+        dset = ga.build_dirac_set(params)
+        orbital, total = ga.rotation_covariance_check(dset, params, momenta)
+        expected = [per_case_covariance(dset, params, p, axis)
+                    for p in momenta for axis in range(3)]
+        assert list(zip(orbital, total)) == expected
+
+    @pytest.mark.parametrize("units", UNIT_SETS, ids=lambda u: "-".join(
+        f"{k}{v:g}" for k, v in u.items()) or "defaults")
+    @pytest.mark.parametrize("seed", [7, 42, 19101])
+    def test_equals_per_case_check(self, units, seed):
+        params = ga.PhysicalParams(**units)
+        momenta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(100, 3))
+        self.assert_bitwise(units, momenta * params.m * params.c)
+
+    @given(st.sampled_from(UNIT_SETS[:4]),
+           st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_case_check_on_drawn_momenta(self, units, momenta):
+        self.assert_bitwise(units, np.array(momenta))
