@@ -17,8 +17,8 @@ from chronon.config import RunConfig
 def main() -> None:
     cfg = RunConfig("snyder")  # the rows of ``chronon snyder`` at other grid sizes
     ns_1d, ns_2d = (16, 32, 64, 128, 256, 512, 1024), (16, 32, 64, 128, 256)
-    rows = _snyder_rows(cfg, cfg.params(), ns_1d, ns_2d)
-    res = {(check, n): r for check, n, _, r in rows}
+    rows = _snyder_rows(cfg, ns_1d, ns_2d)
+    res = {(check, n): r for check, n, r in rows}
 
     print(f"1-D deformed Heisenberg residual (p_max = {cfg.p_max:g})")
     print(f"{'n':>6}  {'residual':>12}")

@@ -1,11 +1,7 @@
 """Operator-algebra checks for quantized spacetime and free Dirac wave-packet dynamics.
 
-Natural units (hbar = c = m = 1, so the Compton wavelength and Compton time
-are both 1) are the default everywhere; all scales stay configurable through
-:class:`chronon.gamma_algebra.PhysicalParams`.
+The layers compute in Compton units (hbar = c = m = 1), with the one parameter
+a' = a m c/hbar; :mod:`chronon.config` converts the user's units at the edge.
 """
 
-from chronon.gamma_algebra import PhysicalParams
-
-__all__ = ["PhysicalParams"]
 __version__ = "0.1.0"

@@ -1,5 +1,7 @@
 """Command-line entry point: dispatch experiments, write reports and tables.
 
+Runners compute in Compton units and report, tabulate and plot in the user's units.
+
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
 """
@@ -7,6 +9,7 @@ Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -16,15 +19,9 @@ import numpy as np
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.config import (
-    COMMANDS,
-    ConfigError,
-    KEY_SPECS,
-    RunConfig,
-    manifest_lines,
-    read_config_file,
-    resolve,
-)
+from chronon.config import (ACTION, COMMANDS, ENERGY, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM,
+                            TIME, ConfigError, RunConfig, manifest_lines, read_config_file,
+                            resolve)
 from chronon.reporting import Report, fmt_column, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
@@ -53,7 +50,7 @@ GATES = {
 }
 # Numbers that are not gates.
 SPIN_TOL = 1e-12  # per eigenvalue, in the spin-1/2 spectrum test
-ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| / (hbar c mc) and of p_transverse / mc
+ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| and of p_transverse, in Compton units
 AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
@@ -71,48 +68,44 @@ def _gate(report: Report, name: str, measured, expected=None) -> None:
 
 
 def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    params = cfg.params()
-    dset = ga.build_dirac_set(params)
+    a = cfg.a_prime
+    dset = ga.build_dirac_set()
     report = Report("verify-algebra")
 
     _gate(report, "clifford residual", ga.verify_clifford(dset))
-    mc = params.m * params.c
-    factor = ga.deformation_factor(params, mc, "space")
-    coefficient = (params.a * params.m * params.c / params.hbar) ** 2
-    _gate(report, "Compton deformation factor", factor, 1.0 + coefficient)
+    factor = ga.deformation_factor(a, 1.0)  # at the Compton momentum m c
+    _gate(report, "Compton deformation factor", factor, 1.0 + a**2)
     report.add("mixed deformation coefficient at Compton momentum",
-               ga.mixed_deformation_rhs(params, mc, mc), coefficient, None)
+               ga.mixed_deformation_rhs(a, 1.0, 1.0), a**2, None)
 
-    if params.a == 0:
+    if cfg.a == 0:
         _gate(report, "deformation factor (a=0)", factor, 1.0)
         for name in ("normalization kappa", "spin spectrum", "lorentz closure"):
             report.skip(name, "undeformed limit")
     else:
-        kappa, kappa_t, resid = ga.solve_normalization(dset, params)
+        kappa, kappa_t, resid = ga.solve_normalization(dset)
         _gate(report, "normalization kappa", kappa, 0.5)
         report.add("normalization kappa_t", kappa_t, "+-0.5j (non-Hermitian time coordinate)",
                    None)
-        rep = ga.coordinate_rep(dset, params, kappa, kappa_t)
-        gen = ga.extract_generators(rep)
+        gen = ga.extract_generators(ga.coordinate_rep(dset, kappa, kappa_t))
         spectra = ga.spin_spectrum(gen)
-        half = params.hbar / 2
-        spin_half = ga.is_spin_half(spectra, params.hbar, SPIN_TOL)
+        half = cfg.hbar / 2
+        spin_half = ga.is_spin_half(spectra, SPIN_TOL)
         report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
-                   "; ".join(str(np.round(s, 6)) for s in spectra),
+                   "; ".join(str(np.round(s * cfg.hbar, 6)) for s in spectra),
                    f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
-        _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(gen, params.hbar))
+        _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(gen))
         _gate(report, "normalization search residual", resid)
 
     uniform = random.Random(cfg.seed).uniform
-    momenta = np.reshape([uniform(-1.0, 1.0) for _ in range(300)], (100, 3)) * params.m * params.c
-    orbital, total = ga.rotation_covariance_check(dset, params, momenta)
+    momenta = np.reshape([uniform(-1.0, 1.0) for _ in range(300)], (100, 3))  # units of m c
+    orbital, total = ga.rotation_covariance_check(dset, momenta)
     transverse = np.hypot(momenta[:, [1, 0, 0]], momenta[:, [2, 2, 1]]).ravel().tolist()
-    worst_total = max(0.0, *total)
-    # ||L_i H|| = 2 hbar c p_transverse carries units of hbar*c*mc.
-    orbital_ok = all(not (t > ORBITAL_FLOOR * params.m * params.c and
-                          res / (params.hbar * params.c * mc) <= ORBITAL_FLOOR)
+    orbital_ok = all(not (t > ORBITAL_FLOOR and res <= ORBITAL_FLOOR)
                      for t, res in zip(transverse, orbital))
-    _gate(report, "rotation covariance max total residual", worst_total)
+    # ||L_i H + [H, S_i]|| carries units of hbar c mc.
+    _gate(report, "rotation covariance max total residual",
+          cfg.to_user(max(0.0, *total), ACTION, ENERGY))
     report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
                "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
     report.add("orbital rotation sign convention",
@@ -121,32 +114,38 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     return report, []
 
 
-def _snyder_rows(cfg: RunConfig, params, ns_1d, ns_2d):
-    """(check, n, a, residual) rows of the 1-D and 2-D checks at the given grid sizes."""
-    rows = []
-    label = "canonical-limit-" if params.a == 0 else ""
+def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
+    """(check, n, residual) rows of the 1-D and 2-D checks at the given grid sizes; the
+    residuals of [x, p] and [x, p_y] scale back by hbar, that of [x, y] by length^2."""
+    rows, a = [], cfg.a_prime
+    label = "canonical-limit-" if cfg.a == 0 else ""
+    # The witness is 1 user momentum unit wide.  Its height, a power of two near the width
+    # within 2^+-500, keeps its squares and its second derivatives inside the float range;
+    # the residuals are relative, so it moves no bits where nothing would leave it.
+    width = cfg.to_compton(1.0, MOMENTUM)
+    height = 2.0 ** max(-500, min(500, math.frexp(width)[1] - 1))
     for n in ns_1d:
-        grid = sr.GridSpec1D(n=n, p_max=cfg.p_max)
-        f = sr.gaussian_1d(grid)
-        rows.append((f"{label}heisenberg-1d", n, params.a,
-                     sr.heisenberg_residual_1d(grid, params, f)))
+        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
+        f = height * sr.gaussian_1d(grid, width=width)
+        rows.append((f"{label}heisenberg-1d", n,
+                     cfg.to_user(sr.heisenberg_residual_1d(grid, a, f), ACTION)))
     for n in ns_2d:
-        grid = sr.GridSpec1D(n=n, p_max=cfg.p_max_2d)
-        f = sr.gaussian_2d(grid)
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, params, f)
-        rows.append((f"{label}coordinate-xy-2d", n, params.a, r_xy))
-        rows.append((f"{label}mixed-2d", n, params.a, r_mixed))
+        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM))
+        f = sr.gaussian_2d(grid, width=width)
+        f *= height
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, f)
+        rows.append((f"{label}coordinate-xy-2d", n, cfg.to_user(r_xy, LENGTH, LENGTH)))
+        rows.append((f"{label}mixed-2d", n, cfg.to_user(r_mixed, ACTION)))
     return rows
 
 
 def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    params = cfg.params()
     report = Report("snyder")
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
                     for n in (cfg.grid_n, cfg.grid_n_2d))
-    rows = _snyder_rows(cfg, params, ns_1d, ns_2d)
+    rows = _snyder_rows(cfg, ns_1d, ns_2d)
     by_check: dict[str, list[tuple[int, float]]] = {}
-    for check, n, _, resid in rows:
+    for check, n, resid in rows:
         by_check.setdefault(check, []).append((n, resid))
     for check, pairs in by_check.items():
         pairs.sort()
@@ -156,38 +155,40 @@ def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
                        f"below minimum resolution n={MIN_RESOLVED_N}", None)
         else:
             _gate(report, f"{check} residual (n={finest_n})", finest_r)
-            # The roundoff floor scales with the deformed coefficient (a*p_max/hbar)^2.
+            # The roundoff floor scales with the deformed coefficient (a p_max/hbar)^2.
             p_max = cfg.p_max if "1d" in check else cfg.p_max_2d
-            floor = RESIDUAL_FLOOR * (1 + (params.a * p_max / params.hbar) ** 2)
+            floor = RESIDUAL_FLOOR * (1 + (cfg.a_prime * cfg.to_compton(p_max, MOMENTUM)) ** 2)
             resids = [r for _, r in pairs]
             mono = all(nxt <= prev / 4 or min(prev, nxt) <= floor
                        for prev, nxt in zip(resids, resids[1:]))
             report.add(f"{check} refinement monotonicity",
                        "falls >= 4x per doubling (or at floor)" if mono else "violated",
                        ">= 4x per doubling until 1e-12 floor", mono)
-    write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"),
-              ["check", "n", "a", "residual"], list(zip(*rows)))
+    checks, ns, resids = zip(*rows)
+    write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"), ["check", "n", "a", "residual"],
+              [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
     return report, ["snyder_residuals.csv"]
 
 
 def _packet_pair_series(cfg: RunConfig):
-    """<x>(t) of the mixed packet and of its positive-energy projection."""
-    params = cfg.params()
-    grid = sr.GridSpec1D(n=cfg.grid_n, p_max=cfg.p_max)
-    return tuple(dd.position_series(dd.init_packet(grid, params, cfg.p0, cfg.sigma_p, mode=mode,
-                                                   spinor_seed=cfg.spinor_seed),
-                                    cfg.t_max, cfg.n_samples)
-                 for mode in ("mixed", "positive"))
+    """<x>(t) of the mixed packet and of its positive-energy projection, in user units."""
+    grid = sr.GridSpec1D(n=cfg.grid_n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
+    p0, sigma_p = (cfg.to_compton(p, MOMENTUM) for p in (cfg.p0, cfg.sigma_p))
+    pair = (dd.position_series(dd.init_packet(grid, p0, sigma_p, mode=mode,
+                                              spinor_seed=cfg.spinor_seed),
+                               cfg.to_compton(cfg.t_max, TIME), cfg.n_samples)
+            for mode in ("mixed", "positive"))
+    return tuple(dd.TimeSeries(times=s.times * cfg.to_user(1.0, TIME),
+                               values=s.values * cfg.to_user(1.0, LENGTH)) for s in pair)
 
 
 def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    params = cfg.params()
     report = Report("zitterbewegung")
     mixed, positive = series_pair
-    omega_zb = dd.zb_frequency(params)
+    omega_zb = cfg.to_user(2.0, FREQUENCY)  # 2 m c^2/hbar
     meas = dd.measure_oscillation(mixed)
     _gate(report, "mixed packet oscillation frequency", meas.omega, omega_zb)
-    bound = dd.zb_operator_norm_at_rest(params)
+    bound = cfg.to_user(0.5, LENGTH)  # the ZB operator norm at rest, hbar/(2 m c)
     report.add("mixed packet oscillation amplitude", meas.amplitude,
                f"<= hbar/(2mc) = {bound:g}", meas.amplitude <= bound * (1 + AMPLITUDE_SLACK))
     pos_amp = dd.amplitude_at(positive, omega_zb)
@@ -209,12 +210,11 @@ def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
 
 
 def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    params = cfg.params()
     report = Report("averaging")
     mixed, _positive = series_pair
-    omega_zb = dd.zb_frequency(params)
+    omega_zb = cfg.to_user(2.0, FREQUENCY)
     raw_amp = dd.amplitude_at(mixed, omega_zb)
-    t_compton = params.compton_time()
+    t_compton = cfg.to_user(1.0, TIME)
     t_period = 2 * np.pi / omega_zb
 
     avg_period = dd.sliding_average(mixed, t_period)

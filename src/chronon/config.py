@@ -2,6 +2,11 @@
 
 Config files are flat ``key = value`` text with ``#`` comments; keys use the
 same kebab-case names as the CLI flags.  Unknown keys are rejected.
+
+The one module that knows hbar, c and m: the layers compute in Compton units
+(momenta in m c, lengths in hbar/(m c), times in hbar/(m c^2)), with the one
+parameter a' = a m c/hbar, 1 when a is unset.  ``RunConfig.to_compton`` and
+``RunConfig.to_user`` convert a value of a given dimension between the two.
 """
 
 from __future__ import annotations
@@ -11,9 +16,27 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from chronon.gamma_algebra import PhysicalParams
-
 COMMANDS = ("verify-algebra", "snyder", "zitterbewegung", "averaging", "all")
+
+# Exponents of (hbar, mass, c) in the Compton unit of each dimension.
+MOMENTUM, LENGTH, TIME, FREQUENCY = (0, 1, 1), (1, -1, -1), (1, -1, -2), (-1, 1, 2)
+ACTION, ENERGY = (1, 0, 0), (0, 1, 2)
+
+
+def _product(x: float, *factors: tuple[float, int]) -> float:
+    """x times base**power for each (base, power), from ``math.frexp`` mantissas and summed
+    exponents: no intermediate leaves the float range (inf on overflow), and wherever plain
+    arithmetic in the same order stays in range the bits are the same."""
+    mantissa, exponent = math.frexp(x)
+    for base, power in factors:
+        m, e = math.frexp(base)
+        for _ in range(abs(power)):
+            mantissa = mantissa * m if power > 0 else mantissa / m
+        exponent += e * power
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
 
 
 class ConfigError(ValueError):
@@ -41,8 +64,18 @@ class RunConfig:
     emit_plots: bool = True
     seed: int = 42
 
-    def params(self) -> PhysicalParams:
-        return PhysicalParams(hbar=self.hbar, c=self.c, m=self.mass, a=self.a)
+    def to_user(self, x: float, *dims: tuple[int, int, int]) -> float:
+        """x, given in Compton units of the product of ``dims``, in the user's units."""
+        return _product(x, *zip((self.hbar, self.mass, self.c), map(sum, zip(*dims))))
+
+    def to_compton(self, x: float, *dims: tuple[int, int, int]) -> float:
+        """x, given in the user's units of the product of ``dims``, in Compton units."""
+        return self.to_user(x, *(tuple(-e for e in d) for d in dims))
+
+    @property
+    def a_prime(self) -> float:
+        """The fundamental length in Compton wavelengths, a m c/hbar; 1 when a is unset."""
+        return 1.0 if self.a is None else self.to_compton(self.a, LENGTH)
 
     def validate(self) -> "RunConfig":
         if self.command not in COMMANDS:
@@ -67,23 +100,43 @@ class RunConfig:
             raise ConfigError("window must be strictly positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        # Derived scales the checks multiply, square or divide by; a defaults to hbar/(m c).
-        m, c, hbar = self.mass, self.c, self.hbar
-        a, a_keys, length = ("a", "a", self.a) if self.a is not None else (
-            "(hbar/(mass c))", "hbar mass c", hbar / (m * c) if m * c else math.inf)
-        coefficient = length * m * c / hbar
-        for name, keys, value, may_vanish in (
-                ("mass c^2", "mass c", m * c * c, False),
-                (f"{a}^2", a_keys, length * length, self.a == 0),
-                (f"({a} mass c/hbar)^2", f"{a_keys} mass c hbar", coefficient * coefficient, True)):
-            if not (value < math.inf and (value > 0 or may_vanish)):
-                given = ", ".join(f"{k}={getattr(self, k):g}" for k in dict.fromkeys(keys.split()))
+        # Derived scales the commands form, each named with the keys it depends on.
+        top, tiny = sys.float_info.max, sys.float_info.min
+        a_keys = "a mass c hbar" if self.a is not None else "mass c"
+        checks = []
+        if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
+            checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
+        if self.command in ("snyder", "all"):
+            # The witness is 1/(mass c) wide and at least 2^-500 high (cli._snyder_rows):
+            # the 2-D check forms its second derivatives, and [x, y] scales back by
+            # (hbar/(mass c))^2.
+            mc = self.to_user(1.0, MOMENTUM)
+            checks += [("(mass c)^2/2^500", "mass c",
+                        tiny <= mc and _product(2.0**-500, (mc, 2)) < top),
+                       ("(hbar/(mass c))^2", "hbar mass c",
+                        tiny <= self.to_user(1.0, LENGTH, LENGTH) < top)]
+            for name, key, edge, squares in (("p-max^2", "p-max", self.p_max, 1),
+                                             ("2 p-max-2d^2", "p-max-2d", self.p_max_2d, 2)):
+                # The witness squares the edge in witness widths, p^2 in 1-D and
+                # p_x^2 + p_y^2 in 2-D; x p f reaches (a' p')^2 p' at the edge p'.
+                p = self.to_compton(edge, MOMENTUM)
+                checks += [(name, key, edge < math.sqrt(top / squares)),
+                           (f"{key}/(mass c)", f"{key} mass c", tiny <= p < top),
+                           (f"(a {key}/hbar)^2 {key}/(mass c)", f"{key} {a_keys}",
+                            _product(p, (self.a_prime, 2), (p, 2)) < top)]
+        if self.command in ("zitterbewegung", "averaging", "all"):
+            # Mode energies square p-max/(mass c), the envelope sigma-p/(mass c);
+            # positions and times scale back.
+            p, sigma = (self.to_compton(x, MOMENTUM) for x in (self.p_max, self.sigma_p))
+            checks += [("p-max/(mass c)", "p-max mass c", tiny <= p < math.sqrt(top)),
+                       ("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
+                       ("hbar/(mass c)", "hbar mass c", tiny <= self.to_user(1.0, LENGTH) < top),
+                       ("hbar/(mass c^2)", "hbar mass c", tiny <= self.to_user(1.0, TIME) < top)]
+        for name, keys, ok in checks:
+            if not ok:
+                given = ", ".join(f"{k}={getattr(self, KEY_SPECS[k][0]):g}"
+                                  for k in dict.fromkeys(keys.split()))
                 raise ConfigError(f"{name} is out of floating-point range at {given}")
-        # The Gaussian witnesses square the box edge: p^2 in 1-D, p_x^2 + p_y^2 in 2-D.
-        for name, key, edge, squares in (("p-max^2", "p-max", self.p_max, 1),
-                                         ("2 p-max-2d^2", "p-max-2d", self.p_max_2d, 2)):
-            if not edge < math.sqrt(sys.float_info.max / squares):
-                raise ConfigError(f"{name} is out of floating-point range at {key}={edge:g}")
         return self
 
 

@@ -1,14 +1,16 @@
 """Free Dirac wave packets in momentum space and their Zitterbewegung.
 
-One spatial dimension (momentum along z) with full 4-spinors.  Evolution is
-exact per momentum mode through the closed-form propagator
-exp(-i H t/hbar) = cos(E t/hbar) I - i sin(E t/hbar) H/E, so every measured
-frequency and amplitude reflects the dynamics, not an integrator.  The
-position expectation is taken directly in momentum space via the spectral
-derivative.  A whole time series of it comes from the Heisenberg-picture
-solution x(t) = x(0) + c^2 p H^-1 t + Zitterbewegung term, one weight and one
-frequency 2E/hbar per mode (``position_series``), with no per-time evolution;
-``evolve`` and ``expect_position`` are the reference it is checked against.
+In Compton units (hbar = c = m = 1), H(p) = alpha_z p + beta.  One spatial
+dimension (momentum along z) with full 4-spinors.  Evolution is exact per
+momentum mode through the closed-form propagator
+exp(-i H t) = cos(E t) I - i sin(E t) H/E, so every measured frequency and
+amplitude reflects the dynamics, not an integrator.  The position expectation
+is taken directly in momentum space via the spectral derivative.  A whole
+time series of it comes from the Heisenberg-picture solution
+x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
+per mode (``position_series``), with no per-time evolution; ``evolve`` and
+``expect_position`` are the reference it is checked against.  The signal
+analysis below ``position_series`` takes a series in any units.
 """
 
 from __future__ import annotations
@@ -17,18 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chronon.gamma_algebra import ALPHA, BETA, PhysicalParams
+from chronon.gamma_algebra import ALPHA, BETA
 from chronon.snyder_rep import GridSpec1D, spectral_derivative
 
 
-def mode_energy(p, params: PhysicalParams):
-    return np.sqrt((params.c * np.asarray(p, dtype=float)) ** 2
-                   + (params.m * params.c**2) ** 2)
+def mode_energy(p):
+    return np.sqrt(np.asarray(p, dtype=float) ** 2 + 1.0)
 
 
-def _apply_hamiltonian(amps: np.ndarray, p: np.ndarray, params: PhysicalParams) -> np.ndarray:
+def _apply_hamiltonian(amps: np.ndarray, p: np.ndarray) -> np.ndarray:
     # amps rows are spinors; alpha_z and beta are symmetric, so right-multiply works.
-    return (params.c * p[:, None]) * (amps @ ALPHA[2]) + params.m * params.c**2 * (amps @ BETA)
+    return p[:, None] * (amps @ ALPHA[2]) + amps @ BETA
 
 
 @dataclass(frozen=True)
@@ -37,59 +38,54 @@ class SpinorMomentumField:
 
     grid: GridSpec1D
     amps: np.ndarray  # shape (n, 4)
-    params: PhysicalParams
 
 
-def init_packet(grid: GridSpec1D, params: PhysicalParams, p0: float, sigma_p: float,
-                mode: str = "mixed", spinor_seed=(1.0, 0.0, 1.0, 0.0)) -> SpinorMomentumField:
-    """Gaussian envelope times a constant spinor, optionally energy-projected.
+def init_packet(grid: GridSpec1D, p0: float, sigma_p: float, mode: str = "mixed",
+                spinor_seed=(1.0, 0.0, 1.0, 0.0)) -> SpinorMomentumField:
+    """Gaussian envelope times a constant spinor, normalized to unit norm.
 
-    mode is one of "mixed", "positive", "negative"; the projected modes apply
-    Lambda_plus / Lambda_minus mode-by-mode before normalizing to unit norm.
+    mode is "mixed" or "positive"; "positive" applies Lambda_plus mode by mode
+    first, and rejects a seed that loses all but 1e-14 of its norm to it.
     """
     # sigma_p >= 2*dp keeps the envelope's spectrum below 1e-16 at the
     # Nyquist point of the dual (position) grid, so no aliasing.
     if sigma_p < 2 * grid.dp:
-        raise ValueError(f"sigma_p must be >= 2*dp = {2 * grid.dp:g}")
+        raise ValueError(f"sigma-p spans {sigma_p / grid.dp:g} grid steps, fewer than 2; "
+                         f"raise --sigma-p or --grid-n, or lower --p-max")
     if abs(p0) + 6 * sigma_p > grid.p_max:
-        raise ValueError("packet support exceeds the boundary-safe envelope")
-    if mode not in ("mixed", "positive", "negative"):
+        raise ValueError("packet support |p0| + 6 sigma-p exceeds --p-max")
+    if mode not in ("mixed", "positive"):
         raise ValueError(f"unknown packet mode {mode!r}")
     p = grid.points
-    e = mode_energy(p, params)
-    if not np.all(np.isfinite(e) & (e > 0)):
-        raise ValueError("every mode energy must be positive and finite; "
-                         "mass and c are out of floating-point range")
     envelope = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2))
     seed = np.asarray(spinor_seed, dtype=complex)
     if seed.shape != (4,):
         raise ValueError("spinor_seed must have 4 components")
     amps = envelope[:, None] * seed[None, :]
-    if mode != "mixed":
-        sign = 1.0 if mode == "positive" else -1.0
-        h_amps = _apply_hamiltonian(amps, p, params)
-        amps = (amps + sign * h_amps / e[:, None]) / 2
+    if mode == "positive":
+        unprojected = np.sum(np.abs(amps) ** 2)
+        amps = (amps + _apply_hamiltonian(amps, p) / mode_energy(p)[:, None]) / 2
+        if np.sum(np.abs(amps) ** 2) < 1e-28 * unprojected:
+            raise ValueError("projection annihilated the packet; choose another spinor seed")
     total = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dp)
-    if total < 1e-14:
-        raise ValueError("projection annihilated the packet; choose another spinor seed")
-    return SpinorMomentumField(grid=grid, amps=amps / total, params=params)
+    return SpinorMomentumField(grid=grid, amps=amps / total)
 
 
 def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
-    """Exact evolution by exp(-i H(p) t / hbar) applied mode-by-mode."""
+    """Exact evolution by exp(-i H(p) t) applied mode-by-mode."""
     p = field.grid.points
-    e = mode_energy(p, field.params)
-    phase = e * t / field.params.hbar
-    h_amps = _apply_hamiltonian(field.amps, p, field.params)
+    e = mode_energy(p)
+    phase = e * t
+    h_amps = _apply_hamiltonian(field.amps, p)
     amps = (np.cos(phase)[:, None] * field.amps
             - 1j * np.sin(phase)[:, None] * h_amps / e[:, None])
-    return SpinorMomentumField(grid=field.grid, amps=amps, params=field.params)
+    return SpinorMomentumField(grid=field.grid, amps=amps)
 
 
 def position_expectation(field: SpinorMomentumField) -> complex:
-    """<psi| i hbar d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
+    """<psi| i d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
     deriv = spectral_derivative(field.amps, field.grid, axis=0)
-    val = np.sum(np.conj(field.amps) * (1j * field.params.hbar * deriv)) * field.grid.dp
+    val = np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp
     return complex(val)
 
 
@@ -116,11 +112,6 @@ class TimeSeries:
         return float(self.times[1] - self.times[0])
 
 
-def zb_frequency(params: PhysicalParams) -> float:
-    """Interference (Zitterbewegung) angular frequency 2 m c^2 / hbar."""
-    return 2 * params.m * params.c**2 / params.hbar
-
-
 # Rows and columns of one block of the time grid: each block of _BLOCK**2
 # times is one (_BLOCK x s) @ (s x _BLOCK) complex product over s modes, so
 # memory stays flat in the number of times.
@@ -130,24 +121,23 @@ _BLOCK = 16
 def _zb_weights(field: SpinorMomentumField):
     """(v, omega, weights) with <x>(t) = <x>(0) + v t + Re sum weights (e^{i omega t} - 1).
 
-    In the Heisenberg picture x(t) = x(0) + c^2 p H^-1 t + Z (e^{-2iHt/hbar} - 1)
-    with Z = (i hbar c / 2)(alpha_z - c p H^-1) H^-1, whose operator norm at
-    p = 0 is hbar/(2 m c).  Z is Hermitian and odd under the energy projectors,
-    so mode p contributes weight 2 a_+^dag Z a_- dp = -(i hbar c / E) a_+^dag
-    alpha_z a_- dp at omega = 2 E/hbar: a positive- or negative-projected
-    packet has no Zitterbewegung.  v is the expectation of c^2 p H^-1.
+    In the Heisenberg picture x(t) = x(0) + p H^-1 t + Z (e^{-2iHt} - 1)
+    with Z = (i/2)(alpha_z - p H^-1) H^-1, whose operator norm at p = 0 is
+    1/2.  Z is Hermitian and odd under the energy projectors, so mode p
+    contributes weight 2 a_+^dag Z a_- dp = -(i/E) a_+^dag alpha_z a_- dp at
+    omega = 2 E: a positive- or negative-projected packet has no
+    Zitterbewegung.  v is the expectation of p H^-1.
     """
-    params, dp = field.params, field.grid.dp
+    dp = field.grid.dp
     p = field.grid.points
-    e = mode_energy(p, params)
-    h_amps = _apply_hamiltonian(field.amps, p, params)
+    e = mode_energy(p)
+    h_amps = _apply_hamiltonian(field.amps, p)
     # H^-1 = H / E^2 since H^2 = E^2.
-    v = np.sum(np.conj(field.amps) * (params.c**2 * p / e**2)[:, None] * h_amps).real * dp
+    v = np.sum(np.conj(field.amps) * (p / e**2)[:, None] * h_amps).real * dp
     plus = (field.amps + h_amps / e[:, None]) / 2
     minus = field.amps - plus
-    weights = (-1j * params.hbar * params.c * dp / e) * np.sum(
-        np.conj(plus) * (minus @ ALPHA[2]), axis=1)
-    return float(v), 2 * e / params.hbar, weights
+    weights = (-1j * dp / e) * np.sum(np.conj(plus) * (minus @ ALPHA[2]), axis=1)
+    return float(v), 2 * e, weights
 
 
 def position_series(field: SpinorMomentumField, t_max: float,
@@ -166,8 +156,8 @@ def position_series(field: SpinorMomentumField, t_max: float,
     beyond |<x>| = 1) means the packet wraps around the box and raises
     ValueError.
     """
-    # 2 samples per oscillation period with a 4x safety factor.
-    required = np.ceil(4 * 2 * t_max * zb_frequency(field.params) / (2 * np.pi))
+    # 2 samples per rest-frame oscillation period 2 pi/2, with a 4x safety factor.
+    required = np.ceil(4 * 2 * t_max * 2.0 / (2 * np.pi))
     if n_samples < required:
         raise ValueError(f"n_samples={n_samples} undersamples the oscillation; "
                          f"need >= {required:g}")
@@ -187,10 +177,11 @@ def position_series(field: SpinorMomentumField, t_max: float,
                   out=zb[start:start + len(rows)])
     values = offset + v * times + zb.real.ravel()[:len(times)]
     reference = expect_position(evolve(field, times[-1]))
-    if abs(values[-1] - reference) > 1e-9 * max(1.0, abs(reference)):
-        raise ValueError(f"the packet wraps around the position box by t={times[-1]:g} "
-                         f"(<x> {values[-1]:.6g} on the line, {reference:.6g} on the "
-                         f"grid); raise --grid-n or lower --t-max")
+    gap = abs(values[-1] - reference)
+    if gap > 1e-9 * max(1.0, abs(reference)):  # a box of 2 pi/dp Compton wavelengths
+        raise ValueError(f"the packet wraps around the position box by the last sample (<x> off "
+                         f"by {gap * field.grid.dp / (2 * np.pi):.3g} box lengths); "
+                         f"raise --grid-n or lower --t-max")
     return TimeSeries(times=times, values=values)
 
 
@@ -216,7 +207,7 @@ def sliding_average(series: TimeSeries, window: float) -> TimeSeries:
     if k > len(series.values):
         span = series.times[-1] - series.times[0]
         raise ValueError(f"window {window:g} needs {k:g} samples but the series has "
-                         f"{len(series.values)} (span {span:g})")
+                         f"{len(series.values)} (span {span:g}); raise --t-max")
     half = (k - 1) // 2
     values = np.convolve(series.values, np.full(k, 1.0 / k), mode="valid")
     times = series.times[half:len(series.times) - half]
@@ -289,8 +280,3 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     return OscillationMeasurement(omega=omega,
                                   amplitude=_sinusoid_fit(t, x, omega),
                                   detected=True)
-
-
-def zb_operator_norm_at_rest(params: PhysicalParams) -> float:
-    """Operator norm of the Zitterbewegung matrix at p = 0: hbar/(2 m c)."""
-    return params.hbar / (2 * params.m * params.c)

@@ -1,12 +1,12 @@
 """Deformed position operators as differential operators on momentum grids.
 
-The deformed Heisenberg bracket [x, p_x] = i*hbar*(1 + (a p/hbar)^2) is
-realized by x = i*hbar*(1 + (a p/hbar)^2) d/dp in one dimension; in two
-dimensions x_i = i*hbar*(delta_ij + (a/hbar)^2 p_i p_j) d/dp_j, whose
-commutator reproduces the coordinate noncommutativity [x, y] =
-(i a^2/hbar) L_z with L_z = i*hbar*(p_y d/dp_x - p_x d/dp_y).  That sign of
-L_z is an orientation choice; it is the one that makes the 2-D residual
-vanish in the continuum.
+In Compton units (hbar = c = m = 1, a the dimensionless a' = a m c/hbar) the
+deformed Heisenberg bracket [x, p_x] = i*(1 + (a p)^2) is realized by
+x = i*(1 + (a p)^2) d/dp in one dimension; in two dimensions
+x_i = i*(delta_ij + a^2 p_i p_j) d/dp_j, whose commutator reproduces the
+coordinate noncommutativity [x, y] = i a^2 L_z with
+L_z = i*(p_y d/dp_x - p_x d/dp_y).  That sign of L_z is an orientation
+choice; it is the one that makes the 2-D residual vanish in the continuum.
 
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from chronon.gamma_algebra import PhysicalParams, _frozen
+from chronon.gamma_algebra import _frozen
 
 # Elements per 2-D panel: 128 KiB of float64 and its half spectrum stay in cache.
 # At 2^15, a 256^2 grid's two panels lift the traced peak past 5 n^2 floats.
@@ -61,7 +61,7 @@ class GridSpec1D:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        # Fourier duals of the p axis (dimension of length/hbar in context).
+        # Fourier duals of the p axis: positions, in Compton wavelengths.
         return _frozen(2 * np.pi * np.fft.fftfreq(self.n, d=self.dp))
 
 
@@ -83,12 +83,10 @@ def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0, out=None
     return np.fft.ifft(spectrum, axis=axis, out=spectrum if out is None else out)
 
 
-def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D,
-                             params: PhysicalParams) -> np.ndarray:
-    """x f = i*hbar*(1 + (a p/hbar)^2) df/dp (coefficient left of the derivative)."""
-    p = grid.points
-    coeff = 1.0 + (params.a * p / params.hbar) ** 2
-    return 1j * params.hbar * coeff * spectral_derivative(f, grid)
+def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D, a: float) -> np.ndarray:
+    """x f = i*(1 + (a p)^2) df/dp (coefficient left of the derivative)."""
+    coeff = 1.0 + (a * grid.points) ** 2
+    return 1j * coeff * spectral_derivative(f, grid)
 
 
 def interior(n: int, fraction: float = 0.8) -> slice:
@@ -98,37 +96,35 @@ def interior(n: int, fraction: float = 0.8) -> slice:
 
 
 def gaussian_1d(grid: GridSpec1D, center: float = 0.0, width: float = 1.0) -> np.ndarray:
-    return np.exp(-((grid.points - center) ** 2) / (2 * width**2)).astype(complex)
+    return np.exp(-(((grid.points - center) / width) ** 2) / 2).astype(complex)
 
 
-def heisenberg_residual_1d(grid: GridSpec1D, params: PhysicalParams,
-                           f: np.ndarray) -> float:
-    """Relative L2 residual of [x, p] f = i*hbar*(1 + (a p/hbar)^2) f."""
+def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
+    """Relative L2 residual of [x, p] f = i*(1 + (a p)^2) f."""
     p = grid.points
-    lhs = snyder_position_apply_1d(p * f, grid, params) - p * snyder_position_apply_1d(f, grid, params)
-    rhs = 1j * params.hbar * (1.0 + (params.a * p / params.hbar) ** 2) * f
+    lhs = snyder_position_apply_1d(p * f, grid, a) - p * snyder_position_apply_1d(f, grid, a)
+    rhs = 1j * (1.0 + (a * p) ** 2) * f
     inner = interior(grid.n)
-    return float(np.linalg.norm((lhs - rhs)[inner]) / np.linalg.norm(f[inner]))
+    return _norm_ratio((lhs - rhs)[inner], f[inner], np.linalg.norm)
 
 
 def gaussian_2d(grid: GridSpec1D, center=(0.0, 0.0), width: float = 1.0) -> np.ndarray:
     px, py = grid.points[:, None], grid.points[None, :]
-    return np.exp(-((px - center[0]) ** 2 + (py - center[1]) ** 2) / (2 * width**2))
+    return np.exp(-(((px - center[0]) / width) ** 2 + ((py - center[1]) / width) ** 2) / 2)
 
 
-def _coefficients_2d(grid: GridSpec1D, params: PhysicalParams):
-    """(1 + b p_x^2, 1 + b p_y^2), (b p_x, p_y): p_x a column, p_y a row; b = (a/hbar)^2."""
+def _coefficients_2d(grid: GridSpec1D, a: float):
+    """(1 + b p_x^2, 1 + b p_y^2), (b p_x, p_y): p_x a column, p_y a row; b = a^2."""
     px, py = grid.points[:, None], grid.points[None, :]
-    b = (params.a / params.hbar) ** 2
+    b = a**2
     return (1.0 + b * px * px, 1.0 + b * py * py), (b * px, py)
 
 
-def _position_2d(grad, coeffs, axis: int, hbar: float, rows=slice(None), out=None):
+def _position_2d(grad, coeffs, axis: int, rows=slice(None), out=None):
     """x_axis g / i on ``rows`` from g's gradient there and ``_coefficients_2d``."""
     (diag_x, diag_y), (bpx, py) = coeffs
     out = np.multiply((diag_x[rows], diag_y)[axis], grad[axis], out=out)
     out += bpx[rows] * py * grad[1 - axis]
-    out *= hbar
     return out
 
 
@@ -192,47 +188,58 @@ def _norm_2d(g: np.ndarray) -> float:
     return np.sqrt(np.einsum("ij,ij->", g, g))
 
 
-def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
+def _norm_ratio(x: np.ndarray, f: np.ndarray, norm) -> float:
+    """norm(x) / norm(f).  Where a square overflows, both norms are taken again on their
+    arrays scaled to a largest entry of 1, and the quotient is scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = norm(x) / norm(f)
+        if not ratio < np.inf:
+            x_max, f_max = (np.max(np.abs(g)) for g in (x, f))
+            ratio = norm(x / x_max) / norm(f / f_max) * (x_max / f_max)
+    return float(ratio)
+
+
+def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float,
                                       f: np.ndarray) -> tuple[float, float]:
     """Relative residuals (r_xy, r_mixed) of the 2-D commutator identities.
 
-    r_xy checks [x, y] f = (i a^2/hbar) L_z f; r_mixed checks [x, p_y] f =
-    i*hbar*(a/hbar)^2 p_x p_y f.  Each of the 8 distinct derivatives (the
+    r_xy checks [x, y] f = i a^2 L_z f; r_mixed checks [x, p_y] f =
+    i a^2 p_x p_y f.  Each of the 8 distinct derivatives (the
     gradients of f, x f, y f and p_y f) is computed once, on real panels.
     """
     if np.iscomplexobj(f):
         raise ValueError("the 2-D witness f must be a real array")
-    hbar, a, n = params.hbar, params.a, grid.n
+    n = grid.n
     px, py = grid.points[:, None], grid.points[None, :]
 
     # x_axis g = i P_axis g with P_axis = _position_2d, so xf = P_0 f, yf = P_1 f, comm =
-    # -([x, y] f - (i a^2/hbar) L_z f) = P_0 yf - P_1 xf - a^2 (p_y df/dp_x - p_x df/dp_y)
-    # and mixed = ([x, p_y] f - i hbar (a/hbar)^2 p_x p_y f)/i are all real.  Row panels are
+    # -([x, y] f - i a^2 L_z f) = P_0 yf - P_1 xf - a^2 (p_y df/dp_x - p_x df/dp_y)
+    # and mixed = ([x, p_y] f - i a^2 p_x p_y f)/i are all real.  Row panels are
     # finished while their d/dp_y is in cache, so dx, xf, yf and comm are the only n x n arrays;
     # mixed is written over xf, and each pass after the first writes P_axis over its grad.
     dx, xf, yf, comm = (np.empty((n, n)) for _ in range(4))
     mixed, py_full = xf, np.broadcast_to(py, (n, n))
-    coeffs = _coefficients_2d(grid, params)
+    coeffs = _coefficients_2d(grid, a)
     grid.wavenumbers  # cached here, before any worker thread reads it
     shares = 2 if n * n >= _MIN_SPLIT_PANELS * _PANEL and _usable_cores() >= 2 else 1
 
     def f_rows(r, grad):
-        _position_2d(grad, coeffs, 0, hbar, r, out=xf[r])
-        _position_2d(grad, coeffs, 1, hbar, r, out=yf[r])
+        _position_2d(grad, coeffs, 0, r, out=xf[r])
+        _position_2d(grad, coeffs, 1, r, out=yf[r])
         lz = np.multiply(py, grad[0], out=comm[r])
         lz -= px[r] * grad[1]
         lz *= -a**2
 
     def yf_rows(r, grad):
-        comm[r] += _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
+        comm[r] += _position_2d(grad, coeffs, 0, r, out=grad[0])
 
     def xf_rows(r, grad):
-        comm[r] -= _position_2d(grad, coeffs, 1, hbar, r, out=grad[1])
+        comm[r] -= _position_2d(grad, coeffs, 1, r, out=grad[1])
 
     def mixed_rows(r, grad):
-        row = _position_2d(grad, coeffs, 0, hbar, r, out=grad[0])
+        row = _position_2d(grad, coeffs, 0, r, out=grad[0])
         row -= py * xf[r]
-        row -= hbar * (a / hbar) ** 2 * px[r] * py * f[r]
+        row -= a**2 * px[r] * py * f[r]
         mixed[r] = row
 
     _gradient_pass(f.__getitem__, f_rows, grid, dx, shares)
@@ -242,5 +249,5 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, params: PhysicalParams,
     _gradient_pass(lambda ix: py_full[ix] * f[ix], mixed_rows, grid, dx, shares)
 
     inner = (interior(grid.n),) * 2
-    fnorm = _norm_2d(f[inner])
-    return float(_norm_2d(comm[inner]) / fnorm), float(_norm_2d(mixed[inner]) / fnorm)
+    return (_norm_ratio(comm[inner], f[inner], _norm_2d),
+            _norm_ratio(mixed[inner], f[inner], _norm_2d))

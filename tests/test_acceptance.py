@@ -14,14 +14,16 @@ from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
 from chronon.cli import main
-from chronon.gamma_algebra import PhysicalParams
 
-PARAMS = PhysicalParams()  # hbar = c = m = 1, a = Compton wavelength = 1
+# The layers compute in Compton units, hbar = c = m = 1, where a is the Compton
+# wavelength at a' = 1, the ZB frequency 2 m c^2/hbar is 2, its amplitude bound
+# hbar/(2 m c) is 1/2 and the Compton time is 1.
+A_PRIME, OMEGA_ZB, ZB_NORM, COMPTON_TIME = 1.0, 2.0, 0.5, 1.0
 
 
 def expect_energy(field):
     """<psi|H|psi> summed over the momentum grid."""
-    h_amps = dd._apply_hamiltonian(field.amps, field.grid.points, field.params)
+    h_amps = dd._apply_hamiltonian(field.amps, field.grid.points)
     return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
 
 
@@ -44,13 +46,13 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def dset():
-    return ga.build_dirac_set(PARAMS)
+    return ga.build_dirac_set()
 
 
 @pytest.fixture(scope="module")
 def generators(dset):
-    kappa, kappa_t, _ = ga.solve_normalization(dset, PARAMS)
-    rep = ga.coordinate_rep(dset, PARAMS, kappa, kappa_t)
+    kappa, kappa_t, _ = ga.solve_normalization(dset)
+    rep = ga.coordinate_rep(dset, kappa, kappa_t)
     return kappa, kappa_t, ga.extract_generators(rep)
 
 
@@ -59,7 +61,7 @@ def packet_series():
     grid = sr.GridSpec1D(n=1024, p_max=20.0)
     series = {}
     for mode in ("mixed", "positive"):
-        packet = dd.init_packet(grid, PARAMS, p0=0.0, sigma_p=0.1, mode=mode)
+        packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode=mode)
         series[mode] = dd.position_series(packet, t_max=50.0, n_samples=4096)
     return series
 
@@ -73,42 +75,42 @@ def test_01_clifford_algebra(dset, announce):
 def test_02_normalization_and_spin(generators, announce):
     kappa, _, gen = generators
     spectra = ga.spin_spectrum(gen)
-    ok = abs(kappa - 0.5) <= 1e-8 and ga.is_spin_half(spectra, PARAMS.hbar, 1e-12)
+    ok = abs(kappa - 0.5) <= 1e-8 and ga.is_spin_half(spectra, 1e-12)
     announce(2, "kappa = 1/2 and spin-1/2 spectrum", ok,
              f"kappa {kappa:.10f}")
 
 
 def test_03_compton_deformation_factor(announce):
-    factor = ga.deformation_factor(PARAMS, PARAMS.m * PARAMS.c, "space")
+    factor = ga.deformation_factor(A_PRIME, 1.0)  # at the Compton momentum m c
     announce(3, "deformation factor 2 at Compton momentum",
              abs(factor - 2.0) <= 2e-15, f"factor {factor!r}")
 
 
 def test_04_lorentz_closure(generators, announce):
     _, _, gen = generators
-    closure = ga.verify_lorentz_algebra(gen, PARAMS.hbar)
+    closure = ga.verify_lorentz_algebra(gen)
     announce(4, "lorentz algebra closure <= 1e-10", closure <= 1e-10,
              f"residual {closure:.3e}")
 
 
 def test_05_snyder_residuals_and_convergence(announce):
     grid1 = sr.GridSpec1D(n=1024, p_max=20.0)
-    r1 = sr.heisenberg_residual_1d(grid1, PARAMS, sr.gaussian_1d(grid1))
+    r1 = sr.heisenberg_residual_1d(grid1, A_PRIME, sr.gaussian_1d(grid1))
     grid2 = sr.GridSpec1D(n=256, p_max=12.0)
-    r2, _ = sr.coordinate_commutator_residual_2d(grid2, PARAMS, sr.gaussian_2d(grid2))
+    r2, _ = sr.coordinate_commutator_residual_2d(grid2, A_PRIME, sr.gaussian_2d(grid2))
 
     seq1 = []
     for n in (32, 64, 128):
         g = sr.GridSpec1D(n=n, p_max=20.0)
-        seq1.append(sr.heisenberg_residual_1d(g, PARAMS, sr.gaussian_1d(g)))
+        seq1.append(sr.heisenberg_residual_1d(g, A_PRIME, sr.gaussian_1d(g)))
     # The composed 2-D operator amplifies roundoff by the coefficient size
     # 1 + (a p_max / hbar)^2; the literal 1e-12 floor is unattainable there,
     # so the floor is scaled by that coefficient.
-    floor2 = 1e-12 * (1 + (PARAMS.a * 12.0 / PARAMS.hbar) ** 2)
+    floor2 = 1e-12 * (1 + (A_PRIME * 12.0) ** 2)
     seq2 = []
     for n in (16, 32, 64):
         g = sr.GridSpec1D(n=n, p_max=12.0)
-        rxy, _ = sr.coordinate_commutator_residual_2d(g, PARAMS, sr.gaussian_2d(g))
+        rxy, _ = sr.coordinate_commutator_residual_2d(g, A_PRIME, sr.gaussian_2d(g))
         seq2.append(rxy)
 
     def monotone(seq, floor):
@@ -124,14 +126,13 @@ def test_05_snyder_residuals_and_convergence(announce):
 
 def test_06_rotation_covariance(dset, announce):
     rng = np.random.default_rng(42)
-    mc = PARAMS.m * PARAMS.c
-    momenta = rng.uniform(-1.0, 1.0, size=(100, 3)) * mc
-    orbital, total = ga.rotation_covariance_check(dset, PARAMS, momenta)
+    momenta = rng.uniform(-1.0, 1.0, size=(100, 3))  # in units of m c
+    orbital, total = ga.rotation_covariance_check(dset, momenta)
     worst = max(total)
     orbital_ok = True
     for (p, axis), res_orb in zip(itertools.product(momenta, range(3)), orbital):
         transverse = np.hypot(*(p[j] for j in range(3) if j != axis))
-        if transverse > 1e-3 * mc and res_orb / (PARAMS.hbar * PARAMS.c * mc) <= 1e-3:
+        if transverse > 1e-3 and res_orb <= 1e-3:
             orbital_ok = False
     announce(6, "rotation covariance over 100 momenta x 3 axes",
              worst <= 1e-12 and orbital_ok, f"max total residual {worst:.3e}")
@@ -139,9 +140,9 @@ def test_06_rotation_covariance(dset, announce):
 
 def test_07_zitterbewegung_signature(packet_series, announce):
     mixed, positive = packet_series["mixed"], packet_series["positive"]
-    omega_zb = dd.zb_frequency(PARAMS)
+    omega_zb = OMEGA_ZB
     meas = dd.measure_oscillation(mixed)
-    bound = dd.zb_operator_norm_at_rest(PARAMS)
+    bound = ZB_NORM
     pos_amp = dd.amplitude_at(positive, omega_zb)
     dichotomy = meas.amplitude / max(pos_amp, 1e-300)
     ok = (meas.detected
@@ -155,12 +156,12 @@ def test_07_zitterbewegung_signature(packet_series, announce):
 
 def test_08_compton_scale_averaging(packet_series, announce):
     mixed = packet_series["mixed"]
-    omega_zb = dd.zb_frequency(PARAMS)
+    omega_zb = OMEGA_ZB
     raw = dd.amplitude_at(mixed, omega_zb)
     t_period = 2 * np.pi / omega_zb
     supp = raw / max(dd.amplitude_at(dd.sliding_average(mixed, t_period),
                                      omega_zb), 1e-300)
-    avg = dd.sliding_average(mixed, PARAMS.compton_time())
+    avg = dd.sliding_average(mixed, COMPTON_TIME)
     ratio = dd.amplitude_at(avg, omega_zb) / raw
     predicted = abs(np.sin(1.0))  # sinc(w*W/2) with w*W/2 = 1
     ok = supp >= 100.0 and abs(ratio - predicted) <= 0.05 * predicted
@@ -170,8 +171,8 @@ def test_08_compton_scale_averaging(packet_series, announce):
 
 def test_09_unitarity_over_long_evolution(announce):
     grid = sr.GridSpec1D(n=1024, p_max=20.0)
-    packet = dd.init_packet(grid, PARAMS, p0=0.0, sigma_p=0.1, mode="mixed")
-    t_final = 1000.0 * PARAMS.compton_time()
+    packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode="mixed")
+    t_final = 1000.0 * COMPTON_TIME
     evolved = dd.evolve(packet, t_final)
     norm_drift = abs(norm(evolved) - norm(packet))
     e0 = expect_energy(packet)

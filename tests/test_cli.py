@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -14,8 +15,8 @@ from chronon import cli
 from chronon import dirac_dynamics as dd
 from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
-from chronon.config import (COMMANDS, KEY_SPECS, ConfigError, RunConfig, read_config_file,
-                            resolve)
+from chronon.config import (ACTION, COMMANDS, ENERGY, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM,
+                            TIME, ConfigError, RunConfig, read_config_file, resolve)
 from chronon.reporting import Report, fmt_number, render_line_plot
 
 FAST_ZB = ["--grid-n", "1024", "--t-max", "25", "--n-samples", "1024",
@@ -30,11 +31,38 @@ class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve("verify-algebra", {}, {})
         assert cfg.hbar == cfg.c == cfg.mass == 1.0
-        assert cfg.params().a == 1.0
+        assert cfg.a_prime == 1.0
+        assert [cfg.to_user(1.0, dim) for dim in (MOMENTUM, LENGTH, TIME)] == [1.0] * 3
 
     def test_compton_default_tracks_mass(self):
+        # a defaults to the Compton wavelength hbar/(m c), one unit of length.
         cfg = resolve("zitterbewegung", {}, {"mass": 2.0})
-        assert cfg.params().a == 0.5
+        assert cfg.to_user(1.0, LENGTH) == 0.5 and cfg.a_prime == 1.0
+        cfg = resolve("zitterbewegung", {}, {"hbar": 2.0, "c": 3.0, "mass": 5.0})
+        assert cfg.to_user(1.0, LENGTH) == pytest.approx(2.0 / 15.0, rel=1e-15)
+        assert cfg.to_user(1.0, TIME) == pytest.approx(2.0 / 45.0, rel=1e-15)
+
+    def test_explicit_a_in_compton_wavelengths(self):
+        assert resolve("snyder", {}, {"a": 0.25}).a_prime == 0.25
+        assert resolve("snyder", {}, {"a": 0.25, "mass": 2.0, "hbar": 4.0}).a_prime == 0.125
+
+    @pytest.mark.parametrize("key", ["hbar", "c", "mass", "a"])
+    def test_nonpositive_units_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            resolve("verify-algebra", {}, {key: 0.0 if key != "a" else -1.0})
+
+    def test_edge_products_stay_in_range(self):
+        # m c^2/hbar = 1e300 * 1e150 * 1e150 / 1e300 is formed without the 1e600 on the way;
+        # where plain arithmetic in the same order stays in range, the bits are its bits.
+        cfg = RunConfig("zitterbewegung", hbar=1e300, c=1e150, mass=1e300)
+        assert 1e300 * 1e150 * 1e150 / 1e300 == math.inf
+        assert cfg.to_user(1.0, FREQUENCY) == 1.0 / 1e300 * 1e300 * 1e150 * 1e150 < math.inf
+        for units in (dict(hbar=2.0, c=3.0, mass=0.7), dict(hbar=1e-3, c=1e2, mass=7.0)):
+            cfg = RunConfig("zitterbewegung", **units)
+            hbar, c, m = cfg.hbar, cfg.c, cfg.mass
+            assert cfg.to_user(1.0, TIME) == 1.0 * hbar / m / c / c
+            assert cfg.to_user(0.3, ACTION, ENERGY) == 0.3 * hbar * m * c * c
+        assert RunConfig("snyder", a=1e200, mass=1e200, hbar=1e-10).a_prime == math.inf
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -57,23 +85,32 @@ class TestConfigResolution:
             read_config_file(str(path))
 
     def test_derived_scale_range(self):
-        # (a m c/hbar)^2 may underflow to 0; a nonzero a whose square does may not.
-        assert resolve("snyder", {}, {"mass": 1e-200, "a": 1.0}).a == 1.0
-        assert resolve("snyder", {}, {"a": 0.0}).a == 0.0
-        with pytest.raises(ConfigError, match="a\\^2 is out of floating-point range at a=1e-200"):
-            resolve("snyder", {}, {"a": 1e-200})
+        # a' = a m c/hbar and its square may underflow (the deformation is then below
+        # roundoff); a'^2 may not overflow.  Each command checks only the scales it
+        # forms: the Snyder check scales [x, y] back by (hbar/(m c))^2.
+        assert resolve("verify-algebra", {}, {"mass": 1e-200, "a": 1.0}).a_prime == 1e-200
+        assert resolve("snyder", {}, {"a": 0.0}).a_prime == 0.0
+        assert resolve("snyder", {}, {"a": 1e-200}).a_prime == 1e-200
+        with pytest.raises(ConfigError, match="^\\(a mass c/hbar\\)\\^2 is out of "
+                                              "floating-point range at a=1e\\+200, mass=1, "
+                                              "c=1, hbar=1$"):
+            resolve("verify-algebra", {}, {"a": 1e200})
+        with pytest.raises(ConfigError, match="^\\(hbar/\\(mass c\\)\\)\\^2 is out of "
+                                              "floating-point range at hbar=1, mass=1e-200, c=1$"):
+            resolve("snyder", {}, {"mass": 1e-200, "a": 1.0})
 
     @pytest.mark.parametrize("attr, name, witness", [
         ("p_max", "p-max\\^2", sr.gaussian_1d), ("p_max_2d", "2 p-max-2d\\^2", sr.gaussian_2d)])
     def test_box_edge_range(self, attr, name, witness):
         # The largest edge validate accepts squares without overflow in its witness.
+        # At a = 0, where the deformed coefficient does not bound the edge first.
         squares = 2 if attr == "p_max_2d" else 1
         limit = math.sqrt(sys.float_info.max / squares)
-        edge = getattr(resolve("snyder", {}, {attr: math.nextafter(limit, 0)}), attr)
+        edge = getattr(resolve("snyder", {}, {attr: math.nextafter(limit, 0), "a": 0.0}), attr)
         with np.errstate(over="raise"):
             witness(sr.GridSpec1D(n=8, p_max=edge))
         with pytest.raises(ConfigError, match=f"^{name} is out of floating-point range at"):
-            resolve("snyder", {}, {attr: limit})
+            resolve("snyder", {}, {attr: limit, "a": 0.0})
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ConfigError):
@@ -180,28 +217,37 @@ class TestExitStatuses:
         (["all", "--p-max", "nan"], None),
         (["all", "--spinor-seed", "nan,0,1,0"], None),
         (["all", "--mass", "nan"], None),
-        # Finite, but a derived scale (m c^2, a^2, (a m c/hbar)^2, with a =
-        # hbar/(m c) by default) is out of floating-point range: the line names the key.
+        # Finite, but a derived scale that the command forms is out of floating-point
+        # range: the line names the keys.  verify-algebra forms only a' = a m c/hbar.
         (["all", "--c", "1e200"], "c=1e+200"),
         (["all", "--a", "1e200"], "a=1e+200"),
         (["all", "--hbar", "1e200"], "hbar=1e+200"),
         (["all", "--mass", "1e-300"], "mass=1e-300"),
         (["zitterbewegung", "--mass", "1e-300"], "mass=1e-300"),
         (["averaging", "--mass", "1e-300"], "mass=1e-300"),
-        (["verify-algebra", "--c", "1e200"], "c=1e+200"),
+        (["verify-algebra", "--c", "1e200", "--a", "1e200"], "c=1e+200"),
         (["snyder", "--a", "1e200"], "a=1e+200"),
-        (["verify-algebra", "--mass", "1e-300"], "mass=1e-300"),
+        (["verify-algebra", "--mass", "1e-300", "--a", "1e300", "--c", "1e300"],
+         "mass=1e-300"),
         # The required sample count prints in :g form, not as a 300-digit integer.
         (["all", "--t-max", "1e300"], "need >= 2.54648e+300"),
         (["all", "--window", "1e300"], "needs 8.19e+301 samples"),
         # The Gaussian witnesses square the box edges.
         (["snyder", "--p-max", "1e160"], "p-max=1e+160"),
         (["snyder", "--p-max-2d", "1e160"], "p-max-2d=1e+160"),
+        # x p f reaches (a' p')^2 p' at the box edge p', in Compton units.
+        (["snyder", "--p-max", "1.34e154"], "(a p-max/hbar)^2 p-max/(mass c) is out of "
+                                            "floating-point range at p-max=1.34e+154"),
+        (["snyder", "--a", "10", "--p-max", "1e154"], "p-max=1e+154, a=10"),
+        (["snyder", "--mass", "1e-10", "--p-max", "1e150"], "p-max=1e+150, mass=1e-10"),
+        (["snyder", "--p-max-2d", "1e110"], "p-max-2d=1e+110"),
     ], ids=["t-max-inf", "p-max-nan", "spinor-seed-nan", "mass-nan", "c-1e200", "a-1e200",
             "hbar-1e200", "mass-1e-300", "zitterbewegung-mass-1e-300",
             "averaging-mass-1e-300", "verify-algebra-c-1e200", "snyder-a-1e200",
             "verify-algebra-mass-1e-300", "t-max-1e300", "window-1e300",
-            "snyder-p-max-1e160", "snyder-p-max-2d-1e160"])
+            "snyder-p-max-1e160", "snyder-p-max-2d-1e160", "snyder-p-max-1.34e154",
+            "snyder-a-10-p-max-1e154", "snyder-mass-1e-10-p-max-1e150",
+            "snyder-p-max-2d-1e110"])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err
@@ -213,7 +259,7 @@ class TestExitStatuses:
     def test_overflow_on_worker_thread_exits_2(self, tmp_path, capsys, monkeypatch):
         # The 512^2 residual runs its first half of the columns on a worker thread;
         # the 128^2 and 256^2 ones, on a constant, run first and pass.
-        def overflowing(grid):
+        def overflowing(grid, width=1.0):
             f = np.ones((grid.n, grid.n))
             if grid.n == 512:
                 f[:, :grid.n // 2] = 1e306
@@ -278,6 +324,15 @@ class TestVerifyAlgebraCommand:
         assert "orbital action nonzero off-axis: measured all 300 cases" in \
             (tmp_path / "report.txt").read_text()
 
+    @pytest.mark.parametrize("argv", [["--c", "1e200"], ["--mass", "1e-300"]],
+                             ids=["c-1e200", "mass-1e-300"])
+    def test_units_far_from_one_pass(self, tmp_path, argv):
+        # verify-algebra forms no scale but a' = a m c/hbar (1 here): the residual
+        # ||L_i H + [H, S_i]|| is exactly 0 in Compton units and so in any units.
+        assert run(["verify-algebra", "--output-dir", tmp_path] + argv) == 0
+        assert report_lines(tmp_path)["rotation covariance max total residual"] == \
+            "rotation covariance max total residual: measured 0, expected <= 1e-12: PASS"
+
     @given(st.floats(-150, 150), st.one_of(st.none(), st.floats(-150, 150)))
     @settings(max_examples=80, deadline=None)
     def test_units_over_the_float_range(self, tmp_path_factory, log_mass, log_a):
@@ -300,7 +355,27 @@ class TestVerifyAlgebraCommand:
             assert code == 2 and err.getvalue().count("\n") == 1
 
 
+def report_lines(outdir):
+    """name -> line of each check in a report.txt."""
+    text = (outdir / "report.txt").read_text()
+    return {line.split(": measured ")[0]: line for line in text.splitlines()
+            if ": measured " in line}
+
+
+def measured(line):
+    return float(line.split("measured ")[1].split(",")[0])
+
+
 class TestSnyderCommand:
+    def test_unresolved_box_fails_with_a_finite_residual(self, tmp_path):
+        # The width-1 witness on a grid 3e98 apart: x p f reaches (a' p')^2 p' = 1e300
+        # at the edge, inside the float range, and its norm is taken without squaring
+        # out of range, so the box is judged, not rejected.
+        assert run(["snyder", "--p-max", "1e100", "--grid-n", "64", "--grid-n-2d", "64",
+                    "--output-dir", tmp_path]) == 1
+        line = report_lines(tmp_path)["heisenberg-1d residual (n=64)"]
+        assert line.endswith(": FAIL") and math.isfinite(measured(line))
+
     def test_default_run(self, tmp_path):
         assert run(["snyder", "--output-dir", tmp_path]) == 0
         table = (tmp_path / "snyder_residuals.csv").read_text().splitlines()
@@ -340,14 +415,38 @@ class TestZitterbewegungCommand:
         assert not list(tmp_path.glob("*.svg"))  # FAST_ZB has --no-emit-plots
 
     def test_mass_scaling(self, tmp_path):
+        # Doubling the mass doubles the ZB frequency 2 m c^2/hbar and halves the
+        # amplitude bound hbar/(2 m c).
         assert run(["zitterbewegung", "--mass", "2", "--output-dir", tmp_path,
                     "--grid-n", "1024", "--t-max", "25", "--n-samples", "2048",
                     "--no-emit-plots"]) == 0
-        report = (tmp_path / "report.txt").read_text()
-        line = next(l for l in report.splitlines()
-                    if l.startswith("mixed packet oscillation frequency"))
-        measured = float(line.split("measured ")[1].split(",")[0])
-        assert measured == pytest.approx(4.0, rel=0.01)
+        lines = report_lines(tmp_path)
+        assert measured(lines["mixed packet oscillation frequency"]) == \
+            pytest.approx(4.0, rel=0.01)
+        amplitude = lines["mixed packet oscillation amplitude"]
+        assert measured(amplitude) <= 0.25
+        assert amplitude.endswith(", expected <= hbar/(2mc) = 0.25: PASS")
+
+    def test_outputs_in_user_units(self, tmp_path):
+        # Computed in Compton units, reported in the user's: 2 m c^2/hbar = 48,
+        # hbar/(2 m c) = 1/24, and the time column ends at t-max.
+        assert run(["zitterbewegung", "--hbar", "0.5", "--c", "2", "--mass", "3",
+                    "--t-max", "5", "--no-emit-plots", "--output-dir", tmp_path]) == 0
+        lines = report_lines(tmp_path)
+        frequency = lines["mixed packet oscillation frequency"]
+        assert measured(frequency) == pytest.approx(48.0, rel=0.01)
+        assert frequency.endswith("expected 48: PASS")
+        assert lines["mixed packet oscillation amplitude"].endswith(
+            "expected <= hbar/(2mc) = 0.0416667: PASS")
+        table = (tmp_path / "zitterbewegung.csv").read_text().splitlines()
+        assert table[-1].startswith("5,")
+
+    def test_narrow_mixed_packet_not_annihilated(self, tmp_path, capsys):
+        # The unnormalised norm of this packet is about 1e-15; only a projection can
+        # annihilate a packet, and the mixed one is never projected.
+        run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
+             "--no-emit-plots", "--output-dir", tmp_path])
+        assert "annihilated" not in capsys.readouterr().err
 
     def test_plots_emitted_by_default(self, tmp_path):
         assert run(["zitterbewegung", "--output-dir", tmp_path,
@@ -528,3 +627,53 @@ class TestGates:
             assert run(argv + ["--output-dir", out]) == 0
             names |= gated_line_names((out / "report.txt").read_text())
         assert set(cli.GATES) <= names
+
+
+# hbar, c and mass each take these values in the unit sweeps.
+SWEEP = ("1e-150", "1e-60", "1", "1e60", "1e150")
+
+
+def names_key(line):
+    """True when the line names a config key, as ``key=`` or ``--key``."""
+    return any(f"{form}=" in line or f"--{key}" in line
+               for key in KEY_SPECS for form in (key, key.replace("-", "_")))
+
+
+def sweep(tmp_path, argv, a_values=(None,)):
+    """(argv, exit status, stderr) of ``argv`` at every unit set of the sweep."""
+    results = []
+    for hbar, c, mass, a in itertools.product(SWEEP, SWEEP, SWEEP, a_values):
+        config = argv + ["--hbar", hbar, "--c", c, "--mass", mass] + (
+            [] if a is None else ["--a", a])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(config + ["--output-dir", tmp_path])
+        results.append((config, code, err.getvalue()))
+    return results
+
+
+def unnamed_config_errors(results):
+    """The configs that exit 2; each must print one line.  Returns those naming no key."""
+    errors = [(argv, err) for argv, code, err in results if code == 2]
+    assert all(err.count("\n") == 1 for _, err in errors)
+    return [argv for argv, err in errors if not names_key(err)]
+
+
+class TestUnitSweeps:
+    """Each command over hbar, c, mass in {1e-150, 1e-60, 1, 1e60, 1e150}."""
+
+    def test_verify_algebra_passes_or_names_a_key(self, tmp_path):
+        # In Compton units the algebra has the one parameter a' = a m c/hbar.
+        results = sweep(tmp_path, ["verify-algebra", "--seed", "11"], (None,) + SWEEP)
+        assert len(results) == 750
+        assert {code for _, code, _ in results} <= {0, 2}
+        assert unnamed_config_errors(results) == []
+
+    @pytest.mark.parametrize("argv, most", [
+        (["snyder", "--grid-n", "64", "--grid-n-2d", "32"], 17),
+        (["averaging", "--no-emit-plots"], 42),
+    ], ids=["snyder", "averaging"])
+    def test_config_errors_name_keys(self, tmp_path, argv, most):
+        # A traceback would fail the test; the bound is the count of unnamed config
+        # errors before the layers computed in Compton units.
+        assert len(unnamed_config_errors(sweep(tmp_path, argv))) <= most

@@ -5,17 +5,19 @@ from hypothesis import strategies as st
 
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
-from chronon.gamma_algebra import PhysicalParams
+from chronon.config import MOMENTUM, TIME, RunConfig
 from chronon.snyder_rep import GridSpec1D
 
-PARAMS = PhysicalParams()
+# Compton units: momenta in units of m c, times in hbar/(m c^2), positions in hbar/(m c).
 GRID = GridSpec1D(n=1024, p_max=20.0)
 SEED = (1.0, 0.0, 1.0, 0.0)
+OMEGA_ZB = 2.0  # the rest-frame Zitterbewegung frequency 2 m c^2/hbar
+ZB_NORM = 0.5  # the Zitterbewegung operator norm at rest, hbar/(2 m c)
 
 
 def expect_energy(field):
     """<psi|H|psi> summed over the momentum grid."""
-    h_amps = dd._apply_hamiltonian(field.amps, field.grid.points, field.params)
+    h_amps = dd._apply_hamiltonian(field.amps, field.grid.points)
     return float(np.real(np.sum(np.conj(field.amps) * h_amps)) * field.grid.dp)
 
 
@@ -26,12 +28,12 @@ def norm(field):
 
 @pytest.fixture(scope="module")
 def mixed():
-    return dd.init_packet(GRID, PARAMS, 0.0, 0.1, "mixed", SEED)
+    return dd.init_packet(GRID, 0.0, 0.1, "mixed", SEED)
 
 
 @pytest.fixture(scope="module")
 def positive():
-    return dd.init_packet(GRID, PARAMS, 0.0, 0.1, "positive", SEED)
+    return dd.init_packet(GRID, 0.0, 0.1, "positive", SEED)
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +46,23 @@ def positive_series(positive):
     return dd.position_series(positive, 50.0, 4096)
 
 
-def energy_projectors(p, params):
+def energy_projectors(p):
     """(Lambda_plus, Lambda_minus) = (I +- H/E)/2 for momentum p along z."""
-    h = ga.free_hamiltonian(ga.build_dirac_set(params), params, (0.0, 0.0, p))
-    e = dd.mode_energy(p, params)
+    h = ga.free_hamiltonian(ga.build_dirac_set(), (0.0, 0.0, p))
+    e = dd.mode_energy(p)
     eye = np.eye(4, dtype=complex)
     return (eye + h / e) / 2, (eye - h / e) / 2
 
 
 class TestProjectors:
     def test_rest_frame(self):
-        lp, lm = energy_projectors(0.0, PARAMS)
+        lp, lm = energy_projectors(0.0)
         np.testing.assert_allclose(lp, np.diag([1, 1, 0, 0]), atol=1e-15)
         np.testing.assert_allclose(lm, np.diag([0, 0, 1, 1]), atol=1e-15)
 
     @pytest.mark.parametrize("p", [-3.0, 0.0, 0.7, 12.0])
     def test_projector_algebra(self, p):
-        lp, lm = energy_projectors(p, PARAMS)
+        lp, lm = energy_projectors(p)
         eye = np.eye(4)
         assert np.linalg.norm(lp + lm - eye) <= 1e-12
         assert np.linalg.norm(lp @ lp - lp) <= 1e-12
@@ -68,29 +70,30 @@ class TestProjectors:
         assert abs(np.trace(lp) - 2) <= 1e-12
 
     def test_unit_momentum_eigenvalues(self):
-        lp, _ = energy_projectors(1.0, PARAMS)
+        lp, _ = energy_projectors(1.0)
         vals = np.linalg.eigvalsh(lp)
         np.testing.assert_allclose(vals, [0, 0, 1, 1], atol=1e-12)
 
     def test_mode_hamiltonian_spectrum(self):
-        h = ga.free_hamiltonian(ga.build_dirac_set(PARAMS), PARAMS, (0.0, 0.0, 0.8))
-        e = dd.mode_energy(0.8, PARAMS)
+        h = ga.free_hamiltonian(ga.build_dirac_set(), (0.0, 0.0, 0.8))
+        e = dd.mode_energy(0.8)
         np.testing.assert_allclose(np.linalg.eigvalsh(h), [-e, -e, e, e], atol=1e-12)
 
 
 class TestOneHamiltonian:
     @pytest.mark.parametrize("mass", [0.5, 1.0, 3.0])
     def test_dynamics_applies_free_hamiltonian(self, mass):
-        # The dynamics applies the same H(p) = c alpha_z p + beta m c^2 as the
-        # algebra layer, row by row on random spinors.
-        params = PhysicalParams(m=mass, c=1.5)
-        dset = ga.build_dirac_set(params)
+        # The dynamics applies the same H(p) = alpha_z p + beta as the algebra layer,
+        # row by row on random spinors, at momenta given in the units of m = mass,
+        # c = 1.5 and converted at the edge into units of m c.
+        cfg = RunConfig("zitterbewegung", mass=mass, c=1.5)
+        dset = ga.build_dirac_set()
         rng = np.random.default_rng(11)
-        p = np.array([-7.0, -0.3, 0.0, 0.25, 4.0])
+        p = np.array([cfg.to_compton(p, MOMENTUM) for p in (-7.0, -0.3, 0.0, 0.25, 4.0)])
         amps = rng.normal(size=(len(p), 4)) + 1j * rng.normal(size=(len(p), 4))
-        h_amps = dd._apply_hamiltonian(amps, p, params)
+        h_amps = dd._apply_hamiltonian(amps, p)
         for i, p_i in enumerate(p):
-            expected = ga.free_hamiltonian(dset, params, (0.0, 0.0, p_i)) @ amps[i]
+            expected = ga.free_hamiltonian(dset, (0.0, 0.0, p_i)) @ amps[i]
             np.testing.assert_allclose(h_amps[i], expected, rtol=0, atol=1e-13)
 
 
@@ -101,18 +104,18 @@ class TestInitPacket:
 
     def test_positive_mode_annihilated_by_minus_projector(self, positive):
         p = GRID.points
-        h_amps = dd._apply_hamiltonian(positive.amps, p, PARAMS)
-        e = dd.mode_energy(p, PARAMS)
+        h_amps = dd._apply_hamiltonian(positive.amps, p)
+        e = dd.mode_energy(p)
         minus = (positive.amps - h_amps / e[:, None]) / 2
         assert np.max(np.abs(minus)) <= 1e-12
 
     def test_rest_seed_mixes_branches(self):
         # (1,0,0,0) is the beta eigenvector at p=0; finite momentum spread
         # gives it O(p/mc) negative-energy weight.
-        f = dd.init_packet(GRID, PARAMS, 0.0, 0.1, "mixed", (1, 0, 0, 0))
+        f = dd.init_packet(GRID, 0.0, 0.1, "mixed", (1, 0, 0, 0))
         p = GRID.points
-        h_amps = dd._apply_hamiltonian(f.amps, p, PARAMS)
-        e = dd.mode_energy(p, PARAMS)
+        h_amps = dd._apply_hamiltonian(f.amps, p)
+        e = dd.mode_energy(p)
         plus = (f.amps + h_amps / e[:, None]) / 2
         minus = (f.amps - h_amps / e[:, None]) / 2
         w_plus = np.sum(np.abs(plus) ** 2) * GRID.dp
@@ -122,21 +125,29 @@ class TestInitPacket:
 
     def test_narrow_sigma_rejected(self):
         with pytest.raises(ValueError):
-            dd.init_packet(GRID, PARAMS, 0.0, GRID.dp, "mixed", SEED)
+            dd.init_packet(GRID, 0.0, GRID.dp, "mixed", SEED)
 
     def test_boundary_violation_rejected(self):
         with pytest.raises(ValueError):
-            dd.init_packet(GRID, PARAMS, 18.0, 1.0, "mixed", SEED)
+            dd.init_packet(GRID, 18.0, 1.0, "mixed", SEED)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            dd.init_packet(GRID, PARAMS, 0.0, 0.1, "projected", SEED)
+            dd.init_packet(GRID, 0.0, 0.1, "projected", SEED)
 
     @pytest.mark.parametrize("mode", ["mixed", "positive"])
-    def test_zero_rest_energy_rejected(self, mode):
-        # (m c^2)^2 underflows to 0, so the p = 0 mode has E = 0.
-        with pytest.raises(ValueError, match="mode energy"):
-            dd.init_packet(GRID, PhysicalParams(m=1e-300), 0.0, 0.1, mode, SEED)
+    def test_narrow_packet_keeps_its_norm(self, mode):
+        # The unnormalised norm of a packet this narrow is about 1e-15; a mixed packet
+        # is never projected, and a positive one keeps half of it.
+        f = dd.init_packet(GridSpec1D(n=1024, p_max=1e-28), 0.0, 1e-30, mode, SEED)
+        assert abs(norm(f) - 1) <= 1e-12
+
+    def test_annihilating_projection_rejected(self):
+        # The seed (0, 0, 1, 0) has negative energy at rest; on a box of 1e-15 m c its
+        # positive part, about p/2, keeps less than 1e-14 of the norm.
+        with pytest.raises(ValueError, match="annihilated"):
+            dd.init_packet(GridSpec1D(n=32, p_max=1e-15), 0.0, 1.5e-16, "positive",
+                           (0, 0, 1, 0))
 
 
 class TestEvolve:
@@ -145,10 +156,10 @@ class TestEvolve:
 
     def test_plane_mode_phase(self):
         # A positive-energy amplitude at momentum p picks up exp(-i E t / hbar).
-        f = dd.init_packet(GRID, PARAMS, 0.5, 0.1, "positive", SEED)
+        f = dd.init_packet(GRID, 0.5, 0.1, "positive", SEED)
         t = 3.7
         ev = dd.evolve(f, t)
-        e = dd.mode_energy(GRID.points, PARAMS)
+        e = dd.mode_energy(GRID.points)
         expected = np.exp(-1j * e * t)[:, None] * f.amps
         assert np.max(np.abs(ev.amps - expected)) <= 1e-12
 
@@ -175,19 +186,18 @@ class TestExpectPosition:
 
     def test_translation_shifts_expectation(self, mixed):
         eps = 0.37
-        phase = np.exp(-1j * eps * GRID.points / PARAMS.hbar)
-        shifted = dd.SpinorMomentumField(grid=GRID, amps=phase[:, None] * mixed.amps,
-                                         params=PARAMS)
+        phase = np.exp(-1j * eps * GRID.points)
+        shifted = dd.SpinorMomentumField(grid=GRID, amps=phase[:, None] * mixed.amps)
         assert dd.expect_position(shifted) - dd.expect_position(mixed) == pytest.approx(eps, abs=1e-9)
 
     def test_drift_matches_group_velocity(self):
-        # <x>(t) = <c^2 p / E> t for a positive-energy packet; the group
-        # velocity oracle is quadrature of c^2 p / E over |psi|^2.
-        f = dd.init_packet(GRID, PARAMS, 0.5, 0.1, "positive", SEED)
+        # <x>(t) = <p / E> t for a positive-energy packet; the group
+        # velocity oracle is quadrature of p / E over |psi|^2.
+        f = dd.init_packet(GRID, 0.5, 0.1, "positive", SEED)
         p = GRID.points
-        e = dd.mode_energy(p, PARAMS)
+        e = dd.mode_energy(p)
         weights = np.sum(np.abs(f.amps) ** 2, axis=1) * GRID.dp
-        v_group = float(np.sum(weights * PARAMS.c**2 * p / e))
+        v_group = float(np.sum(weights * p / e))
         t = 10.0
         drift = dd.expect_position(dd.evolve(f, t)) - dd.expect_position(f)
         assert drift == pytest.approx(v_group * t, abs=1e-6)
@@ -202,23 +212,16 @@ class TestZbDecomposition:
 
     def test_rest_packet_bounded_by_matrix_norm(self, mixed):
         # The ZB term of <x>(t) is <Z>(t) = Re sum_p C_p e^{i omega_p t}.
-        bound = dd.zb_operator_norm_at_rest(PARAMS)
-        assert bound == 0.5
         _, omega, weights = dd._zb_weights(mixed)
         amplitudes = [abs(np.sum(weights * np.exp(1j * omega * t)).real)
                       for t in np.linspace(0, np.pi, 16)]
-        assert max(amplitudes) <= bound + 1e-10
+        assert max(amplitudes) <= ZB_NORM + 1e-10
         assert max(amplitudes) > 0.1  # interference is actually present
-
-    def test_zb_matrix_norm_halves_with_doubled_mass(self):
-        heavy = PhysicalParams(m=2.0)
-        assert dd.zb_operator_norm_at_rest(heavy) == 0.25
-        assert dd.zb_operator_norm_at_rest(PARAMS) / 2 == dd.zb_operator_norm_at_rest(heavy)
 
     def test_drift_rate_matches_positive_expectation(self, positive):
         drift, _, _ = dd._zb_weights(positive)
         p = GRID.points
-        e = dd.mode_energy(p, PARAMS)
+        e = dd.mode_energy(p)
         weights = np.sum(np.abs(positive.amps) ** 2, axis=1) * GRID.dp
         assert drift == pytest.approx(float(np.sum(weights * p / e)), abs=1e-12)
 
@@ -236,16 +239,16 @@ class TestPositionSeries:
     def test_positive_series_is_pure_drift(self, positive_series):
         meas = dd.measure_oscillation(positive_series)
         assert not meas.detected
-        assert dd.amplitude_at(positive_series, dd.zb_frequency(PARAMS)) <= 1e-8
+        assert dd.amplitude_at(positive_series, OMEGA_ZB) <= 1e-8
 
     def test_mixed_series_oscillates_at_zb_frequency(self, mixed_series):
         meas = dd.measure_oscillation(mixed_series)
         assert meas.detected
-        assert meas.omega == pytest.approx(dd.zb_frequency(PARAMS), rel=0.01)
-        assert meas.amplitude <= dd.zb_operator_norm_at_rest(PARAMS)
+        assert meas.omega == pytest.approx(OMEGA_ZB, rel=0.01)
+        assert meas.amplitude <= ZB_NORM
 
     def test_dichotomy(self, mixed_series, positive_series):
-        omega = dd.zb_frequency(PARAMS)
+        omega = OMEGA_ZB
         mixed_amp = dd.measure_oscillation(mixed_series).amplitude
         pos_amp = dd.amplitude_at(positive_series, omega)
         assert mixed_amp / max(pos_amp, 1e-300) >= 1e6
@@ -269,10 +272,13 @@ class TestSeriesPaths:
         ("mixed", 2048, 0.0, 2.0, 1.0),
     ], ids=["default-mixed", "default-positive", "p0-0.5", "m-2", "packet-wide"])
     def test_paths_match_per_time_evolution(self, mode, n, p0, sigma_p, mass):
-        params = PhysicalParams(m=mass)
-        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), params, p0, sigma_p, mode, SEED)
+        # The packet of a config with this mass, converted at the edge to Compton units.
+        cfg = RunConfig("zitterbewegung", mass=mass)
+        p_max, p0, sigma_p = (cfg.to_compton(p, MOMENTUM) for p in (20.0, p0, sigma_p))
+        f = dd.init_packet(GridSpec1D(n=n, p_max=p_max), p0, sigma_p, mode, SEED)
         # Every 130th of 4096 times spans many blocks of 16 x 16 times.
-        self.assert_matches_evolution(f, dd.position_series(f, 50.0, 4096), 130)
+        series = dd.position_series(f, cfg.to_compton(50.0, TIME), 4096)
+        self.assert_matches_evolution(f, series, 130)
 
     def test_partial_last_block(self, mixed):
         # 4097 = 16 * 256 + 1 times: the last block holds a single time.
@@ -287,7 +293,7 @@ class TestSeriesPaths:
 
     @pytest.mark.parametrize("p0, t_max", [(3.0, 100.0), (0.0, 200.0)])
     def test_packet_wrapping_around_the_box_rejected(self, p0, t_max):
-        f = dd.init_packet(GRID, PARAMS, p0, 0.1, "mixed", SEED)
+        f = dd.init_packet(GRID, p0, 0.1, "mixed", SEED)
         with pytest.raises(ValueError, match="wraps around the position box"):
             dd.position_series(f, t_max, 8192)
 
@@ -317,7 +323,7 @@ class TestZeroWeightModes:
         ("mixed", 2048, 2.0, 25.0, False),
     ], ids=["default-mixed", "default-positive", "packet-wide"])
     def test_matches_full_mode_sum(self, mode, n, sigma_p, t_max, has_zeros):
-        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), PARAMS, 0.0, sigma_p, mode, SEED)
+        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
         _, _, weights = dd._zb_weights(f)
         # The default packet's envelope underflows, so the skip is exercised;
         # packet-wide's has no zero weight and takes every mode as before.
@@ -410,33 +416,25 @@ class TestMeasureOscillation:
         assert type(got) is np.float64
         assert got.tobytes() == expected.tobytes()
 
-    def test_frequency_scales_with_mass(self):
-        heavy = PhysicalParams(m=2.0)
-        grid = GridSpec1D(n=1024, p_max=20.0)
-        f = dd.init_packet(grid, heavy, 0.0, 0.1, "mixed", SEED)
-        series = dd.position_series(f, 25.0, 4096)
-        meas = dd.measure_oscillation(series)
-        assert meas.omega == pytest.approx(dd.zb_frequency(heavy), rel=0.01)
-
 
 class TestAveragingSuppression:
     def test_zb_period_window_suppresses_100x(self, mixed_series):
-        omega = dd.zb_frequency(PARAMS)
+        omega = OMEGA_ZB
         raw = dd.amplitude_at(mixed_series, omega)
         out = dd.sliding_average(mixed_series, 2 * np.pi / omega)
         assert raw / max(dd.amplitude_at(out, omega), 1e-300) >= 100
 
     def test_compton_window_matches_sinc(self, mixed_series):
-        omega = dd.zb_frequency(PARAMS)
+        omega = OMEGA_ZB
         raw = dd.amplitude_at(mixed_series, omega)
-        out = dd.sliding_average(mixed_series, PARAMS.compton_time())
+        out = dd.sliding_average(mixed_series, 1.0)  # the Compton time
         ratio = dd.amplitude_at(out, omega) / raw
         assert ratio == pytest.approx(abs(np.sin(1.0)), rel=0.05)
 
     def test_averaged_slope_matches_drift(self):
-        f = dd.init_packet(GRID, PARAMS, 0.5, 0.1, "positive", SEED)
+        f = dd.init_packet(GRID, 0.5, 0.1, "positive", SEED)
         series = dd.position_series(f, 50.0, 4096)
-        averaged = dd.sliding_average(series, PARAMS.compton_time())
+        averaged = dd.sliding_average(series, 1.0)
         slope = np.polyfit(averaged.times, averaged.values, 1)[0]
         drift, _, _ = dd._zb_weights(f)
         assert slope == pytest.approx(drift, rel=1e-4)

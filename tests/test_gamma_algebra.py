@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronon import cli
 from chronon import gamma_algebra as ga
+from chronon.config import MOMENTUM, RunConfig
 from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
 
 
@@ -12,7 +14,7 @@ def is_degenerate(gen, tol=1e-14):
     return all(frobenius(g) <= tol for g in gen.L + gen.M)
 
 
-def per_case_covariance(dset, params, p, axis):
+def per_case_covariance(dset, p, axis):
     """The rotation covariance check of one momentum and axis, one 4x4 at a time.
 
     ``ga.rotation_covariance_check`` runs every case as stacked arrays with the
@@ -20,36 +22,29 @@ def per_case_covariance(dset, params, p, axis):
     """
     p = np.asarray(p, dtype=float)
     i, j, k = ga._CYCLIC[axis]
-    orbital = 1j * params.hbar * params.c * (p[j] * dset.alpha[k] - p[k] * dset.alpha[j])
-    h = params.m * params.c**2 * dset.beta.astype(complex)
+    orbital = 1j * (p[j] * dset.alpha[k] - p[k] * dset.alpha[j])
+    h = dset.beta.astype(complex)
     for n in range(3):
-        h = h + params.c * p[n] * dset.alpha[n]
+        h = h + p[n] * dset.alpha[n]
     return frobenius(orbital), frobenius(orbital + commutator(h, dset.spin[i]))
 
 
-@pytest.fixture(scope="module")
-def params():
-    return ga.PhysicalParams()
+def unit_config(units):
+    """The verify-algebra config of a unit set whose mass key is ``m``."""
+    return RunConfig("verify-algebra", **{"mass" if k == "m" else k: v
+                                          for k, v in units.items()}).validate()
+
+
+def verify_algebra_lines(units):
+    """name -> measured text of ``verify-algebra``'s report at a unit set."""
+    with np.errstate(over="raise", invalid="raise"):
+        report, _ = cli.run_verify_algebra(unit_config(units), None)
+    return {line.name: line.measured for line in report.lines}
 
 
 @pytest.fixture(scope="module")
-def dset(params):
-    return ga.build_dirac_set(params)
-
-
-class TestPhysicalParams:
-    def test_compton_default(self):
-        p = ga.PhysicalParams(hbar=2.0, c=3.0, m=5.0)
-        assert p.a == pytest.approx(2.0 / 15.0, rel=1e-15)
-        assert p.compton_wavelength() == p.a
-
-    def test_explicit_a_kept(self):
-        assert ga.PhysicalParams(a=0.25).a == 0.25
-
-    @pytest.mark.parametrize("kwargs", [dict(hbar=0), dict(c=-1), dict(m=0), dict(a=-1)])
-    def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            ga.PhysicalParams(**kwargs)
+def dset():
+    return ga.build_dirac_set()
 
 
 class TestDiracMatrixSet:
@@ -69,16 +64,14 @@ class TestDiracMatrixSet:
         for g in dset.gamma[1:]:
             assert frobenius(g + g.conj().T) <= 1e-15  # anti-Hermitian
 
-    def test_spin_commutators(self, dset, params):
-        hbar = params.hbar
+    def test_spin_commutators(self, dset):
         for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            res = commutator(dset.spin[i], dset.spin[j]) - 1j * hbar * dset.spin[k]
+            res = commutator(dset.spin[i], dset.spin[j]) - 1j * dset.spin[k]
             assert frobenius(res) <= 1e-12
 
-    def test_spin_z_eigenvalues(self, dset, params):
+    def test_spin_z_eigenvalues(self, dset):
         vals = np.linalg.eigvalsh(dset.spin[2])
-        h2 = params.hbar / 2
-        np.testing.assert_allclose(vals, [-h2, -h2, h2, h2], atol=1e-15)
+        np.testing.assert_allclose(vals, [-0.5, -0.5, 0.5, 0.5], atol=1e-15)
 
     def test_shared_matrices_are_read_only(self, dset):
         assert dset.beta is ga.BETA and dset.alpha is ga.ALPHA
@@ -100,66 +93,69 @@ class TestClifford:
 
 
 class TestCoordinateRep:
-    def test_zero_scale(self, dset, params):
-        rep = ga.coordinate_rep(dset, params, 0.0, 0.5j)
+    def test_zero_scale(self, dset):
+        rep = ga.coordinate_rep(dset, 0.0, 0.5j)
         for x in rep.x_hat:
             assert frobenius(x) == 0
 
     def test_unit_scale(self, dset):
-        p = ga.PhysicalParams(a=1.0)
-        rep = ga.coordinate_rep(dset, p, 1.0, 0.5j)
+        rep = ga.coordinate_rep(dset, 1.0, 0.5j)
         np.testing.assert_array_equal(rep.x_hat[0], dset.alpha[0])
 
     def test_half_kappa_bracket(self, dset):
-        # [x, y] = (i/2) Sigma_z at a=1, kappa=1/2: oracle is direct multiplication.
-        p = ga.PhysicalParams(a=1.0)
-        rep = ga.coordinate_rep(dset, p, 0.5, 0.5j)
+        # [x, y] = (i/2) Sigma_z in units of a at kappa=1/2: oracle is direct multiplication.
+        rep = ga.coordinate_rep(dset, 0.5, 0.5j)
         bracket = commutator(rep.x_hat[0], rep.x_hat[1])
         np.testing.assert_allclose(bracket, 0.5j * dset.sigma_big[2], atol=1e-15)
 
 
 class TestSolveNormalization:
-    def test_canonical_kappa(self, dset, params):
-        kappa, kappa_t, resid = ga.solve_normalization(dset, params)
+    def test_canonical_kappa(self, dset):
+        kappa, kappa_t, resid = ga.solve_normalization(dset)
         assert abs(kappa - 0.5) <= 1e-8
         assert resid <= 1e-10
 
-    def test_kappa_t_imaginary(self, dset, params):
-        _, kappa_t, _ = ga.solve_normalization(dset, params)
+    def test_kappa_t_imaginary(self, dset):
+        _, kappa_t, _ = ga.solve_normalization(dset)
         assert min(abs(kappa_t - 0.5j), abs(kappa_t + 0.5j)) <= 1e-8
 
     @pytest.mark.parametrize("a", [0.1, 1.0, 7.5])
     def test_kappa_independent_of_a(self, dset, a):
-        p = ga.PhysicalParams(a=a)
-        kappa, _, _ = ga.solve_normalization(dset, p)
+        # The solve works in units of a: scaled coordinates a x, a y give a^2 [x, y] =
+        # i a^2 S_z, so the a^2 that cancels leaves kappa where it is at a = 1.
+        kappa, _, _ = ga.solve_normalization(dset)
+        x, y = (a * m for m in ga.coordinate_rep(dset, kappa, 0.5j).x_hat[:2])
+        np.testing.assert_allclose(commutator(x, y), 1j * a**2 * dset.spin[2],
+                                   rtol=0, atol=1e-15 * a**2)
         assert abs(kappa - 0.5) <= 1e-8
 
-    def test_degenerate_set_has_irreducible_residual(self, params):
-        dset = ga.build_dirac_set(params)
+    def test_degenerate_set_has_irreducible_residual(self):
+        dset = ga.build_dirac_set()
         zero = np.zeros((4, 4), dtype=complex)
         broken = ga.DiracMatrixSet(beta=dset.beta, alpha=(zero, zero, zero),
                                   gamma=dset.gamma, sigma_big=dset.sigma_big,
                                   spin=dset.spin)
-        _, _, resid = ga.solve_normalization(broken, params)
-        expected = frobenius((1j / params.hbar) * dset.spin[2])  # a^2 has cancelled
+        _, _, resid = ga.solve_normalization(broken)
+        expected = frobenius(1j * dset.spin[2])  # a^2 has cancelled
         assert resid >= expected - 1e-12
         assert resid > 0
 
 
 UNITS = [dict(), dict(m=2.0, a=0.5), dict(hbar=2.0, c=3.0), dict(a=0.1), dict(a=7.5)]
 UNIT_IDS = ["defaults", "m2-a0.5", "hbar2-c3", "a0.1", "a7.5"]
+# The closed forms and a zero residual, as verify-algebra prints them.
+CLOSED_FORMS = {"normalization kappa": "0.5+0j", "normalization kappa_t": "0+0.5j",
+                "normalization search residual": "0"}
 
 
 class TestBatchedSearch:
-    """The least-squares solve recovers kappa = 1/2 and kappa_t = i/2 at several units."""
+    """verify-algebra recovers kappa = 1/2 and kappa_t = i/2 at several units: the edge
+    reduces each unit set to a', which the solve, in units of a, never sees."""
 
     @pytest.mark.parametrize("kwargs", UNITS, ids=UNIT_IDS)
     def test_search_recovers_closed_forms(self, kwargs):
-        p = ga.PhysicalParams(**kwargs)
-        kappa, kappa_t, resid = ga.solve_normalization(ga.build_dirac_set(p), p)
-        assert abs(kappa - 0.5) <= 1e-12
-        assert abs(kappa_t - 0.5j) <= 1e-12
-        assert resid <= 1e-10
+        lines = verify_algebra_lines(kwargs)
+        assert {name: lines[name] for name in CLOSED_FORMS} == CLOSED_FORMS
 
 
 class TestLeastSquaresSolve:
@@ -171,141 +167,131 @@ class TestLeastSquaresSolve:
         # np.sqrt(-0.25 - 0j) is -0.5j; the rule picks its negative.
         assert ga._root(z) == root
 
-    def test_flipped_spin_target_gives_imaginary_kappa(self, params):
-        # [x, y] = -(i a^2/hbar) S_z needs kappa^2 = -1/4: the root with Im > 0.
-        dset = ga.build_dirac_set(params)
+    def test_flipped_spin_target_gives_imaginary_kappa(self):
+        # [x, y] = -i S_z (in units of a) needs kappa^2 = -1/4: the root with Im > 0.
+        dset = ga.build_dirac_set()
         flipped = ga.DiracMatrixSet(beta=dset.beta, alpha=dset.alpha, gamma=dset.gamma,
                                     sigma_big=dset.sigma_big,
                                     spin=tuple(-s for s in dset.spin))
-        kappa, _, _ = ga.solve_normalization(flipped, params)
+        kappa, _, _ = ga.solve_normalization(flipped)
         assert kappa == 0.5j
 
     @pytest.mark.parametrize("kwargs", [dict(a=1e-100), dict(a=1e100), dict(hbar=1e150)],
                              ids=["a1e-100", "a1e100", "hbar1e150"])
     def test_units_far_from_one(self, kwargs):
-        # a^2 cancels from the brackets before they are solved, so the Dirac set
-        # gives the closed forms and a zero residual at any scale, without overflow.
-        p = ga.PhysicalParams(**kwargs)
+        # The coordinates are built in units of a, so a^2 never forms: the Dirac set
+        # gives the closed forms and a zero residual exactly, and so does verify-algebra
+        # at units far from one, without overflow.
         with np.errstate(over="raise", invalid="raise"):
-            assert ga.solve_normalization(ga.build_dirac_set(p), p) == (0.5, 0.5j, 0.0)
+            assert ga.solve_normalization(ga.build_dirac_set()) == (0.5, 0.5j, 0.0)
+        lines = verify_algebra_lines(kwargs)
+        assert {name: lines[name] for name in CLOSED_FORMS} == CLOSED_FORMS
 
 
 class TestGenerators:
-    def canonical(self, dset, params):
-        return ga.extract_generators(ga.coordinate_rep(dset, params, 0.5, 0.5j))
+    def canonical(self, dset):
+        return ga.extract_generators(ga.coordinate_rep(dset, 0.5, 0.5j))
 
-    def test_l_z_is_spin_z(self, dset, params):
-        gen = self.canonical(dset, params)
-        np.testing.assert_allclose(gen.L[2], (params.hbar / 2) * dset.sigma_big[2],
-                                   atol=1e-14)
+    def test_l_z_is_spin_z(self, dset):
+        gen = self.canonical(dset)
+        np.testing.assert_allclose(gen.L[2], 0.5 * dset.sigma_big[2], atol=1e-14)
 
-    def test_zero_rep_gives_zero_generators(self, dset, params):
-        gen = ga.extract_generators(ga.coordinate_rep(dset, params, 0.0, 0.0))
+    def test_zero_rep_gives_zero_generators(self, dset):
+        gen = ga.extract_generators(ga.coordinate_rep(dset, 0.0, 0.0))
         assert is_degenerate(gen)
 
-    def test_boost_is_half_gamma(self, dset, params):
-        # [beta, alpha_x] = 2 gamma^1 forces M_x = (hbar/2) gamma^1 at the
+    def test_boost_is_half_gamma(self, dset):
+        # [beta, alpha_x] = 2 gamma^1 forces M_x = (1/2) gamma^1 at the
         # canonical normalization (the extraction fixes scale and sign).
-        gen = self.canonical(dset, params)
+        gen = self.canonical(dset)
         oracle = dset.beta @ dset.alpha[0] - dset.alpha[0] @ dset.beta
         np.testing.assert_allclose(oracle, 2 * dset.gamma[1], atol=0)
-        np.testing.assert_allclose(gen.M[0], (params.hbar / 2) * dset.gamma[1], atol=1e-14)
+        np.testing.assert_allclose(gen.M[0], 0.5 * dset.gamma[1], atol=1e-14)
 
-    def test_spin_spectrum_canonical(self, dset, params):
-        spectra = ga.spin_spectrum(self.canonical(dset, params))
-        assert ga.is_spin_half(spectra, params.hbar)
+    def test_spin_spectrum_canonical(self, dset):
+        spectra = ga.spin_spectrum(self.canonical(dset))
+        assert ga.is_spin_half(spectra)
 
-    def test_spin_spectrum_scales_quadratically(self, dset, params):
-        gen = ga.extract_generators(ga.coordinate_rep(dset, params, 1.0, 0.5j))
+    def test_spin_spectrum_scales_quadratically(self, dset):
+        gen = ga.extract_generators(ga.coordinate_rep(dset, 1.0, 0.5j))
         spectra = ga.spin_spectrum(gen)
-        # kappa doubled -> L scales by 4 -> eigenvalues +-2 hbar.
+        # kappa doubled -> L scales by 4 -> eigenvalues +-2 (hbar = 1).
         np.testing.assert_allclose(spectra[2], [-2, -2, 2, 2], atol=1e-12)
 
-    def test_spin_spectrum_rejects_non_hermitian(self, dset, params):
-        gen = self.canonical(dset, params)
+    def test_spin_spectrum_rejects_non_hermitian(self, dset):
+        gen = self.canonical(dset)
         bad = ga.GeneratorSet(L=(gen.L[0] + 1j * np.eye(4), gen.L[1], gen.L[2]),
                               M=gen.M)
         with pytest.raises(NotHermitianError):
             ga.spin_spectrum(bad)
 
-    def test_rescaling_preserves_multiplicity_pattern(self, dset, params):
+    def test_rescaling_preserves_multiplicity_pattern(self, dset):
         for s in (0.5, 2.0, 3.7):
-            gen = ga.extract_generators(ga.coordinate_rep(dset, params, 0.5 * s, 0.5j))
+            gen = ga.extract_generators(ga.coordinate_rep(dset, 0.5 * s, 0.5j))
             vals = ga.spin_spectrum(gen)[2]
             np.testing.assert_allclose(vals, s**2 * np.array([-0.5, -0.5, 0.5, 0.5]),
                                        atol=1e-12)
 
 
 class TestLorentzAlgebra:
-    def test_canonical_closure(self, dset, params):
-        gen = ga.extract_generators(ga.coordinate_rep(dset, params, 0.5, 0.5j))
-        assert ga.verify_lorentz_algebra(gen, params.hbar) <= 1e-12
+    def test_canonical_closure(self, dset):
+        gen = ga.extract_generators(ga.coordinate_rep(dset, 0.5, 0.5j))
+        assert ga.verify_lorentz_algebra(gen) <= 1e-12
 
-    def test_real_kappa_t_breaks_boost_bracket(self, dset, params):
-        gen = ga.extract_generators(ga.coordinate_rep(dset, params, 0.5, 0.5))
-        assert ga.verify_lorentz_algebra(gen, params.hbar) > 0.1
+    def test_real_kappa_t_breaks_boost_bracket(self, dset):
+        gen = ga.extract_generators(ga.coordinate_rep(dset, 0.5, 0.5))
+        assert ga.verify_lorentz_algebra(gen) > 0.1
 
-    def test_zero_generators_close_trivially_but_flag_degenerate(self, dset, params):
-        gen = ga.extract_generators(ga.coordinate_rep(dset, params, 0.0, 0.0))
-        assert ga.verify_lorentz_algebra(gen, params.hbar) == 0
+    def test_zero_generators_close_trivially_but_flag_degenerate(self, dset):
+        gen = ga.extract_generators(ga.coordinate_rep(dset, 0.0, 0.0))
+        assert ga.verify_lorentz_algebra(gen) == 0
         assert is_degenerate(gen)
 
 
 class TestDeformationFactors:
     def test_compton_point_doubles(self):
-        p = ga.PhysicalParams()
-        assert ga.deformation_factor(p, p.m * p.c, "space") == 2.0
+        # a' = 1 (a is the Compton wavelength) at p = 1 (m c).
+        assert ga.deformation_factor(1.0, 1.0) == 2.0
 
     def test_undeformed_limit(self):
-        p = ga.PhysicalParams(a=0.0)
-        assert ga.deformation_factor(p, 123.4, "space") == 1.0
-        assert ga.deformation_factor(p, 123.4, "time") == 1.0
+        assert ga.deformation_factor(0.0, 123.4) == 1.0
 
     def test_space_arithmetic(self):
-        p = ga.PhysicalParams(a=1.0)
-        assert ga.deformation_factor(p, 2.0, "space") == 5.0
-
-    def test_time_factor_sign(self):
-        p = ga.PhysicalParams()
-        assert ga.deformation_factor(p, p.m * p.c**2, "time") == pytest.approx(0.0, abs=1e-15)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ga.deformation_factor(ga.PhysicalParams(), 1.0, "spacetime")
+        assert ga.deformation_factor(1.0, 2.0) == 5.0
 
     def test_mixed_rhs(self):
-        p = ga.PhysicalParams(a=1.0)
-        assert ga.mixed_deformation_rhs(p, 1.0, 1.0) == 1.0
-        assert ga.mixed_deformation_rhs(p, 0.0, 5.0) == 0.0
+        assert ga.mixed_deformation_rhs(1.0, 1.0, 1.0) == 1.0
+        assert ga.mixed_deformation_rhs(1.0, 0.0, 5.0) == 0.0
 
     def test_mixed_rhs_compton(self):
-        p = ga.PhysicalParams()
-        assert ga.mixed_deformation_rhs(p, p.m * p.c, p.m * p.c) == pytest.approx(1.0, rel=1e-15)
+        # a = 0.5 at m = 2 is one Compton wavelength: a' = a m c/hbar = 1.
+        a = unit_config({"m": 2.0, "a": 0.5}).a_prime
+        assert ga.mixed_deformation_rhs(a, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestRotationCovariance:
     @staticmethod
-    def check(dset, params, p, axis):
-        orbital, total = ga.rotation_covariance_check(dset, params, [p])
+    def check(dset, p, axis):
+        orbital, total = ga.rotation_covariance_check(dset, [p])
         return orbital[axis], total[axis]
 
-    def test_axis_aligned_momentum(self, dset, params):
-        res_orb, res_tot = self.check(dset, params, [0, 0, 1], axis=2)
+    def test_axis_aligned_momentum(self, dset):
+        res_orb, res_tot = self.check(dset, [0, 0, 1], axis=2)
         assert res_orb == 0 and res_tot == 0
 
-    def test_transverse_momentum(self, dset, params):
-        res_orb, res_tot = self.check(dset, params, [1, 0, 0], axis=2)
+    def test_transverse_momentum(self, dset):
+        res_orb, res_tot = self.check(dset, [1, 0, 0], axis=2)
         assert res_orb == pytest.approx(2.0, rel=1e-12)
         assert res_tot <= 1e-12
 
-    def test_rest_momentum(self, dset, params):
-        res_orb, res_tot = self.check(dset, params, [0, 0, 0], axis=2)
+    def test_rest_momentum(self, dset):
+        res_orb, res_tot = self.check(dset, [0, 0, 0], axis=2)
         assert res_orb == 0 and res_tot == 0
 
-    def test_random_momenta_all_axes(self, dset, params):
+    def test_random_momenta_all_axes(self, dset):
         rng = np.random.default_rng(42)
         momenta = rng.uniform(-1, 1, size=(100, 3))
-        orbital, total = ga.rotation_covariance_check(dset, params, momenta)
+        orbital, total = ga.rotation_covariance_check(dset, momenta)
         assert len(orbital) == len(total) == 300
         for n, p in enumerate(momenta):
             for axis in range(3):
@@ -316,7 +302,7 @@ class TestRotationCovariance:
                     assert res_orb > 1e-3
 
 
-# The four operator-sweep unit sets, and one whose total residual is far from 0.
+# The four operator-sweep unit sets, and one far from unit scale.
 UNIT_SETS = [{}, {"m": 2.0, "a": 0.5}, {"hbar": 2.0, "c": 3.0}, {"a": 0.0},
              {"hbar": 1e-60, "c": 1e60}]
 
@@ -324,20 +310,21 @@ UNIT_SETS = [{}, {"m": 2.0, "a": 0.5}, {"hbar": 2.0, "c": 3.0}, {"a": 0.0},
 class TestBatchedCovarianceBitwise:
     @staticmethod
     def assert_bitwise(units, momenta):
-        params = ga.PhysicalParams(**units)
-        dset = ga.build_dirac_set(params)
-        orbital, total = ga.rotation_covariance_check(dset, params, momenta)
-        expected = [per_case_covariance(dset, params, p, axis)
-                    for p in momenta for axis in range(3)]
+        """Momenta drawn in a unit set's own units, converted at the edge to units of m c."""
+        cfg = unit_config(units)
+        momenta = np.vectorize(lambda p: cfg.to_compton(p, MOMENTUM))(momenta)
+        dset = ga.build_dirac_set()
+        orbital, total = ga.rotation_covariance_check(dset, momenta)
+        expected = [per_case_covariance(dset, p, axis) for p in momenta for axis in range(3)]
         assert list(zip(orbital, total)) == expected
 
     @pytest.mark.parametrize("units", UNIT_SETS, ids=lambda u: "-".join(
         f"{k}{v:g}" for k, v in u.items()) or "defaults")
     @pytest.mark.parametrize("seed", [7, 42, 19101])
     def test_equals_per_case_check(self, units, seed):
-        params = ga.PhysicalParams(**units)
+        cfg = unit_config(units)
         momenta = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(100, 3))
-        self.assert_bitwise(units, momenta * params.m * params.c)
+        self.assert_bitwise(units, momenta * cfg.mass * cfg.c)
 
     @given(st.sampled_from(UNIT_SETS[:4]),
            st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3), min_size=1, max_size=20))

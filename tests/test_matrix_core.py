@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronon.gamma_algebra import (PAULI_X, PAULI_Y, PAULI_Z, PhysicalParams, build_dirac_set,
+from chronon.gamma_algebra import (PAULI_X, PAULI_Y, PAULI_Z, build_dirac_set,
                                    commutator, frobenius)
 
 
@@ -34,7 +34,7 @@ class TestCommutator:
 
     def test_alpha_commutator_gives_big_sigma(self):
         # [alpha_x, alpha_y] = 2i Sigma_z, by direct 4x4 multiplication.
-        dset = build_dirac_set(PhysicalParams())
+        dset = build_dirac_set()
         ax, ay = dset.alpha[0], dset.alpha[1]
         oracle = ax @ ay - ay @ ax
         np.testing.assert_allclose(commutator(ax, ay), oracle, atol=0)
