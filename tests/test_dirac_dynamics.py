@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
-from chronon.config import MOMENTUM, TIME, RunConfig
+from chronon.config import FREQUENCY, LENGTH, MOMENTUM, TIME, ConfigError, RunConfig
 from chronon.snyder_rep import GridSpec1D
 
 # Compton units: momenta in units of m c, times in hbar/(m c^2), positions in hbar/(m c).
@@ -149,6 +149,18 @@ class TestInitPacket:
             dd.init_packet(GridSpec1D(n=32, p_max=1e-15), 0.0, 1.5e-16, "positive",
                            (0, 0, 1, 0))
 
+    @pytest.mark.parametrize("mode", ["mixed", "positive"])
+    def test_zero_rest_energy_rejected(self, mode):
+        # In user units (m c^2)^2 underflows to 0 at m = 1e-300 and the p = 0 mode
+        # would have E = 0; such a mass is rejected where it is converted, and in
+        # Compton units every mode has H^2 = E^2 >= 1.
+        with pytest.raises(ConfigError, match=r"p-max/\(mass c\) is out of"):
+            RunConfig("zitterbewegung", mass=1e-300).validate()
+        f = dd.init_packet(GRID, 0.0, 0.1, mode, SEED)
+        assert np.all(dd.mode_energy(f.grid.points) >= 1.0)
+        h_amps = dd._apply_hamiltonian(f.amps, f.grid.points)
+        assert norm(dd.SpinorMomentumField(GRID, h_amps)) ** 2 >= 1.0 - 1e-12
+
 
 class TestEvolve:
     def test_t_zero_identity(self, mixed):
@@ -217,6 +229,15 @@ class TestZbDecomposition:
                       for t in np.linspace(0, np.pi, 16)]
         assert max(amplitudes) <= ZB_NORM + 1e-10
         assert max(amplitudes) > 0.1  # interference is actually present
+
+    def test_zb_matrix_norm_halves_with_doubled_mass(self):
+        # Z = (i/2)(alpha_z - p H^-1) H^-1 at p = 0 is (i/2) alpha_z beta, of norm
+        # 1/2 in units of hbar/(m c).
+        z = 0.5j * ga.ALPHA[2] @ ga.BETA
+        assert np.linalg.norm(z, 2) == pytest.approx(ZB_NORM, rel=1e-15)
+        light, heavy = RunConfig("zitterbewegung"), RunConfig("zitterbewegung", mass=2.0)
+        assert heavy.to_user(ZB_NORM, LENGTH) == 0.25
+        assert light.to_user(ZB_NORM, LENGTH) / 2 == heavy.to_user(ZB_NORM, LENGTH)
 
     def test_drift_rate_matches_positive_expectation(self, positive):
         drift, _, _ = dd._zb_weights(positive)
@@ -415,6 +436,17 @@ class TestMeasureOscillation:
             expected, got = np.median(values), dd._median(values)
         assert type(got) is np.float64
         assert got.tobytes() == expected.tobytes()
+
+    def test_frequency_scales_with_mass(self):
+        # At m = 2 the box, envelope and duration shrink in Compton units; the
+        # measured frequency scales back to 2 m c^2/hbar = 4.
+        heavy = RunConfig("zitterbewegung", mass=2.0, t_max=25.0).validate()
+        grid = GridSpec1D(n=1024, p_max=heavy.to_compton(heavy.p_max, MOMENTUM))
+        f = dd.init_packet(grid, 0.0, heavy.to_compton(heavy.sigma_p, MOMENTUM), "mixed", SEED)
+        series = dd.position_series(f, heavy.to_compton(heavy.t_max, TIME), 4096)
+        omega = heavy.to_user(dd.measure_oscillation(series).omega, FREQUENCY)
+        assert heavy.to_user(OMEGA_ZB, FREQUENCY) == 4.0
+        assert omega == pytest.approx(4.0, rel=0.01)
 
 
 class TestAveragingSuppression:

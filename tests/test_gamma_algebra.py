@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chronon import cli
 from chronon import gamma_algebra as ga
-from chronon.config import MOMENTUM, RunConfig
+from chronon.config import LENGTH, MOMENTUM, TIME, RunConfig
 from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
 
 
@@ -45,6 +45,21 @@ def verify_algebra_lines(units):
 @pytest.fixture(scope="module")
 def dset():
     return ga.build_dirac_set()
+
+
+class TestPhysicalParams:
+    """hbar, c and m reach the algebra only as a' = a m c/hbar."""
+
+    def test_compton_default(self):
+        # An unset a is the Compton wavelength hbar/(m c): a' = 1, the same a' as
+        # an explicit a of one Compton wavelength.
+        cfg = unit_config({"hbar": 2.0, "c": 3.0, "m": 5.0})
+        assert cfg.a is None and cfg.a_prime == 1.0
+        assert cfg.to_user(cfg.a_prime, LENGTH) == pytest.approx(2.0 / 15.0, rel=1e-15)
+        assert cfg.to_user(1.0, TIME) == pytest.approx(2.0 / 45.0, rel=1e-15)
+        explicit = unit_config({"hbar": 2.0, "c": 3.0, "m": 5.0, "a": 2.0 / 15.0})
+        assert explicit.a_prime == pytest.approx(cfg.a_prime, rel=1e-15)
+        assert ga.deformation_factor(cfg.a_prime, 1.0) == 2.0
 
 
 class TestDiracMatrixSet:
