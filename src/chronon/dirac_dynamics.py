@@ -9,8 +9,11 @@ is taken directly in momentum space via the spectral derivative.  A whole
 time series of it comes from the Heisenberg-picture solution
 x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
 per mode (``position_series``), with no per-time evolution; ``evolve`` and
-``expect_position`` are the reference it is checked against.  The signal
-analysis below ``position_series`` takes a series in any units.
+``expect_position`` are the reference it is checked against.  From 2 blocks of
+16 x 16 times up, with 2 usable cores, the series' first half of blocks runs on one
+worker thread (numpy only, so it opens no tracer span) and its second half on the
+caller, with the same bits.  The signal analysis below ``position_series`` takes a
+series in any units.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chronon.gamma_algebra import ALPHA, BETA
-from chronon.snyder_rep import GridSpec1D, spectral_derivative
+from chronon.snyder_rep import GridSpec1D, _shares, _split, spectral_derivative
 
 
 def mode_energy(p):
@@ -148,7 +151,12 @@ def position_series(field: SpinorMomentumField, t_max: float,
     C) from ``_zb_weights`` and <x>(0) from ``expect_position``.  Times are
     t = (i _BLOCK + k) dt, so e^{i omega t} factors into a row
     e^{i omega i _BLOCK dt} times a fixed _BLOCK-column table e^{i omega k dt},
-    and each block of _BLOCK rows is one complex matrix product.
+    and each block of _BLOCK rows is one complex matrix product.  From 2 blocks up,
+    with 2 usable cores (``snyder_rep._shares``), the first half of the blocks runs on a
+    worker thread and the second half here (``snyder_rep._split``).  Each share builds
+    its row factors in place in one buffer of _BLOCK x live complex values, with the
+    bits of ``weights * exp(1j * outer(rows, omega))``, so the values do not depend
+    on the split.
 
     The formula holds on the whole line, while ``expect_position`` measures on
     the periodic position box of the grid, so the last value is checked
@@ -171,10 +179,26 @@ def position_series(field: SpinorMomentumField, t_max: float,
     omega, weights = omega[live], weights[live]
     step = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * dt))
     zb = np.empty(((len(times) + _BLOCK - 1) // _BLOCK, _BLOCK), dtype=complex)
-    for start in range(0, len(zb), _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, len(zb))) * (_BLOCK * dt)
-        np.matmul(weights * np.exp(1j * np.outer(rows, omega)), step,
-                  out=zb[start:start + len(rows)])
+    i_omega = 1j * omega
+
+    def blocks(first, stop):
+        # The row factors weights * e^{i omega t_row} of one block, built in place in a
+        # buffer of this share's own.  t_row (1j omega) has the bits of 1j (t_row omega),
+        # +0 + i t_row omega, as t_row and omega are >= 0.  Row by row, no operand is
+        # broadcast, so numpy allocates no iteration buffer.
+        buf = np.empty((_BLOCK, len(omega)), dtype=complex)
+        for start in range(first * _BLOCK, min(stop * _BLOCK, len(zb)), _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, len(zb))) * (_BLOCK * dt)
+            factors = buf[:len(rows)]
+            for t_row, row in zip(rows.tolist(), factors):
+                np.multiply(t_row, i_omega, out=row)
+            np.exp(factors, out=factors)
+            for row in factors:
+                np.multiply(weights, row, out=row)
+            np.matmul(factors, step, out=zb[start:start + len(rows)])
+
+    n_blocks = (len(zb) + _BLOCK - 1) // _BLOCK
+    _split(blocks, n_blocks, _shares(n_blocks, 2))
     values = offset + v * times + zb.real.ravel()[:len(times)]
     reference = expect_position(evolve(field, times[-1]))
     gap = abs(values[-1] - reference)

@@ -114,11 +114,57 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
+# Digits of a coordinate's cents below 1e9: seven before the point, two after.
+_DIGITS = 9
+
+
+def _cents(v: np.ndarray):
+    """rint(100 v) as int64 if it rounds every v as '{:.2f}' does, else None.
+
+    It does when v is finite, non-negative and below 1e7, and no 100 v lies within 1e-6
+    of a half cent: the product's rounding error, at most 6e-8 there, cannot cross the tie.
+    """
+    if not (np.isfinite(v).all() and not np.signbit(v).any() and v.max() < 1e7):
+        return None
+    scaled = 100 * v
+    cents = np.rint(scaled)
+    if cents.max() >= 1e9 or (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6).any():
+        return None
+    return cents.astype(np.int64)
+
+
+def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """' '.join of '{:.2f},{:.2f}' over the points.
+
+    Each point is spelled out as a row of 22 ASCII bytes from the digits of its
+    ``_cents``, with leading zeros as 0 bytes, and the non-zero bytes are decoded at
+    once.  Where ``_cents`` declines, each point is formatted by Python instead.
+    """
+    cents = [_cents(v) for v in (xs, ys)]
+    if cents[0] is None or cents[1] is None:
+        return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+    # Per point and coordinate: 7 integer digits, '.', 2 decimals, then ',' or ' '.
+    text = np.zeros((len(xs), 2, _DIGITS + 2), dtype=np.uint8)
+    text[:, :, _DIGITS - 2] = ord(".")
+    text[:, :, _DIGITS + 1] = ord(","), ord(" ")
+    units = _DIGITS - 3
+    for j, q in enumerate(cents):
+        for col in (_DIGITS, _DIGITS - 1, *range(units, -1, -1)):  # right to left
+            rest = q // 10
+            digit = q - 10 * rest + ord("0")
+            # A digit left of the units with nothing non-zero from it on is a leading zero.
+            text[:, j, col] = digit if col >= units else np.where(q > 0, digit, 0)
+            q = rest
+    flat = text.ravel()
+    return flat[flat != 0][:-1].tobytes().decode("ascii")
+
+
 def render_line_plot(series_list, labels, path, title: str = "") -> None:
     """Write a static SVG line chart; identical inputs give identical bytes.
 
     ``series_list`` holds TimeSeries-like objects whose .times and .values
-    are float arrays.
+    are float arrays.  Polyline points are spelled from digit arrays
+    (``_polyline_points``), with the bytes of '{:.2f}' per coordinate.
     """
     if not series_list:
         raise ValueError("render_line_plot needs at least one series")
@@ -172,8 +218,7 @@ def render_line_plot(series_list, labels, path, title: str = "") -> None:
                  'font-family="sans-serif" font-size="13">t</text>')
     for idx, (series, label) in enumerate(zip(series_list, labels)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(map("{:.2f},{:.2f}".format, sx(series.times).tolist(),
-                           sy(series.values).tolist()))
+        pts = _polyline_points(sx(series.times), sy(series.values))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      'stroke-width="1.5"/>')
         ly = _MT + 18 * idx

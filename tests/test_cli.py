@@ -499,6 +499,21 @@ class TestReproducibility:
         assert (a / "snyder_residuals.csv").read_bytes() == (b / "snyder_residuals.csv").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
+    @pytest.mark.parametrize("argv", [["all"], ["zitterbewegung", "--sigma-p", "2",
+                                                "--grid-n", "2048"]],
+                             ids=["all", "packet-wide"])
+    def test_artifacts_independent_of_usable_cores(self, tmp_path, monkeypatch, argv):
+        # With 2 usable cores the series run on two shares; every file keeps its bytes.
+        files = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
+            workdir = tmp_path / str(cores)
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)  # the manifest records the output dir "out"
+            assert run(argv + ["--output-dir", "out"]) == 0
+            files[cores] = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
+        assert len(files[1]) >= 4 and files[1] == files[2]
+
     def test_manifest_reproduces_run(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["zitterbewegung", "--output-dir", a] + FAST_ZB) == 0

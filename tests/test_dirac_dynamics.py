@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
+from chronon import snyder_rep as sr
 from chronon.config import FREQUENCY, LENGTH, MOMENTUM, TIME, ConfigError, RunConfig
 from chronon.snyder_rep import GridSpec1D
 
@@ -317,6 +321,82 @@ class TestSeriesPaths:
         f = dd.init_packet(GRID, p0, 0.1, "mixed", SEED)
         with pytest.raises(ValueError, match="wraps around the position box"):
             dd.position_series(f, t_max, 8192)
+
+
+def block_series(field, t_max, n_samples):
+    """<x>(t) with each block's Zitterbewegung sum as one whole-array expression.
+
+    ``weights * exp(1j * outer(rows, omega)) @ step`` per block of _BLOCK rows of
+    _BLOCK times, on one thread: what ``position_series`` computes in place.
+    """
+    times = np.linspace(0.0, t_max, n_samples)
+    dt = t_max / (n_samples - 1)
+    v, omega, weights = dd._zb_weights(field)
+    offset = dd.expect_position(field) - weights.sum().real
+    live = weights != 0
+    omega, weights = omega[live], weights[live]
+    block = dd._BLOCK
+    step = np.exp(1j * np.outer(omega, np.arange(block) * dt))
+    zb = np.empty(((n_samples + block - 1) // block, block), dtype=complex)
+    for start in range(0, len(zb), block):
+        rows = np.arange(start, min(start + block, len(zb))) * (block * dt)
+        zb[start:start + len(rows)] = weights * np.exp(1j * np.outer(rows, omega)) @ step
+    return offset + v * times + zb.real.ravel()[:n_samples]
+
+
+SPLIT_CASES = {  # (n, sigma_p, mode, n_samples): blocks of 16 x 16 times
+    "default-mixed": (1024, 0.1, "mixed", 4096),  # 16 blocks
+    "default-positive": (1024, 0.1, "positive", 4096),
+    "packet-wide": (2048, 2.0, "mixed", 4096),
+    "odd-blocks": (1024, 0.1, "mixed", 4097),  # 17 blocks, the last with one time
+    "one-block": (1024, 0.1, "mixed", 256),  # a single block: no split
+}
+
+
+class TestSeriesSplit:
+    """position_series on one share and on two, against the whole-block expression."""
+
+    @staticmethod
+    def series(monkeypatch, field, n_samples, cores):
+        monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads switch as often as allowed
+        try:
+            return dd.position_series(field, 50.0, n_samples)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("case", SPLIT_CASES)
+    def test_shares_match_block_expression_bitwise(self, monkeypatch, started_threads, case):
+        n, sigma_p, mode, n_samples = SPLIT_CASES[case]
+        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
+        one = self.series(monkeypatch, f, n_samples, 1)
+        assert not started_threads
+        two = self.series(monkeypatch, f, n_samples, 2)
+        # A worker starts only when there are two blocks to split, and it is joined.
+        assert len(started_threads) == (0 if n_samples <= dd._BLOCK**2 else 1)
+        assert not any(thread.is_alive() for thread in started_threads)
+        reference = block_series(f, 50.0, n_samples)
+        assert np.array_equal(one.values, reference)
+        assert np.array_equal(two.values, reference)
+
+    def test_second_share_costs_one_buffer(self, monkeypatch):
+        # Each share builds its row factors in one buffer of 16 x live complex values and
+        # allocates nothing else per block, so a second share adds one buffer to the peak.
+        f = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), 0.0, 2.0, "mixed", SEED)
+        live = np.count_nonzero(dd._zb_weights(f)[2])
+
+        def traced_peak(cores):
+            monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
+            dd.position_series(f, 50.0, 4096)  # first-call allocations, not traced
+            tracemalloc.start()
+            try:
+                dd.position_series(f, 50.0, 4096)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(2) <= traced_peak(1) + dd._BLOCK * live * 16
 
 
 def full_mode_series(field, t_max, n_samples):

@@ -88,3 +88,48 @@ class TestLinePlot:
         render_line_plot(series, [f"s{i}" for i in range(len(series))], path)
         assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == \
             scalar_polylines(series)
+
+
+def formatted_points(xs, ys):
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+
+# Exact binary half-cent ties (n + odd/8) and their neighbours one ulp away, which
+# '{:.2f}' rounds by the exact decimal value of the double.
+TIES = [100.125, 70.375, 0.625, 779.875, 9999999.875]
+NEAR_TIES = TIES + [float(np.nextafter(t, side)) for t in TIES for side in (0.0, np.inf)]
+# Declined by the digit path: too large, negative, or not finite.
+DECLINED = [1e7, 2.5e12, 1.7e308, -0.0, -1e-9, -450.0, math.nan, math.inf, -math.inf]
+coordinates = st.one_of(st.floats(0.0, 1e7, exclude_max=True), st.sampled_from(NEAR_TIES),
+                        st.sampled_from(TIES).map(lambda t: t + 2e-8), st.sampled_from(DECLINED))
+
+
+class TestPolylineDigits:
+    @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_format(self, points):
+        xs, ys = (np.array(c) for c in zip(*points))
+        assert reporting._polyline_points(xs, ys) == formatted_points(xs, ys)
+
+    @given(st.lists(st.floats(0.0, 1e7, exclude_max=True), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_digit_path_away_from_ties(self, values):
+        # Off the 1e-6 band around a half cent, and below 1e9 cents, the digits come
+        # from rint(100 v).
+        v = np.array(values)
+        frac = 100 * v - np.floor(100 * v)
+        declined = np.any(np.abs(frac - 0.5) < 1e-6) or np.rint(100 * v).max() >= 1e9
+        assert (reporting._cents(v) is None) == bool(declined)
+        assert reporting._polyline_points(v, v[::-1]) == formatted_points(v, v[::-1])
+
+    @pytest.mark.parametrize("value", TIES + DECLINED)
+    def test_ties_and_out_of_range_take_python_format(self, value):
+        v = np.array([123.45, value])
+        assert reporting._cents(v) is None
+        assert reporting._polyline_points(v, v) == formatted_points(v, v)
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 0.004, 0.994999, 9999999.99, 100.125 + 2e-8])
+    def test_edges_take_digit_path(self, value):
+        v = np.array([value, 70.0])
+        assert reporting._cents(v) is not None
+        assert reporting._polyline_points(v, v) == formatted_points(v, v)

@@ -83,19 +83,6 @@ def traced_peak(grid, a, f):
         tracemalloc.stop()
 
 
-@pytest.fixture
-def started_threads(monkeypatch):
-    """Every thread started while the test runs."""
-    started, start = [], threading.Thread.start
-
-    def recorded_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recorded_start)
-    return started
-
-
 class TestGridSpec:
     def test_spacing(self, grid):
         assert grid.dp == pytest.approx(40.0 / 1024)
