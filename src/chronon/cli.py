@@ -292,8 +292,9 @@ def main(argv=None) -> int:
 
     names = CHAINS[cfg.command]
     try:
-        # Units far outside the float range overflow or underflow: numpy raises too.
-        with np.errstate(over="raise", invalid="raise"):
+        # Units far outside the float range overflow, divide by zero or give NaN: numpy
+        # raises on each, so the message stays one line.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             series_pair = _packet_pair_series(cfg) if PACKET_RUNNERS.intersection(names) else None
             report, outputs = Report(cfg.command), []
             for name in names:

@@ -9,10 +9,9 @@ is taken directly in momentum space via the spectral derivative.  A whole
 time series of it comes from the Heisenberg-picture solution
 x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
 per mode (``position_series``), with no per-time evolution; ``evolve`` and
-``expect_position`` are the reference it is checked against.  From 2 blocks of
-16 x 16 times up, with 2 usable cores, the series' first half of blocks runs on one
-worker thread (numpy only, so it opens no tracer span) and its second half on the
-caller, with the same bits.  The signal analysis below ``position_series`` takes a
+``expect_position`` are the reference it is checked against.  The series sums
+the modes' phases in blocks of 16 x 16 times from three small phase tables, on
+the calling thread.  The signal analysis below ``position_series`` takes a
 series in any units.
 """
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chronon.gamma_algebra import ALPHA, BETA
-from chronon.snyder_rep import GridSpec1D, _shares, _split, spectral_derivative
+from chronon.snyder_rep import GridSpec1D, spectral_derivative
 
 
 def mode_energy(p):
@@ -143,26 +142,31 @@ def _zb_weights(field: SpinorMomentumField):
     return float(v), 2 * e, weights
 
 
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """e^{i outer(a, b)}, exponentiated in place."""
+    table = 1j * np.outer(a, b)
+    return np.exp(table, out=table)
+
+
 def position_series(field: SpinorMomentumField, t_max: float,
                     n_samples: int) -> TimeSeries:
     """<x>(t) sampled uniformly on [0, t_max], in closed form for all times at once.
 
     <x>(t) = <x>(0) + v t + Re sum_p C_p (e^{i omega_p t} - 1), with (v, omega,
     C) from ``_zb_weights`` and <x>(0) from ``expect_position``.  Times are
-    t = (i _BLOCK + k) dt, so e^{i omega t} factors into a row
-    e^{i omega i _BLOCK dt} times a fixed _BLOCK-column table e^{i omega k dt},
-    and each block of _BLOCK rows is one complex matrix product.  From 2 blocks up,
-    with 2 usable cores (``snyder_rep._shares``), the first half of the blocks runs on a
-    worker thread and the second half here (``snyder_rep._split``).  Each share builds
-    its row factors in place in one buffer of _BLOCK x live complex values, with the
-    bits of ``weights * exp(1j * outer(rows, omega))``, so the values do not depend
-    on the split.
+    t = (_BLOCK^2 J + _BLOCK j + k) dt with j, k < _BLOCK, so e^{i omega t} is the
+    product of three phases: one live-mode vector e^{i omega _BLOCK^2 J dt} per block
+    of _BLOCK^2 times, taken with the weights; the _BLOCK x live table
+    e^{i omega _BLOCK j dt}; and the live x _BLOCK table e^{i omega k dt}.  Each
+    block is then one elementwise product into a reused buffer and one complex
+    matrix product, so a series of n times takes (n/_BLOCK^2 + 2 _BLOCK) complex
+    exponentials per live mode and memory stays flat in n.
 
     The formula holds on the whole line, while ``expect_position`` measures on
     the periodic position box of the grid, so the last value is checked
     against ``expect_position(evolve(field, t))``: a gap above 1e-9 (relative
-    beyond |<x>| = 1) means the packet wraps around the box and raises
-    ValueError.
+    beyond |<x>| = 1), and above the roundoff of the spectral derivative, means
+    the packet wraps around the box and raises ValueError.
     """
     # 2 samples per rest-frame oscillation period 2 pi/2, with a 4x safety factor.
     required = np.ceil(4 * 2 * t_max * 2.0 / (2 * np.pi))
@@ -173,36 +177,27 @@ def position_series(field: SpinorMomentumField, t_max: float,
     dt = t_max / max(len(times) - 1, 1)
     v, omega, weights = _zb_weights(field)
     offset = expect_position(field) - weights.sum().real
+    reference = expect_position(evolve(field, times[-1]))  # before the tables take memory
     # A mode whose weight is exactly 0 (the envelope underflows there) adds
     # exactly nothing, so the tables and products skip it.
     live = weights != 0
     omega, weights = omega[live], weights[live]
-    step = np.exp(1j * np.outer(omega, np.arange(_BLOCK) * dt))
-    zb = np.empty(((len(times) + _BLOCK - 1) // _BLOCK, _BLOCK), dtype=complex)
-    i_omega = 1j * omega
-
-    def blocks(first, stop):
-        # The row factors weights * e^{i omega t_row} of one block, built in place in a
-        # buffer of this share's own.  t_row (1j omega) has the bits of 1j (t_row omega),
-        # +0 + i t_row omega, as t_row and omega are >= 0.  Row by row, no operand is
-        # broadcast, so numpy allocates no iteration buffer.
-        buf = np.empty((_BLOCK, len(omega)), dtype=complex)
-        for start in range(first * _BLOCK, min(stop * _BLOCK, len(zb)), _BLOCK):
-            rows = np.arange(start, min(start + _BLOCK, len(zb))) * (_BLOCK * dt)
-            factors = buf[:len(rows)]
-            for t_row, row in zip(rows.tolist(), factors):
-                np.multiply(t_row, i_omega, out=row)
-            np.exp(factors, out=factors)
-            for row in factors:
-                np.multiply(weights, row, out=row)
-            np.matmul(factors, step, out=zb[start:start + len(rows)])
-
-    n_blocks = (len(zb) + _BLOCK - 1) // _BLOCK
-    _split(blocks, n_blocks, _shares(n_blocks, 2))
+    ticks = np.arange(_BLOCK) * dt
+    step, rows = _phases(omega, ticks), _phases(ticks * _BLOCK, omega)
+    # Whole blocks only: the last block's sums past t_max are computed and sliced off.
+    zb = np.empty((-(-len(times) // _BLOCK**2) * _BLOCK, _BLOCK), dtype=complex)
+    factors = np.empty_like(rows)
+    for start in range(0, len(zb), _BLOCK):
+        np.multiply(rows, weights * np.exp(1j * (start * _BLOCK * dt) * omega), out=factors)
+        np.matmul(factors, step, out=zb[start:start + _BLOCK])
+    del step, rows, factors  # freed before the output arrays are summed
     values = offset + v * times + zb.real.ravel()[:len(times)]
-    reference = expect_position(evolve(field, times[-1]))
     gap = abs(values[-1] - reference)
-    if gap > 1e-9 * max(1.0, abs(reference)):  # a box of 2 pi/dp Compton wavelengths
+    # The box is 2 pi/dp Compton wavelengths.  <x> takes the spectral derivative, whose
+    # largest wavenumber pi/dp turns one rounding of the spectrum into eps pi/dp of
+    # position, so gaps below a few of those, 4 eps pi/dp, are roundoff.
+    roundoff = 4 * np.finfo(float).eps * np.pi / field.grid.dp
+    if gap > max(1e-9 * max(1.0, abs(reference)), roundoff):
         raise ValueError(f"the packet wraps around the position box by the last sample (<x> off "
                          f"by {gap * field.grid.dp / (2 * np.pi):.3g} box lengths); "
                          f"raise --grid-n or lower --t-max")

@@ -15,8 +15,6 @@ The 2-D check runs in cache-sized panels, with a whole-array composition's arith
 From 8 panels up, with 2 usable cores, each column and row pass runs its first half of
 panels on one worker thread (spectral derivatives and the private panel helpers only, so
 it opens no tracer span) under the caller's context, and its second half on the caller.
-``_shares`` holds that rule and ``_split`` the two halves; ``dirac_dynamics`` splits its
-Zitterbewegung sum with them too.
 """
 
 from __future__ import annotations
@@ -137,11 +135,6 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(units: int, min_split: int) -> int:
-    """Shares for ``_split``: 2 when at least ``min_split`` units of work and 2 usable cores."""
-    return 2 if units >= min_split and _usable_cores() >= 2 else 1
-
-
 def _split(work, n: int, shares: int) -> None:
     """work(start, stop) over [0, n); with 2 shares the first half runs on a worker thread
     under a copy of the caller's context (so np.errstate holds there) and the second half
@@ -228,7 +221,7 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float,
     mixed, py_full = xf, np.broadcast_to(py, (n, n))
     coeffs = _coefficients_2d(grid, a)
     grid.wavenumbers  # cached here, before any worker thread reads it
-    shares = _shares(n * n // _PANEL, _MIN_SPLIT_PANELS)
+    shares = 2 if n * n // _PANEL >= _MIN_SPLIT_PANELS and _usable_cores() >= 2 else 1
 
     def f_rows(r, grad):
         _position_2d(grad, coeffs, 0, r, out=xf[r])

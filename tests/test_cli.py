@@ -273,6 +273,19 @@ class TestExitStatuses:
         assert err.startswith("chronon: config error: out of floating-point range: overflow")
         assert err.count("\n") == 1
 
+    def test_divide_by_zero_exits_2_with_one_line(self, tmp_path):
+        # np.polyfit divides by zero on this time axis; numpy raises there, so no
+        # RuntimeWarning and source line reach stderr before the message.
+        script = ("import sys; from chronon.cli import main; sys.exit(main(["
+                  "'zitterbewegung', '--hbar', '1', '--c', '1e60', '--mass', '1e60', "
+                  "'--p-max', '2e121', '--sigma-p', '1e119', '--t-max', '5e-179', "
+                  "'--no-emit-plots', '--output-dir', sys.argv[1]]))")
+        proc = run_fresh(script, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("chronon: config error: out of floating-point range: "
+                                      "divide by zero")
+
     def test_unwritable_output_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -448,6 +461,14 @@ class TestZitterbewegungCommand:
              "--no-emit-plots", "--output-dir", tmp_path])
         assert "annihilated" not in capsys.readouterr().err
 
+    def test_roundoff_gap_is_not_a_wrap(self, tmp_path, capsys):
+        # The box is 3.2e31 Compton wavelengths across, and the last sample's gap of
+        # 1e-19 box lengths is roundoff of the spectral derivative, not a wrap.
+        code = run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
+                    "--no-emit-plots", "--output-dir", tmp_path])
+        assert code != 2
+        assert capsys.readouterr().err == ""
+
     def test_plots_emitted_by_default(self, tmp_path):
         assert run(["zitterbewegung", "--output-dir", tmp_path,
                     "--grid-n", "1024", "--t-max", "25",
@@ -503,7 +524,7 @@ class TestReproducibility:
                                                 "--grid-n", "2048"]],
                              ids=["all", "packet-wide"])
     def test_artifacts_independent_of_usable_cores(self, tmp_path, monkeypatch, argv):
-        # With 2 usable cores the series run on two shares; every file keeps its bytes.
+        # Every file keeps its bytes whatever the number of usable cores.
         files = {}
         for cores in (1, 2):
             monkeypatch.setattr(sr, "_usable_cores", lambda: cores)

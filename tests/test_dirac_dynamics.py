@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
-from chronon import snyder_rep as sr
 from chronon.config import FREQUENCY, LENGTH, MOMENTUM, TIME, ConfigError, RunConfig
 from chronon.snyder_rep import GridSpec1D
 
@@ -323,11 +321,13 @@ class TestSeriesPaths:
             dd.position_series(f, t_max, 8192)
 
 
-def block_series(field, t_max, n_samples):
-    """<x>(t) with each block's Zitterbewegung sum as one whole-array expression.
+def table_series(field, t_max, n_samples):
+    """<x>(t) with the Zitterbewegung sum as one whole-array expression of three tables.
 
-    ``weights * exp(1j * outer(rows, omega)) @ step`` per block of _BLOCK rows of
-    _BLOCK times, on one thread: what ``position_series`` computes in place.
+    For t = (B^2 J + B j + k) dt, B = _BLOCK: the weights times e^{i w B^2 J dt} per
+    block J, times e^{i w B j dt} per row j, matrix-multiplied by e^{i w k dt} per
+    column k, every block stacked in one array: what ``position_series`` computes
+    block by block.
     """
     times = np.linspace(0.0, t_max, n_samples)
     dt = t_max / (n_samples - 1)
@@ -336,94 +336,106 @@ def block_series(field, t_max, n_samples):
     live = weights != 0
     omega, weights = omega[live], weights[live]
     block = dd._BLOCK
-    step = np.exp(1j * np.outer(omega, np.arange(block) * dt))
-    zb = np.empty(((n_samples + block - 1) // block, block), dtype=complex)
-    for start in range(0, len(zb), block):
-        rows = np.arange(start, min(start + block, len(zb))) * (block * dt)
-        zb[start:start + len(rows)] = weights * np.exp(1j * np.outer(rows, omega)) @ step
+    ticks = np.arange(block) * dt
+    step = np.exp(1j * np.outer(omega, ticks))
+    rows = np.exp(1j * np.outer(ticks * block, omega))
+    starts = np.arange(0, n_samples, block**2) * dt
+    blocks = weights * np.exp(1j * np.outer(starts, omega))
+    zb = (rows * blocks[:, None, :]) @ step
     return offset + v * times + zb.real.ravel()[:n_samples]
 
 
-SPLIT_CASES = {  # (n, sigma_p, mode, n_samples): blocks of 16 x 16 times
+TABLE_CASES = {  # (n, sigma_p, mode, n_samples): blocks of 16 x 16 times
     "default-mixed": (1024, 0.1, "mixed", 4096),  # 16 blocks
     "default-positive": (1024, 0.1, "positive", 4096),
     "packet-wide": (2048, 2.0, "mixed", 4096),
     "odd-blocks": (1024, 0.1, "mixed", 4097),  # 17 blocks, the last with one time
-    "one-block": (1024, 0.1, "mixed", 256),  # a single block: no split
+    "one-block": (1024, 0.1, "mixed", 256),
 }
 
 
-class TestSeriesSplit:
-    """position_series on one share and on two, against the whole-block expression."""
+class TestSeriesTables:
+    """position_series against the whole-array three-table expression, on one thread."""
 
-    @staticmethod
-    def series(monkeypatch, field, n_samples, cores):
-        monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the two threads switch as often as allowed
-        try:
-            return dd.position_series(field, 50.0, n_samples)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("case", SPLIT_CASES)
-    def test_shares_match_block_expression_bitwise(self, monkeypatch, started_threads, case):
-        n, sigma_p, mode, n_samples = SPLIT_CASES[case]
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_matches_table_expression_bitwise(self, started_threads, case):
+        n, sigma_p, mode, n_samples = TABLE_CASES[case]
         f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
-        one = self.series(monkeypatch, f, n_samples, 1)
+        series = dd.position_series(f, 50.0, n_samples)
         assert not started_threads
-        two = self.series(monkeypatch, f, n_samples, 2)
-        # A worker starts only when there are two blocks to split, and it is joined.
-        assert len(started_threads) == (0 if n_samples <= dd._BLOCK**2 else 1)
-        assert not any(thread.is_alive() for thread in started_threads)
-        reference = block_series(f, 50.0, n_samples)
-        assert np.array_equal(one.values, reference)
-        assert np.array_equal(two.values, reference)
+        assert np.array_equal(series.values, table_series(f, 50.0, n_samples))
 
-    def test_second_share_costs_one_buffer(self, monkeypatch):
-        # Each share builds its row factors in one buffer of 16 x live complex values and
-        # allocates nothing else per block, so a second share adds one buffer to the peak.
+    def test_traced_peak_flat_in_samples(self):
+        # The tables and the one reused buffer do not grow with the number of times;
+        # only the output arrays do: times, values and the complex sums, with two
+        # float temporaries of the final sum (56 B per sample in all).
         f = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), 0.0, 2.0, "mixed", SEED)
-        live = np.count_nonzero(dd._zb_weights(f)[2])
 
-        def traced_peak(cores):
-            monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
-            dd.position_series(f, 50.0, 4096)  # first-call allocations, not traced
+        def traced_peak(n_samples):
+            dd.position_series(f, 50.0, n_samples)  # first-call allocations, not traced
             tracemalloc.start()
             try:
-                dd.position_series(f, 50.0, 4096)
+                dd.position_series(f, 50.0, n_samples)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(2) <= traced_peak(1) + dd._BLOCK * live * 16
+        assert traced_peak(16384) <= traced_peak(4096) + (16384 - 4096) * 56
+
+    def test_exponentials_per_live_mode(self, monkeypatch):
+        # Two tables of 16 phases and one vector per block of 256 times: 48 per live mode.
+        f = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), 0.0, 2.0, "mixed", SEED)
+        live = np.count_nonzero(dd._zb_weights(f)[2])
+        counted, exp = [], np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            counted.append(np.size(x) if np.iscomplexobj(x) else 0)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(dd.np, "exp", counting_exp)
+        dd.position_series(f, 50.0, 4096)
+        assert live == 2048 and sum(counted) == 48 * live
 
 
 def full_mode_series(field, t_max, n_samples):
     """<x>(t) from ``_zb_weights`` summed over every mode, zero weights included.
 
-    The phases factor as in ``position_series``, e^{i w (i B dt)} e^{i w (k dt)}
-    for t = (i B + k) dt, so only the order of the sum differs.
+    The phases factor as in ``position_series``, e^{i w B^2 J dt} e^{i w B j dt}
+    e^{i w k dt} for t = (B^2 J + B j + k) dt with B = _BLOCK, so only the order of
+    the sum differs.
     """
     v, omega, weights = dd._zb_weights(field)
     times = np.linspace(0.0, t_max, n_samples)
     dt = t_max / (n_samples - 1)
     block = dd._BLOCK
-    zb = [np.sum(weights * np.exp(1j * (i * (block * dt) * omega))
-                 * np.exp(1j * (omega * (k * dt))))
-          for i, k in (divmod(j, block) for j in range(n_samples))]
+    zb = [np.sum(weights * np.exp(1j * (big * block**2 * dt) * omega)
+                 * np.exp(1j * (j * block * dt * omega)) * np.exp(1j * (omega * (k * dt))))
+          for big, j, k in ((i // block**2, i // block % block, i % block)
+                            for i in range(n_samples))]
     return dd.expect_position(field) - weights.sum().real + v * times + np.real(zb)
+
+
+def direct_series(field, t_max, n_samples):
+    """<x>(t) from ``_zb_weights`` with one complex exponential per mode and time."""
+    v, omega, weights = dd._zb_weights(field)
+    times = np.linspace(0.0, t_max, n_samples)
+    zb = [np.sum(weights * np.exp(1j * (omega * t))) for t in times]
+    return dd.expect_position(field) - weights.sum().real + v * times + np.real(zb)
+
+
+SUM_CASES = {  # (mode, n, sigma_p, t_max, has_zeros)
+    "default-mixed": ("mixed", 1024, 0.1, 50.0, True),
+    "default-positive": ("positive", 1024, 0.1, 50.0, True),
+    "packet-wide": ("mixed", 2048, 2.0, 25.0, False),
+}
 
 
 class TestZeroWeightModes:
     """position_series skips the modes whose weight is exactly 0."""
 
-    @pytest.mark.parametrize("mode, n, sigma_p, t_max, has_zeros", [
-        ("mixed", 1024, 0.1, 50.0, True),
-        ("positive", 1024, 0.1, 50.0, True),
-        ("mixed", 2048, 2.0, 25.0, False),
-    ], ids=["default-mixed", "default-positive", "packet-wide"])
-    def test_matches_full_mode_sum(self, mode, n, sigma_p, t_max, has_zeros):
+    @pytest.mark.parametrize("case", SUM_CASES)
+    def test_matches_full_mode_sum(self, case):
+        mode, n, sigma_p, t_max, has_zeros = SUM_CASES[case]
         f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
         _, _, weights = dd._zb_weights(f)
         # The default packet's envelope underflows, so the skip is exercised;
@@ -433,6 +445,19 @@ class TestZeroWeightModes:
         reference = full_mode_series(f, t_max, 1024)
         np.testing.assert_array_less(np.abs(series.values - reference),
                                      1e-15 * np.maximum(1.0, np.abs(reference)))
+
+
+class TestDirectSum:
+    """position_series against one exponential per mode and time, at every sample."""
+
+    @pytest.mark.parametrize("case", SUM_CASES)
+    def test_matches_direct_sum(self, case):
+        mode, n, sigma_p, _, _ = SUM_CASES[case]
+        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
+        series = dd.position_series(f, 50.0, 4096)
+        reference = direct_series(f, 50.0, 4096)
+        np.testing.assert_array_less(np.abs(series.values - reference),
+                                     1e-14 * np.maximum(1.0, np.abs(reference)))
 
 
 class TestSlidingAverage:
