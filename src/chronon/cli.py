@@ -119,22 +119,28 @@ def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
     residuals of [x, p] and [x, p_y] scale back by hbar, that of [x, y] by length^2."""
     rows, a = [], cfg.a_prime
     label = "canonical-limit-" if cfg.a == 0 else ""
-    # The witness is 1 user momentum unit wide.  Its height, a power of two near the width
-    # within 2^+-500, keeps its squares and its second derivatives inside the float range;
-    # the residuals are relative, so it moves no bits where nothing would leave it.
+    # The witness is 1 user momentum unit wide.  In 1-D its height, a power of two near
+    # the width within 2^+-500, keeps x p f inside the float range; the residual is
+    # relative, so it moves no bits where nothing would leave it.
     width = cfg.to_compton(1.0, MOMENTUM)
-    height = 2.0 ** max(-500, min(500, math.frexp(width)[1] - 1))
+    exponent = math.frexp(width)[1] - 1
+    height = 2.0 ** max(-500, min(500, exponent))
     for n in ns_1d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
         f = height * sr.gaussian_1d(grid, width=width)
         rows.append((f"{label}heisenberg-1d", n,
                      cfg.to_user(sr.heisenberg_residual_1d(grid, a, f), ACTION)))
+    # In 2-D momenta are counted in units of s, the power of two at or below the width:
+    # the witness u(p_x) u(p_y) is w = width/s in [1, 2) wide, so its factors and their
+    # derivatives stay near 1.  x and y scale by 1/s there, so the [x, y] residual scales
+    # back by s^-2 (hbar/(m c))^2 = (hbar w)^2; [x, p_y] does not scale.
+    s = math.ldexp(1.0, exponent)
+    w = width / s
     for n in ns_2d:
-        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM))
-        f = sr.gaussian_2d(grid, width=width)
-        f *= height
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, f)
-        rows.append((f"{label}coordinate-xy-2d", n, cfg.to_user(r_xy, LENGTH, LENGTH)))
+        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM) / s)
+        u = sr.gaussian_1d(grid, width=w).real
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a * s, u, u)
+        rows.append((f"{label}coordinate-xy-2d", n, cfg.to_user(r_xy * w**2, ACTION, ACTION)))
         rows.append((f"{label}mixed-2d", n, cfg.to_user(r_mixed, ACTION)))
     return rows
 

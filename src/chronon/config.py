@@ -107,9 +107,8 @@ class RunConfig:
         if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
             checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
         if self.command in ("snyder", "all"):
-            # The witness is 1/(mass c) wide and at least 2^-500 high (cli._snyder_rows):
-            # the 2-D check forms its second derivatives, and [x, y] scales back by
-            # (hbar/(mass c))^2.
+            # The witness is 1/(mass c) wide, and in 1-D at least 2^-500 high
+            # (cli._snyder_rows); [x, y] scales back by (hbar/(mass c))^2.
             mc = self.to_user(1.0, MOMENTUM)
             checks += [("(mass c)^2/2^500", "mass c",
                         tiny <= mc and _product(2.0**-500, (mc, 2)) < top),

@@ -97,7 +97,8 @@ def test_05_snyder_residuals_and_convergence(announce):
     grid1 = sr.GridSpec1D(n=1024, p_max=20.0)
     r1 = sr.heisenberg_residual_1d(grid1, A_PRIME, sr.gaussian_1d(grid1))
     grid2 = sr.GridSpec1D(n=256, p_max=12.0)
-    r2, _ = sr.coordinate_commutator_residual_2d(grid2, A_PRIME, sr.gaussian_2d(grid2))
+    g2 = sr.gaussian_1d(grid2).real
+    r2, _ = sr.coordinate_commutator_residual_2d(grid2, A_PRIME, g2, g2)
 
     seq1 = []
     for n in (32, 64, 128):
@@ -110,7 +111,8 @@ def test_05_snyder_residuals_and_convergence(announce):
     seq2 = []
     for n in (16, 32, 64):
         g = sr.GridSpec1D(n=n, p_max=12.0)
-        rxy, _ = sr.coordinate_commutator_residual_2d(g, A_PRIME, sr.gaussian_2d(g))
+        u = sr.gaussian_1d(g).real
+        rxy, _ = sr.coordinate_commutator_residual_2d(g, A_PRIME, u, u)
         seq2.append(rxy)
 
     def monotone(seq, floor):

@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -33,21 +31,32 @@ def grid():
     return sr.GridSpec1D(n=1024, p_max=20.0)
 
 
+def gaussian_1d(grid, center=0.0, width=1.0):
+    """A real 1-D factor of the 2-D witness."""
+    return sr.gaussian_1d(grid, center=center, width=width).real
+
+
+def gaussian_2d(grid, center=(0.0, 0.0), width=1.0):
+    """The separable 2-D witness on the whole grid, p_x along axis 0."""
+    return np.outer(gaussian_1d(grid, center[0], width), gaussian_1d(grid, center[1], width))
+
+
 def gradient_2d(g, grid):
     return sr.spectral_derivative(g, grid, axis=0), sr.spectral_derivative(g, grid, axis=1)
 
 
 def position_apply_2d(f, grid, a, axis):
     """x_axis f with x_i = i*(delta_ij + a^2 p_i p_j) d/dp_j, axis 0 = p_x."""
-    return 1j * sr._position_2d(gradient_2d(f, grid), sr._coefficients_2d(grid, a), axis)
+    px, py = grid.points[:, None], grid.points[None, :]
+    b = a**2
+    diag = (1.0 + b * px * px, 1.0 + b * py * py)[axis]  # IndexError past axis 1
+    grad = gradient_2d(f, grid)
+    return 1j * (diag * grad[axis] + b * px * py * grad[1 - axis])
 
 
 def whole_array_residual_2d(grid, a, f):
-    """The 2-D residuals composed on whole n x n arrays, one step after another.
-
-    ``coordinate_commutator_residual_2d`` does the same per-element arithmetic
-    in the same operand order on panels, so the two agree to the bit.
-    """
+    """The 2-D residuals composed on whole n x n arrays, one step after another: 8 real
+    derivatives along the rows or columns of 2-D arrays, and no use of f's product form."""
     px, py = grid.points[:, None], grid.points[None, :]
     b = a**2
     diag, cross = (1.0 + b * px * px, 1.0 + b * py * py), b * px * py
@@ -72,12 +81,12 @@ def whole_array_residual_2d(grid, a, f):
     return float(sr._norm_2d(comm[inner]) / fnorm), float(sr._norm_2d(mixed[inner]) / fnorm)
 
 
-def traced_peak(grid, a, f):
+def traced_peak(grid, a, u, v):
     """Peak traced bytes of one 2-D residual, after a first call has loaded numpy.fft."""
-    sr.coordinate_commutator_residual_2d(grid, a, f)
+    sr.coordinate_commutator_residual_2d(grid, a, u, v)
     tracemalloc.start()
     try:
-        sr.coordinate_commutator_residual_2d(grid, a, f)
+        sr.coordinate_commutator_residual_2d(grid, a, u, v)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,7 +144,7 @@ class TestSpectralDerivative:
     def test_real_input_takes_half_spectrum(self, grid2, ndim, axis):
         # rfft/irfft drop the imaginary Nyquist term; the real parts agree.
         f = (sr.gaussian_1d(grid2, center=0.4).real if ndim == 1
-             else sr.gaussian_2d(grid2, center=(0.5, -0.3)))
+             else gaussian_2d(grid2, center=(0.5, -0.3)))
         got = sr.spectral_derivative(f, grid2, axis=axis)
         expected = sr.spectral_derivative(f.astype(complex), grid2, axis=axis)
         assert got.dtype == np.float64
@@ -200,7 +209,7 @@ class TestHeisenbergResidual1D:
 
 class TestPositionApply2D:
     def test_undeformed_limit(self, grid2):
-        f = sr.gaussian_2d(grid2, center=(0.5, -0.3))
+        f = gaussian_2d(grid2, center=(0.5, -0.3))
         got = position_apply_2d(f, grid2, 0.0, axis=0)
         expected = 1j * sr.spectral_derivative(f, grid2, axis=0)
         np.testing.assert_array_equal(got, expected)
@@ -208,7 +217,7 @@ class TestPositionApply2D:
     def test_cross_term_vanishes_on_axis(self, grid2, a):
         # At p_x = 0 the p_x p_y coefficient vanishes, so x acts as the
         # deformed-diagonal term alone there.
-        f = sr.gaussian_2d(grid2)
+        f = gaussian_2d(grid2)
         got = position_apply_2d(f, grid2, a, axis=0)
         ix = grid2.n // 2  # p_x = 0 row
         diag_only = 1j * sr.spectral_derivative(f, grid2, axis=0)[ix]
@@ -225,28 +234,31 @@ class TestPositionApply2D:
     def test_bad_axis_rejected(self, grid2, a):
         # The coefficient table has one diagonal entry per axis, so no third axis.
         with pytest.raises(IndexError):
-            position_apply_2d(sr.gaussian_2d(grid2), grid2, a, axis=2)
+            position_apply_2d(gaussian_2d(grid2), grid2, a, axis=2)
 
 
 class TestCommutatorResidual2D:
     def test_undeformed_coordinates_commute(self, grid2):
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, 0.0, sr.gaussian_2d(grid2))
+        g = gaussian_1d(grid2)
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, 0.0, g, g)
         assert r_xy <= 1e-8
         assert r_mixed <= 1e-8
 
     def test_deformed_default(self, grid2, a):
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, a, sr.gaussian_2d(grid2))
+        g = gaussian_1d(grid2)
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, a, g, g)
         assert r_xy <= 1e-6
         assert r_mixed <= 1e-6
 
     def test_complex_witness_rejected(self, grid2, a):
-        with pytest.raises(ValueError, match="real"):
-            sr.coordinate_commutator_residual_2d(grid2, a,
-                                                 sr.gaussian_2d(grid2).astype(complex))
+        g = gaussian_1d(grid2)
+        for u, v in ((g.astype(complex), g), (g, g.astype(complex))):
+            with pytest.raises(ValueError, match="real"):
+                sr.coordinate_commutator_residual_2d(grid2, a, u, v)
 
     def test_rotationally_symmetric_witness_annihilated(self, grid2, a):
         # L_z f = i*(p_y df/dp_x - p_x df/dp_y)
-        f = sr.gaussian_2d(grid2)
+        f = gaussian_2d(grid2)
         px = grid2.points[:, None]
         py = grid2.points[None, :]
         lz = 1j * (py * sr.spectral_derivative(f, grid2, axis=0)
@@ -261,28 +273,28 @@ class TestCommutatorResidual2D:
         residuals = []
         for n in (16, 32, 64):
             g = sr.GridSpec1D(n=n, p_max=12.0)
-            r_xy, _ = sr.coordinate_commutator_residual_2d(g, a, sr.gaussian_2d(g))
+            r_xy, _ = sr.coordinate_commutator_residual_2d(g, a, gaussian_1d(g), gaussian_1d(g))
             residuals.append(r_xy)
         for prev, nxt in zip(residuals, residuals[1:]):
             assert nxt <= prev / 4 or nxt <= floor
         assert residuals[-1] <= floor
 
     def test_offset_witness(self, grid2, a):
-        f = sr.gaussian_2d(grid2, center=(1.5, -2.0))
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, a, f)
+        u, v = gaussian_1d(grid2, center=1.5), gaussian_1d(grid2, center=-2.0)
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid2, a, u, v)
         assert r_xy <= 1e-6
         assert r_mixed <= 1e-6
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (1.5, -2.0)], ids=["centred", "offset"])
     @pytest.mark.parametrize("a", [None, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
     def test_matches_twelve_derivative_composition(self, a, center):
-        # The residual shares one gradient per operand (8 real derivatives);
-        # composing it from whole complex x and y applications takes 12.  The two
-        # agree within the roundoff floor of the refinement check.
+        # The residual shares one derivative per distinct factor (8 real 1-D ones);
+        # composing it from whole complex x and y applications takes 12 on 2-D arrays.
+        # The two agree within the roundoff floor of the refinement check.
         grid, a = sr.GridSpec1D(n=64, p_max=12.0), a_prime(a=a)
         px = grid.points[:, None]
         py = grid.points[None, :]
-        f = sr.gaussian_2d(grid, center=center).astype(complex)
+        f = gaussian_2d(grid, center=center).astype(complex)
 
         def x(g):
             return position_apply_2d(g, grid, a, axis=0)
@@ -299,92 +311,73 @@ class TestCommutatorResidual2D:
         fnorm = np.linalg.norm(f[inner])
         expected = (float(np.linalg.norm(comm[inner]) / fnorm),
                     float(np.linalg.norm(mixed[inner]) / fnorm))
-        got = sr.coordinate_commutator_residual_2d(grid, a, f.real)
+        got = sr.coordinate_commutator_residual_2d(grid, a, *(gaussian_1d(grid, c)
+                                                              for c in center))
         bound = RESIDUAL_FLOOR * (1 + (a * grid.p_max) ** 2)
         np.testing.assert_allclose(got, expected, rtol=0, atol=bound)
 
+    @pytest.mark.parametrize("p_max", [2.0, 3.0, 12.0])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.7)], ids=["centred", "offset"])
+    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
+                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
+    def test_matches_whole_arrays(self, units, center, n, p_max):
+        # Boxes of 2 and 3 witness widths cut the witness off, so where a != 0 the
+        # residuals are truncation error, shared to about 13 digits.  In the box of 12
+        # they sit at or near the roundoff floor, where each composition rounds its own
+        # way.  At a = 0 d/dp_x and d/dp_y act on separate factors and commute exactly,
+        # so only the whole-array composition keeps its transforms' roundoff, which grows
+        # with n where the box cuts the witness off (2.2e-12 at n = 256, p_max 2).
+        grid, a = sr.GridSpec1D(n=n, p_max=p_max), a_prime(**units)
+        got = sr.coordinate_commutator_residual_2d(grid, a, *(gaussian_1d(grid, c)
+                                                              for c in center))
+        expected = whole_array_residual_2d(grid, a, gaussian_2d(grid, center))
+        floor = RESIDUAL_FLOOR * (1 + (a * p_max) ** 2)
+        if a == 0.0:
+            assert max(got) <= floor
+        elif p_max < 12.0:
+            assert min(expected) > 1e-6
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=floor)
+
     def test_each_derivative_computed_once(self, a, monkeypatch):
-        # d/dp_x and d/dp_y of f, x f, y f and p_y f, each over the whole grid once,
-        # in panels of real arrays: 4 n^2 elements differentiated along each axis.
-        derivative, lock = sr.spectral_derivative, threading.Lock()
+        # Every derivative is of one real length-n factor, at most 16 of them; on an
+        # offset witness no factor is differentiated twice (8 distinct ones).
+        derivative, taken = sr.spectral_derivative, []
 
-        def counted(g, *args, **kwargs):
-            assert g.dtype == np.float64
-            with lock:  # the worker thread counts too
-                elements[kwargs["axis"]] += g.size
-            return derivative(g, *args, **kwargs)
+        def recorded(g, grid, *args, **kwargs):
+            assert g.ndim == 1 and g.dtype == np.float64 and g.shape == (grid.n,)
+            taken.append(g.copy())
+            return derivative(g, grid, *args, **kwargs)
 
-        monkeypatch.setattr(sr, "spectral_derivative", counted)
-        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
-        for n in (64, 256, 512):  # one panel, four panels, sixteen on two threads
-            elements = {0: 0, 1: 0}
+        monkeypatch.setattr(sr, "spectral_derivative", recorded)
+        for n in (64, 256, 512):
+            taken.clear()
             grid = sr.GridSpec1D(n=n, p_max=12.0)
-            sr.coordinate_commutator_residual_2d(grid, a, sr.gaussian_2d(grid))
-            assert elements == {0: 4 * n * n, 1: 4 * n * n}
+            sr.coordinate_commutator_residual_2d(grid, a, gaussian_1d(grid, 0.3),
+                                                 gaussian_1d(grid, -0.7))
+            assert len(taken) <= 16
+            assert not any(np.array_equal(g, h) for i, g in enumerate(taken)
+                           for h in taken[:i])
 
-    @pytest.mark.parametrize("n", [16, 256], ids=["one-panel", "four-panels"])
-    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
-                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
-    def test_panels_match_whole_arrays_bitwise(self, n, units):
-        grid, a = sr.GridSpec1D(n=n, p_max=12.0), a_prime(**units)
-        f = sr.gaussian_2d(grid, center=(0.3, -0.7))
-        assert sr.coordinate_commutator_residual_2d(grid, a, f) == \
-            whole_array_residual_2d(grid, a, f)
-
-    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
-                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
-    def test_threaded_panels_match_whole_arrays_bitwise(self, units, monkeypatch):
-        # Sixteen panels, split over two threads that switch as often as the interpreter
-        # allows: each element still takes the same operations in the same order.
-        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
-        grid, a = sr.GridSpec1D(n=512, p_max=12.0), a_prime(**units)
-        f = sr.gaussian_2d(grid, center=(0.3, -0.7))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = sr.coordinate_commutator_residual_2d(grid, a, f)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == whole_array_residual_2d(grid, a, f)
-
-    @pytest.mark.parametrize("n, cores, threaded", [(256, 2, False), (512, 1, False),
-                                                    (512, 2, True)],
-                             ids=["four-panels", "one-core", "sixteen-panels"])
-    def test_worker_thread_only_when_split(self, a, monkeypatch, started_threads,
-                                           n, cores, threaded):
-        monkeypatch.setattr(sr, "_usable_cores", lambda: cores)
-        grid = sr.GridSpec1D(n=n, p_max=12.0)
-        sr.coordinate_commutator_residual_2d(grid, a, sr.gaussian_2d(grid))
-        assert (len(started_threads) >= 1) == threaded
-        assert not any(thread.is_alive() for thread in started_threads)
-
-    @pytest.mark.parametrize("half", [0, 1], ids=["worker", "caller"])
-    def test_overflow_raised_on_calling_thread(self, a, monkeypatch, started_threads,
-                                               half):
-        # The worker takes the first half of the columns. It runs under the caller's
-        # context, so np.errstate raises there rather than warning, and it is joined
-        # before an error in either half leaves the call.
-        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
-        grid = sr.GridSpec1D(n=512, p_max=12.0)
-        f = sr.gaussian_2d(grid)
-        f[:, half * grid.n // 2:(half + 1) * grid.n // 2] = 1e306
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            sr.coordinate_commutator_residual_2d(grid, a, f)
-        assert len(started_threads) == 1 and not started_threads[0].is_alive()
+    def test_overflow_in_assembly_raises(self):
+        # The factors and their derivatives stay in range, but the (1 + 100 p^2)^2 growth
+        # of a product term does not: the assembling matmul raises under np.errstate.
+        grid = sr.GridSpec1D(n=64, p_max=12.0)
+        g = 1e153 * gaussian_1d(grid)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError,
+                                                      match="overflow encountered in matmul"):
+            sr.coordinate_commutator_residual_2d(grid, 10.0, g, g)
 
     def test_traced_peak_below_five_grid_arrays(self, a):
-        # Four n x n float64 arrays are live at most, plus a few row panels; the
-        # whole-array composition peaked at eight.
-        n = 256
-        grid = sr.GridSpec1D(n=n, p_max=12.0)
-        assert traced_peak(grid, a, sr.gaussian_2d(grid)) <= 5 * 8 * n * n
-
-    def test_traced_peak_below_five_grid_arrays_threaded(self, a, monkeypatch):
-        # Each thread adds only its own row panels.
-        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        # The interior witness and one assembled operand are the largest arrays, so the
+        # peak stays within 3 interior arrays, well below five n x n ones.
         n = 512
         grid = sr.GridSpec1D(n=n, p_max=12.0)
-        assert traced_peak(grid, a, sr.gaussian_2d(grid)) <= 5 * 8 * n * n
+        m = len(range(n)[sr.interior(n)])
+        g = gaussian_1d(grid)
+        assert traced_peak(grid, a, g, g) <= 3 * 8 * m * m
 
 
 class TestLinearity:
