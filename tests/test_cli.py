@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -262,9 +263,10 @@ class TestExitStatuses:
         if named:
             assert named in err
 
-    def test_overflowing_witness_exits_2(self, tmp_path, capsys, monkeypatch):
-        # A witness factor of 1e306 on half the 512-point grid; the 128- and 256-point
-        # residuals run first and pass.
+    @staticmethod
+    def overflow_at_512(monkeypatch):
+        """A witness factor of 1e306 on half the 512-point grid; the 128- and 256-point
+        residuals run first and pass."""
         residual = sr.coordinate_commutator_residual_2d
 
         def overflowing(grid, a, u, v):
@@ -274,8 +276,23 @@ class TestExitStatuses:
             return residual(grid, a, u, v)
 
         monkeypatch.setattr(sr, "coordinate_commutator_residual_2d", overflowing)
-        assert run(["snyder", "--grid-n-2d", "512", "--no-emit-plots",
-                    "--output-dir", tmp_path]) == 2
+        return ["snyder", "--grid-n-2d", "512", "--no-emit-plots"]
+
+    def test_overflowing_witness_exits_2(self, tmp_path, capsys, monkeypatch):
+        assert run(self.overflow_at_512(monkeypatch) + ["--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronon: config error: out of floating-point range: overflow")
+        assert err.count("\n") == 1
+
+    def test_overflow_on_worker_thread_exits_2(self, tmp_path, capsys, monkeypatch):
+        # np.errstate is local to a thread, and a new thread only warns on overflow;
+        # main sets its own, so run from a worker thread it still exits 2.
+        argv = self.overflow_at_512(monkeypatch) + ["--output-dir", tmp_path]
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run(argv)))
+        worker.start()
+        worker.join()
+        assert codes == [2]
         err = capsys.readouterr().err
         assert err.startswith("chronon: config error: out of floating-point range: overflow")
         assert err.count("\n") == 1
@@ -539,6 +556,22 @@ class TestReproducibility:
         assert run(["snyder", "--output-dir", b]) == 0
         assert (a / "snyder_residuals.csv").read_bytes() == (b / "snyder_residuals.csv").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["all"], ["zitterbewegung", "--sigma-p", "2",
+                                                "--grid-n", "2048"]],
+                             ids=["all", "packet-wide"])
+    def test_artifacts_independent_of_usable_cores(self, tmp_path, monkeypatch, usable_cores,
+                                                   argv):
+        # Every file keeps its bytes whatever number of cores the process may run on.
+        files = {}
+        for cores in (1, 2):
+            usable_cores(cores)
+            workdir = tmp_path / str(cores)
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)  # the manifest records the output dir "out"
+            assert run(argv + ["--output-dir", "out"]) == 0
+            files[cores] = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
+        assert len(files[1]) >= 4 and files[1] == files[2]
 
     def test_snyder_starts_no_thread(self, tmp_path, started_threads):
         # The 2-D residual runs on the calling thread at every grid size, so no artifact

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,12 +83,52 @@ def whole_array_residual_2d(grid, a, f):
     return float(sr._norm_2d(comm[inner]) / fnorm), float(sr._norm_2d(mixed[inner]) / fnorm)
 
 
-def traced_peak(grid, a, u, v):
-    """Peak traced bytes of one 2-D residual, after a first call has loaded numpy.fft."""
-    sr.coordinate_commutator_residual_2d(grid, a, u, v)
+def assert_matches_whole_arrays(got, grid, a, center):
+    """Boxes of 2 and 3 witness widths cut the witness off, so where a != 0 the
+    residuals are truncation error, shared to about 13 digits.  In the box of 12 they
+    sit at or near the roundoff floor, where each composition rounds its own way.  At
+    a = 0 d/dp_x and d/dp_y act on separate factors and commute exactly, so only the
+    whole-array composition keeps its transforms' roundoff, which grows with n where
+    the box cuts the witness off (2.2e-12 at n = 256, p_max 2)."""
+    expected = whole_array_residual_2d(grid, a, gaussian_2d(grid, center))
+    floor = RESIDUAL_FLOOR * (1 + (a * grid.p_max) ** 2)
+    if a == 0.0:
+        assert max(got) <= floor
+    elif grid.p_max < 12.0:
+        assert min(expected) > 1e-6
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=floor)
+
+
+def on_threads(call, count=2):
+    """call() on ``count`` threads at once, switching as often as the interpreter
+    allows; their results in thread order."""
+    results = [None] * count
+
+    def work(i):
+        results[i] = call()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+def traced_peak(call):
+    """Peak traced bytes of call(), on every thread, after a first call has loaded
+    numpy.fft."""
+    call()
     tracemalloc.start()
     try:
-        sr.coordinate_commutator_residual_2d(grid, a, u, v)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,24 +364,24 @@ class TestCommutatorResidual2D:
     @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
                              ids=["compton", "a0", "a0.5", "hbar2-c3"])
     def test_matches_whole_arrays(self, units, center, n, p_max):
-        # Boxes of 2 and 3 witness widths cut the witness off, so where a != 0 the
-        # residuals are truncation error, shared to about 13 digits.  In the box of 12
-        # they sit at or near the roundoff floor, where each composition rounds its own
-        # way.  At a = 0 d/dp_x and d/dp_y act on separate factors and commute exactly,
-        # so only the whole-array composition keeps its transforms' roundoff, which grows
-        # with n where the box cuts the witness off (2.2e-12 at n = 256, p_max 2).
         grid, a = sr.GridSpec1D(n=n, p_max=p_max), a_prime(**units)
         got = sr.coordinate_commutator_residual_2d(grid, a, *(gaussian_1d(grid, c)
                                                               for c in center))
-        expected = whole_array_residual_2d(grid, a, gaussian_2d(grid, center))
-        floor = RESIDUAL_FLOOR * (1 + (a * p_max) ** 2)
-        if a == 0.0:
-            assert max(got) <= floor
-        elif p_max < 12.0:
-            assert min(expected) > 1e-6
-            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
-        else:
-            np.testing.assert_allclose(got, expected, rtol=0, atol=floor)
+        assert_matches_whole_arrays(got, grid, a, center)
+
+    @pytest.mark.parametrize("units", [{}, {"a": 0.0}, {"a": 0.5}, {"hbar": 2.0, "c": 3.0}],
+                             ids=["compton", "a0", "a0.5", "hbar2-c3"])
+    def test_threaded_panels_match_whole_arrays_bitwise(self, units):
+        # Two threads take the residual of one witness at once.  The call shares no
+        # state between calls, so each gives the calling thread's result to the bit,
+        # and that matches the whole-array composition.
+        grid, a = sr.GridSpec1D(n=512, p_max=12.0), a_prime(**units)
+        center = (0.3, -0.7)
+        u, v = (gaussian_1d(grid, c) for c in center)
+        got = sr.coordinate_commutator_residual_2d(grid, a, u, v)
+        assert on_threads(lambda: sr.coordinate_commutator_residual_2d(grid, a, u, v)) == \
+            [got, got]
+        assert_matches_whole_arrays(got, grid, a, center)
 
     def test_each_derivative_computed_once(self, a, monkeypatch):
         # Every derivative is of one real length-n factor, at most 16 of them; on an
@@ -370,6 +412,37 @@ class TestCommutatorResidual2D:
                                                       match="overflow encountered in matmul"):
             sr.coordinate_commutator_residual_2d(grid, 10.0, g, g)
 
+    @pytest.mark.parametrize("n, cores", [(256, 2), (512, 1), (512, 2)],
+                             ids=["four-panels", "one-core", "sixteen-panels"])
+    def test_worker_thread_only_when_split(self, a, started_threads, usable_cores, n, cores):
+        # The residual never splits its work, so it starts no worker thread at any grid
+        # size (the ids count 64-row panels) or number of usable cores.
+        usable_cores(cores)
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        g = gaussian_1d(grid)
+        sr.coordinate_commutator_residual_2d(grid, a, g, g)
+        assert not started_threads
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
+    def test_overflow_raised_on_calling_thread(self, started_threads, on_worker):
+        # np.errstate is local to a thread.  The overflow raises under the errstate of
+        # the thread that calls, here set only there, and on that thread.
+        grid = sr.GridSpec1D(n=64, p_max=12.0)
+        g = 1e153 * gaussian_1d(grid)
+
+        def call():
+            with np.errstate(over="raise"):
+                try:
+                    sr.coordinate_commutator_residual_2d(grid, 10.0, g, g)
+                except FloatingPointError as exc:
+                    return threading.current_thread(), str(exc)
+
+        with np.errstate(over="ignore"):
+            thread, message = on_threads(call, count=1)[0] if on_worker else call()
+        assert "overflow" in message
+        assert (thread is threading.main_thread()) != on_worker
+        assert len(started_threads) == on_worker
+
     def test_traced_peak_below_five_grid_arrays(self, a):
         # The interior witness and one assembled operand are the largest arrays, so the
         # peak stays within 3 interior arrays, well below five n x n ones.
@@ -377,7 +450,19 @@ class TestCommutatorResidual2D:
         grid = sr.GridSpec1D(n=n, p_max=12.0)
         m = len(range(n)[sr.interior(n)])
         g = gaussian_1d(grid)
-        assert traced_peak(grid, a, g, g) <= 3 * 8 * m * m
+        assert traced_peak(lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)) \
+            <= 3 * 8 * m * m
+
+    def test_traced_peak_below_five_grid_arrays_threaded(self, a):
+        # Two calls at once on two threads each hold only their own arrays: 6 interior
+        # arrays at most, 3.8 n x n ones.
+        n = 512
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        m = len(range(n)[sr.interior(n)])
+        g = gaussian_1d(grid)
+        peak = traced_peak(lambda: on_threads(
+            lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)))
+        assert peak <= 2 * 3 * 8 * m * m < 5 * 8 * n * n
 
 
 class TestLinearity:
