@@ -3,9 +3,9 @@
 
 Sweeps the momentum-grid resolution for the 1-D deformed Heisenberg check
 and the 2-D coordinate-commutator check and prints one table per check.
-The residuals fall roughly 4x per grid doubling (spectral accuracy on a
-Gaussian witness) until they hit the roundoff floor, which scales with the
-deformation coefficient 1 + (a*p_max/hbar)^2.
+The residuals, in Compton units, fall roughly 4x per grid doubling (spectral
+accuracy on the Gaussian witness, 1 m c wide) until they hit the roundoff
+floor, which scales with the deformation coefficient 1 + (a' p_max')^2.
 
     python3 scripts/convergence_study.py
 """

@@ -1,6 +1,7 @@
 """Command-line entry point: dispatch experiments, write reports and tables.
 
-Runners compute in Compton units and report, tabulate and plot in the user's units.
+Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
+the user's units only the observables they write, as they write them.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
@@ -9,7 +10,6 @@ Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import random
 import sys
@@ -19,15 +19,14 @@ import numpy as np
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.config import (ACTION, COMMANDS, ENERGY, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM,
-                            TIME, ConfigError, RunConfig, manifest_lines, read_config_file,
-                            resolve)
+from chronon.config import (COMMANDS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
+                            RunConfig, manifest_lines, read_config_file, resolve)
 from chronon.reporting import Report, fmt_column, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
-# (comparator, tolerance).  "<=" and ">=" compare the measured value with the
-# tolerance itself; "abs" bounds |measured - expected| by the tolerance, and
-# "rel" by the tolerance times |expected|.
+# (comparator, tolerance), a Compton-unit number: gates are judged in Compton units.
+# "<=" and ">=" compare the measured value with the tolerance itself; "abs" bounds
+# |measured - expected| by the tolerance, and "rel" by the tolerance times |expected|.
 GATES = {
     "clifford residual": ("<=", 1e-12),
     "Compton deformation factor": ("rel", 1e-15),
@@ -54,17 +53,19 @@ ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| and of p_transverse, in Compt
 AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
+OMEGA_ZB = 2.0  # the rest-frame Zitterbewegung frequency 2 m c^2/hbar
 
 
-def _gate(report: Report, name: str, measured, expected=None) -> None:
-    """Add line ``name``, with its expected text and verdict from its GATES row."""
+def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
+    """Add line ``name``, with its expected text and verdict from its GATES row, judged on
+    ``measured`` and ``expected`` as given; an "abs" or "rel" line shows both times ``unit``."""
     op, tol = GATES[name.partition(" (n=")[0]]
     if op in ("<=", ">="):
-        expected = f"{op} {tol:g}"
         ok = measured <= tol if op == "<=" else measured >= tol
+        report.add(name, measured, f"{op} {tol:g}", ok)
     else:
         ok = abs(measured - expected) <= tol * (abs(expected) if op == "rel" else 1)
-    report.add(name, measured, expected, ok)
+        report.add(name, measured * unit, expected * unit, ok)
 
 
 def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
@@ -103,9 +104,7 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     transverse = np.hypot(momenta[:, [1, 0, 0]], momenta[:, [2, 2, 1]]).ravel().tolist()
     orbital_ok = all(not (t > ORBITAL_FLOOR and res <= ORBITAL_FLOOR)
                      for t, res in zip(transverse, orbital))
-    # ||L_i H + [H, S_i]|| carries units of hbar c mc.
-    _gate(report, "rotation covariance max total residual",
-          cfg.to_user(max(0.0, *total), ACTION, ENERGY))
+    _gate(report, "rotation covariance max total residual", max(0.0, *total))  # in hbar c mc
     report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
                "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
     report.add("orbital rotation sign convention",
@@ -115,33 +114,18 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
 
 
 def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
-    """(check, n, residual) rows of the 1-D and 2-D checks at the given grid sizes; the
-    residuals of [x, p] and [x, p_y] scale back by hbar, that of [x, y] by length^2."""
-    rows, a = [], cfg.a_prime
-    label = "canonical-limit-" if cfg.a == 0 else ""
-    # The witness is 1 user momentum unit wide.  In 1-D its height, a power of two near
-    # the width within 2^+-500, keeps x p f inside the float range; the residual is
-    # relative, so it moves no bits where nothing would leave it.
-    width = cfg.to_compton(1.0, MOMENTUM)
-    exponent = math.frexp(width)[1] - 1
-    height = 2.0 ** max(-500, min(500, exponent))
+    """(check, n, residual) rows of the 1-D and 2-D checks at the given grid sizes, on the
+    witness e^(-p^2/2), 1 m c wide, and u(p_x) u(p_y) in 2-D; residuals in Compton units."""
+    rows, a, label = [], cfg.a_prime, "canonical-limit-" if cfg.a == 0 else ""
     for n in ns_1d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
-        f = height * sr.gaussian_1d(grid, width=width)
         rows.append((f"{label}heisenberg-1d", n,
-                     cfg.to_user(sr.heisenberg_residual_1d(grid, a, f), ACTION)))
-    # In 2-D momenta are counted in units of s, the power of two at or below the width:
-    # the witness u(p_x) u(p_y) is w = width/s in [1, 2) wide, so its factors and their
-    # derivatives stay near 1.  x and y scale by 1/s there, so the [x, y] residual scales
-    # back by s^-2 (hbar/(m c))^2 = (hbar w)^2; [x, p_y] does not scale.
-    s = math.ldexp(1.0, exponent)
-    w = width / s
+                     sr.heisenberg_residual_1d(grid, a, sr.gaussian_1d(grid))))
     for n in ns_2d:
-        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM) / s)
-        u = sr.gaussian_1d(grid, width=w).real
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a * s, u, u)
-        rows.append((f"{label}coordinate-xy-2d", n, cfg.to_user(r_xy * w**2, ACTION, ACTION)))
-        rows.append((f"{label}mixed-2d", n, cfg.to_user(r_mixed, ACTION)))
+        grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM))
+        u = sr.gaussian_1d(grid).real
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, u, u)
+        rows += [(f"{label}coordinate-xy-2d", n, r_xy), (f"{label}mixed-2d", n, r_mixed)]
     return rows
 
 
@@ -161,7 +145,7 @@ def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
                        f"below minimum resolution n={MIN_RESOLVED_N}", None)
         else:
             _gate(report, f"{check} residual (n={finest_n})", finest_r)
-            # The roundoff floor scales with the deformed coefficient (a p_max/hbar)^2.
+            # The roundoff floor scales with the deformed coefficient (a' p_max')^2.
             p_max = cfg.p_max if "1d" in check else cfg.p_max_2d
             floor = RESIDUAL_FLOOR * (1 + (cfg.a_prime * cfg.to_compton(p_max, MOMENTUM)) ** 2)
             resids = [r for _, r in pairs]
@@ -177,33 +161,38 @@ def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
 
 
 def _packet_pair_series(cfg: RunConfig):
-    """<x>(t) of the mixed packet and of its positive-energy projection, in user units."""
+    """<x>(t) of the mixed packet and of its positive-energy projection, in Compton units."""
     grid = sr.GridSpec1D(n=cfg.grid_n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
     p0, sigma_p = (cfg.to_compton(p, MOMENTUM) for p in (cfg.p0, cfg.sigma_p))
-    pair = (dd.position_series(dd.init_packet(grid, p0, sigma_p, mode=mode,
-                                              spinor_seed=cfg.spinor_seed),
-                               cfg.to_compton(cfg.t_max, TIME), cfg.n_samples)
-            for mode in ("mixed", "positive"))
-    return tuple(dd.TimeSeries(times=s.times * cfg.to_user(1.0, TIME),
-                               values=s.values * cfg.to_user(1.0, LENGTH)) for s in pair)
+    return tuple(dd.position_series(dd.init_packet(grid, p0, sigma_p, mode=mode,
+                                                   spinor_seed=cfg.spinor_seed),
+                                    cfg.to_compton(cfg.t_max, TIME), cfg.n_samples)
+                 for mode in ("mixed", "positive"))
+
+
+def _in_user_units(cfg: RunConfig, *series):
+    """Each Compton-unit <x>(t) series, times and positions in the user's units."""
+    time, length = cfg.to_user(1.0, TIME), cfg.to_user(1.0, LENGTH)
+    return [dd.TimeSeries(times=s.times * time, values=s.values * length) for s in series]
 
 
 def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     report = Report("zitterbewegung")
     mixed, positive = series_pair
-    omega_zb = cfg.to_user(2.0, FREQUENCY)  # 2 m c^2/hbar
     meas = dd.measure_oscillation(mixed)
-    _gate(report, "mixed packet oscillation frequency", meas.omega, omega_zb)
-    bound = cfg.to_user(0.5, LENGTH)  # the ZB operator norm at rest, hbar/(2 m c)
-    report.add("mixed packet oscillation amplitude", meas.amplitude,
-               f"<= hbar/(2mc) = {bound:g}", meas.amplitude <= bound * (1 + AMPLITUDE_SLACK))
-    pos_amp = dd.amplitude_at(positive, omega_zb)
+    _gate(report, "mixed packet oscillation frequency", meas.omega, OMEGA_ZB,
+          cfg.to_user(1.0, FREQUENCY))
+    length = cfg.to_user(1.0, LENGTH)  # the bound 1/2 is the ZB operator norm at rest
+    report.add("mixed packet oscillation amplitude", meas.amplitude * length,
+               f"<= hbar/(2mc) = {0.5 * length:g}", meas.amplitude <= 0.5 * (1 + AMPLITUDE_SLACK))
+    pos_amp = dd.amplitude_at(positive, OMEGA_ZB)
     _gate(report, "positive-projected component at ZB frequency", pos_amp)
     pos_meas = dd.measure_oscillation(positive)
-    report.add("positive-projected spectrum",
-               "no oscillation detected" if not pos_meas.detected
-               else f"peak at omega={pos_meas.omega:g}", "no oscillation detected", None)
+    report.add("positive-projected spectrum", "no oscillation detected" if not pos_meas.detected
+               else f"peak at omega={cfg.to_user(pos_meas.omega, FREQUENCY):g}",
+               "no oscillation detected", None)
     _gate(report, "mixed/positive amplitude dichotomy", meas.amplitude / max(pos_amp, 1e-300))
+    mixed, positive = _in_user_units(cfg, mixed, positive)
     outputs = ["zitterbewegung.csv"]
     write_csv(os.path.join(cfg.output_dir, "zitterbewegung.csv"),
               ["t", "x_mixed", "x_positive"], [mixed.times, mixed.values, positive.values])
@@ -218,26 +207,22 @@ def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
 def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     report = Report("averaging")
     mixed, _positive = series_pair
-    omega_zb = cfg.to_user(2.0, FREQUENCY)
-    raw_amp = dd.amplitude_at(mixed, omega_zb)
-    t_compton = cfg.to_user(1.0, TIME)
-    t_period = 2 * np.pi / omega_zb
+    raw_amp = dd.amplitude_at(mixed, OMEGA_ZB)
 
-    avg_period = dd.sliding_average(mixed, t_period)
+    avg_period = dd.sliding_average(mixed, np.pi)  # one ZB period, 2 pi/OMEGA_ZB
     _gate(report, "full-period window suppression",
-          raw_amp / max(dd.amplitude_at(avg_period, omega_zb), 1e-300))
+          raw_amp / max(dd.amplitude_at(avg_period, OMEGA_ZB), 1e-300))
 
-    avg_compton = dd.sliding_average(mixed, t_compton)
-    predicted = abs(np.sinc(omega_zb * t_compton / 2 / np.pi))  # |sin(x)/x|, x = w*W/2
-    _gate(report, "Compton window attenuation",
-          dd.amplitude_at(avg_compton, omega_zb) / raw_amp, predicted)
+    avg_compton = dd.sliding_average(mixed, 1.0)  # the Compton time hbar/(m c^2)
+    _gate(report, "Compton window attenuation", dd.amplitude_at(avg_compton, OMEGA_ZB) / raw_amp,
+          abs(np.sinc(1.0 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB * window/2 = 1
 
     if cfg.window is not None:
-        extra = dd.sliding_average(mixed, cfg.window)  # may raise -> config error
+        extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))  # may raise
         report.add(f"user window ({cfg.window:g}) attenuation",
-                   dd.amplitude_at(extra, omega_zb) / raw_amp,
-                   "diagnostic only", None)
+                   dd.amplitude_at(extra, OMEGA_ZB) / raw_amp, "diagnostic only", None)
 
+    mixed, avg_compton, avg_period = _in_user_units(cfg, mixed, avg_compton, avg_period)
     outputs = ["averaging.csv"]
     # sliding_average returns a centred slice of the times, so padding half a
     # window of blanks at each end lines the averaged column up with the raw one.

@@ -6,7 +6,9 @@ same kebab-case names as the CLI flags.  Unknown keys are rejected.
 The one module that knows hbar, c and m: the layers compute in Compton units
 (momenta in m c, lengths in hbar/(m c), times in hbar/(m c^2)), with the one
 parameter a' = a m c/hbar, 1 when a is unset.  ``RunConfig.to_compton`` and
-``RunConfig.to_user`` convert a value of a given dimension between the two.
+``RunConfig.to_user`` convert a value of a given dimension between the two: every
+input, and of the results only the observables written, as every gate is judged in
+Compton units.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ COMMANDS = ("verify-algebra", "snyder", "zitterbewegung", "averaging", "all")
 
 # Exponents of (hbar, mass, c) in the Compton unit of each dimension.
 MOMENTUM, LENGTH, TIME, FREQUENCY = (0, 1, 1), (1, -1, -1), (1, -1, -2), (-1, 1, 2)
-ACTION, ENERGY = (1, 0, 0), (0, 1, 2)
 
 
 def _product(x: float, *factors: tuple[float, int]) -> float:
@@ -64,13 +65,13 @@ class RunConfig:
     emit_plots: bool = True
     seed: int = 42
 
-    def to_user(self, x: float, *dims: tuple[int, int, int]) -> float:
-        """x, given in Compton units of the product of ``dims``, in the user's units."""
-        return _product(x, *zip((self.hbar, self.mass, self.c), map(sum, zip(*dims))))
+    def to_user(self, x: float, dim: tuple[int, int, int]) -> float:
+        """x, given in Compton units of dimension ``dim``, in the user's units."""
+        return _product(x, *zip((self.hbar, self.mass, self.c), dim))
 
-    def to_compton(self, x: float, *dims: tuple[int, int, int]) -> float:
-        """x, given in the user's units of the product of ``dims``, in Compton units."""
-        return self.to_user(x, *(tuple(-e for e in d) for d in dims))
+    def to_compton(self, x: float, dim: tuple[int, int, int]) -> float:
+        """x, given in the user's units of dimension ``dim``, in Compton units."""
+        return self.to_user(x, tuple(-e for e in dim))
 
     @property
     def a_prime(self) -> float:
@@ -103,33 +104,27 @@ class RunConfig:
         # Derived scales the commands form, each named with the keys it depends on.
         top, tiny = sys.float_info.max, sys.float_info.min
         a_keys = "a mass c hbar" if self.a is not None else "mass c"
+        p, p_2d, sigma = (self.to_compton(x, MOMENTUM)
+                          for x in (self.p_max, self.p_max_2d, self.sigma_p))
         checks = []
         if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
             checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
+        if self.command != "verify-algebra":
+            # The witness e^(-p'^2/2) and mode energies square p'; a and <x> scale back.
+            checks += [("p-max^2/(mass c)^2", "p-max mass c", tiny <= p < math.sqrt(top)),
+                       ("hbar/(mass c)", "hbar mass c", tiny <= self.to_user(1.0, LENGTH) < top)]
         if self.command in ("snyder", "all"):
-            # The witness is 1/(mass c) wide, and in 1-D at least 2^-500 high
-            # (cli._snyder_rows); [x, y] scales back by (hbar/(mass c))^2.
-            mc = self.to_user(1.0, MOMENTUM)
-            checks += [("(mass c)^2/2^500", "mass c",
-                        tiny <= mc and _product(2.0**-500, (mc, 2)) < top),
-                       ("(hbar/(mass c))^2", "hbar mass c",
-                        tiny <= self.to_user(1.0, LENGTH, LENGTH) < top)]
-            for name, key, edge, squares in (("p-max^2", "p-max", self.p_max, 1),
-                                             ("2 p-max-2d^2", "p-max-2d", self.p_max_2d, 2)):
-                # The witness squares the edge in witness widths, p^2 in 1-D and
-                # p_x^2 + p_y^2 in 2-D; x p f reaches (a' p')^2 p' at the edge p'.
-                p = self.to_compton(edge, MOMENTUM)
-                checks += [(name, key, edge < math.sqrt(top / squares)),
-                           (f"{key}/(mass c)", f"{key} mass c", tiny <= p < top),
-                           (f"(a {key}/hbar)^2 {key}/(mass c)", f"{key} {a_keys}",
-                            _product(p, (self.a_prime, 2), (p, 2)) < top)]
+            # The 2-D witness squares p_x'^2 + p_y'^2; x p f reaches (a' p')^2 p' at an edge.
+            checks.append(("2 p-max-2d^2/(mass c)^2", "p-max-2d mass c",
+                           tiny <= p_2d < math.sqrt(top / 2)))
+            checks += [(f"(a {key}/hbar)^2 {key}/(mass c)", f"{key} {a_keys}",
+                        _product(edge, (self.a_prime, 2), (edge, 2)) < top)
+                       for key, edge in (("p-max", p), ("p-max-2d", p_2d))]
         if self.command in ("zitterbewegung", "averaging", "all"):
-            # Mode energies square p-max/(mass c), the envelope sigma-p/(mass c);
-            # positions and times scale back.
-            p, sigma = (self.to_compton(x, MOMENTUM) for x in (self.p_max, self.sigma_p))
-            checks += [("p-max/(mass c)", "p-max mass c", tiny <= p < math.sqrt(top)),
-                       ("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
-                       ("hbar/(mass c)", "hbar mass c", tiny <= self.to_user(1.0, LENGTH) < top),
+            # The envelope squares sigma-p', the trend fit the times t', which scale back.
+            checks += [("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
+                       ("t-max/(hbar/(mass c^2))", "t-max hbar mass c",
+                        math.sqrt(tiny) <= self.to_compton(self.t_max, TIME)),
                        ("hbar/(mass c^2)", "hbar mass c", tiny <= self.to_user(1.0, TIME) < top)]
         for name, keys, ok in checks:
             if not ok:

@@ -11,8 +11,8 @@ x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
 per mode (``position_series``), with no per-time evolution; ``evolve`` and
 ``expect_position`` are the reference it is checked against.  The series sums
 the modes' phases in blocks of 16 x 16 times from three small phase tables, on
-the calling thread.  The signal analysis below ``position_series`` takes a
-series in any units.
+the calling thread.  The signal analysis below ``position_series`` runs on
+Compton-unit series, so its noise floor and least-squares cutoff are Compton-unit.
 """
 
 from __future__ import annotations

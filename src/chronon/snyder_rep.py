@@ -94,7 +94,7 @@ def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
     lhs = snyder_position_apply_1d(p * f, grid, a) - p * snyder_position_apply_1d(f, grid, a)
     rhs = 1j * (1.0 + (a * p) ** 2) * f
     inner = interior(grid.n)
-    return _norm_ratio((lhs - rhs)[inner], f[inner], np.linalg.norm)
+    return _norm_ratio((lhs - rhs)[inner], np.linalg.norm, f[inner])
 
 
 def _norm_2d(g: np.ndarray) -> float:
@@ -103,14 +103,19 @@ def _norm_2d(g: np.ndarray) -> float:
     return np.sqrt(np.einsum("ij,ij->", g, g))
 
 
-def _norm_ratio(x: np.ndarray, f: np.ndarray, norm) -> float:
-    """norm(x) / norm(f).  Where a square overflows, both norms are taken again on their
-    arrays scaled to a largest entry of 1, and the quotient is scaled back."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = norm(x) / norm(f)
-        if not ratio < np.inf:
-            x_max, f_max = (np.max(np.abs(g)) for g in (x, f))
-            ratio = norm(x / x_max) / norm(f / f_max) * (x_max / f_max)
+def _norm_ratio(x: np.ndarray, norm, *factors: np.ndarray) -> float:
+    """norm(x) / ||f||, f the outer product of the 1-D ``factors``; where a square, a product
+    or the quotient leaves the float range, it is taken on arrays scaled to a maximum of 1."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_norm = np.prod([np.linalg.norm(g) for g in factors])
+        ratio = norm(x) / f_norm
+        x_max = 0.0 if 0 < ratio < np.inf and f_norm < np.inf else np.max(np.abs(x))
+        if x_max:  # an x of zeros keeps its ratio, 0 (nan where f is 0 too)
+            ratio = x_max
+            for g in factors:  # ||f|| and max|f| = max|u| max|v|, one factor at a time
+                g_max = np.max(np.abs(g))
+                ratio = ratio / g_max / np.linalg.norm(g / g_max)
+            ratio *= norm(x / x_max)
     return float(ratio)
 
 
@@ -165,6 +170,6 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
         return (np.stack([col[inner] for col, _ in pairs], axis=1)
                 @ np.stack([row[inner] for _, row in pairs]))
 
-    f = np.multiply.outer(u[inner], v[inner])
-    return (_norm_ratio(assemble(comm), f, _norm_2d),
-            _norm_ratio(assemble(mixed), f, _norm_2d))
+    witness = u[inner], v[inner]
+    return (_norm_ratio(assemble(comm), _norm_2d, *witness),
+            _norm_ratio(assemble(mixed), _norm_2d, *witness))

@@ -16,8 +16,8 @@ from chronon import cli
 from chronon import dirac_dynamics as dd
 from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
-from chronon.config import (ACTION, COMMANDS, ENERGY, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM,
-                            TIME, ConfigError, RunConfig, read_config_file, resolve)
+from chronon.config import (COMMANDS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
+                            RunConfig, read_config_file, resolve)
 from chronon.reporting import Report, fmt_number, render_line_plot
 
 FAST_ZB = ["--grid-n", "1024", "--t-max", "25", "--n-samples", "1024",
@@ -68,7 +68,7 @@ class TestConfigResolution:
             cfg = RunConfig("zitterbewegung", **units)
             hbar, c, m = cfg.hbar, cfg.c, cfg.mass
             assert cfg.to_user(1.0, TIME) == 1.0 * hbar / m / c / c
-            assert cfg.to_user(0.3, ACTION, ENERGY) == 0.3 * hbar * m * c * c
+            assert cfg.to_user(0.3, (1, 1, 2)) == 0.3 * hbar * m * c * c  # hbar m c^2
         assert RunConfig("snyder", a=1e200, mass=1e200, hbar=1e-10).a_prime == math.inf
 
     def test_flags_override_file(self, tmp_path):
@@ -94,7 +94,7 @@ class TestConfigResolution:
     def test_derived_scale_range(self):
         # a' = a m c/hbar and its square may underflow (the deformation is then below
         # roundoff); a'^2 may not overflow.  Each command checks only the scales it
-        # forms: the Snyder check scales [x, y] back by (hbar/(m c))^2.
+        # forms: the packet commands' trend fit squares the times in hbar/(m c^2).
         assert resolve("verify-algebra", {}, {"mass": 1e-200, "a": 1.0}).a_prime == 1e-200
         assert resolve("snyder", {}, {"a": 0.0}).a_prime == 0.0
         assert resolve("snyder", {}, {"a": 1e-200}).a_prime == 1e-200
@@ -102,21 +102,26 @@ class TestConfigResolution:
                                               "floating-point range at a=1e\\+200, mass=1, "
                                               "c=1, hbar=1$"):
             resolve("verify-algebra", {}, {"a": 1e200})
-        with pytest.raises(ConfigError, match="^\\(hbar/\\(mass c\\)\\)\\^2 is out of "
-                                              "floating-point range at hbar=1, mass=1e-200, c=1$"):
-            resolve("snyder", {}, {"mass": 1e-200, "a": 1.0})
+        assert resolve("averaging", {}, {"t_max": math.sqrt(sys.float_info.min)}).t_max > 0
+        with pytest.raises(ConfigError, match="^t-max/\\(hbar/\\(mass c\\^2\\)\\) is out of "
+                                              "floating-point range at t-max=50, hbar=1e\\+160, "
+                                              "mass=1, c=1$"):
+            resolve("zitterbewegung", {}, {"hbar": 1e160})
+        assert resolve("snyder", {}, {"hbar": 1e160}).hbar == 1e160
 
     @pytest.mark.parametrize("attr, name, witness", [
         ("p_max", "p-max\\^2", sr.gaussian_1d), ("p_max_2d", "2 p-max-2d\\^2", gaussian_2d)])
     def test_box_edge_range(self, attr, name, witness):
-        # The largest edge validate accepts squares without overflow in its witness.
-        # At a = 0, where the deformed coefficient does not bound the edge first.
+        # The largest Compton-unit edge validate accepts squares without overflow in its
+        # witness.  At the default units, where the edge is its Compton-unit value, and
+        # at a = 0, where the deformed coefficient does not bound the edge first.
         squares = 2 if attr == "p_max_2d" else 1
         limit = math.sqrt(sys.float_info.max / squares)
         edge = getattr(resolve("snyder", {}, {attr: math.nextafter(limit, 0), "a": 0.0}), attr)
         with np.errstate(over="raise"):
             witness(sr.GridSpec1D(n=8, p_max=edge))
-        with pytest.raises(ConfigError, match=f"^{name} is out of floating-point range at"):
+        with pytest.raises(ConfigError, match=f"^{name}/\\(mass c\\)\\^2 is out of floating-point "
+                                              "range at"):
             resolve("snyder", {}, {attr: limit, "a": 0.0})
 
     def test_negative_mass_rejected(self):
@@ -298,25 +303,43 @@ class TestExitStatuses:
         assert err.count("\n") == 1
 
     def test_xy_residual_finite_at_large_mass_c(self, tmp_path):
-        # m c = 1e210: the [x, y] residual in Compton units is about (m c)^2 = 1e420 times
-        # its user-unit value, so it is taken in momentum units of about 1/(m c) and
-        # scales back once.  The run still fails, on its unresolved 1-D line.
-        assert run(["snyder", "--grid-n", "64", "--grid-n-2d", "32", "--hbar", "1e60",
-                    "--c", "1e60", "--mass", "1e150", "--output-dir", tmp_path]) == 1
-        rows = (tmp_path / "snyder_residuals.csv").read_text().splitlines()
-        xy = [float(row.split(",")[-1]) for row in rows if row.startswith("coordinate-xy-2d")]
-        assert len(xy) == 3 and all(1e102 < r < 1e104 for r in xy)
-        report = (tmp_path / "report.txt").read_text()
-        assert "heisenberg-1d residual (n=64): measured 8.66025409e+59, expected <= 1e-07: " \
-               "FAIL" in report
+        # m c = 2^700, about 5e210, with the boxes of the default run in units of m c.
+        # Powers of two convert exactly, so the run is its hbar = c = m = 1 twin: the same
+        # report and the same Compton-unit residuals, finite; only the a column differs.
+        # Both fail, on the unresolved 1-D line.
+        twin, run_dir = tmp_path / "twin", tmp_path / "run"
+        grids = ["snyder", "--grid-n", "64", "--grid-n-2d", "32"]
+        assert run(grids + ["--output-dir", twin]) == 1
+        mc = 2.0**700
+        assert run(grids + ["--hbar", 2.0**200, "--c", 2.0**200, "--mass", 2.0**500,
+                            "--p-max", 20 * mc, "--p-max-2d", 12 * mc,
+                            "--output-dir", run_dir]) == 1
+        assert (run_dir / "report.txt").read_text() == (twin / "report.txt").read_text()
+        rows, twin_rows = ([row.split(",") for row in (d / "snyder_residuals.csv").read_text()
+                            .splitlines()[1:]] for d in (run_dir, twin))
+        assert [(c, n, r) for c, n, _, r in rows] == [(c, n, r) for c, n, _, r in twin_rows]
+        assert {a for _, _, a, _ in rows} == {fmt_number(2.0**-500)}
+        xy = [float(r) for c, _, _, r in rows if c == "coordinate-xy-2d"]
+        assert len(xy) == 3 and all(math.isfinite(r) for r in xy)
 
     def test_divide_by_zero_exits_2_with_one_line(self, tmp_path):
-        # np.polyfit divides by zero on this time axis; numpy raises there, so no
-        # RuntimeWarning and source line reach stderr before the message.
-        script = ("import sys; from chronon.cli import main; sys.exit(main(["
-                  "'zitterbewegung', '--hbar', '1', '--c', '1e60', '--mass', '1e60', "
-                  "'--p-max', '2e121', '--sigma-p', '1e119', '--t-max', '5e-179', "
-                  "'--no-emit-plots', '--output-dir', sys.argv[1]]))")
+        # The trend fit on times whose squares underflow divides by zero inside np.polyfit;
+        # numpy raises there, so no RuntimeWarning and source line reach stderr before the
+        # message.  No config reaches this fit any more (validate keeps the Compton-unit
+        # times above sqrt(tiny)), so the fit is made degenerate in a fresh interpreter,
+        # where numpy has printed no warning yet.
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from chronon import dirac_dynamics as dd\n"
+                  "from chronon.cli import main\n"
+                  "measure = dd.measure_oscillation\n"
+                  "def degenerate(series):\n"
+                  "    np.polyfit(1e-300 * series.times, series.values, 1)\n"
+                  "    return measure(series)\n"
+                  "dd.measure_oscillation = degenerate\n"
+                  "sys.exit(main(['zitterbewegung', '--grid-n', '1024', '--t-max', '25',\n"
+                  "               '--n-samples', '1024', '--no-emit-plots',\n"
+                  "               '--output-dir', sys.argv[1]]))\n")
         proc = run_fresh(script, tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
@@ -749,11 +772,54 @@ class TestUnitSweeps:
         assert {code for _, code, _ in results} <= {0, 2}
         assert unnamed_config_errors(results) == []
 
-    @pytest.mark.parametrize("argv, most", [
-        (["snyder", "--grid-n", "64", "--grid-n-2d", "32"], 17),
-        (["averaging", "--no-emit-plots"], 42),
-    ], ids=["snyder", "averaging"])
-    def test_config_errors_name_keys(self, tmp_path, argv, most):
-        # A traceback would fail the test; the bound is the count of unnamed config
-        # errors before the layers computed in Compton units.
-        assert len(unnamed_config_errors(sweep(tmp_path, argv))) <= most
+    @pytest.mark.parametrize("argv", [
+        ["snyder", "--grid-n", "64", "--grid-n-2d", "32"],
+        ["averaging", "--no-emit-plots"],
+        ["zitterbewegung", "--no-emit-plots"],
+        ["all", "--grid-n-2d", "32", "--no-emit-plots"],
+    ], ids=["snyder", "averaging", "zitterbewegung", "all"])
+    def test_config_errors_name_keys(self, tmp_path, argv):
+        # A traceback would fail the test, and so would a config error that names no key.
+        assert unnamed_config_errors(sweep(tmp_path, argv)) == []
+
+
+def physics_in_compton_units(command, hbar, c, mass):
+    """``command`` with the given units and the same physics at any units: the default
+    boxes and packet, and t-max 25, in units of m c and hbar/(m c^2)."""
+    mc = mass * c
+    units = ["--hbar", hbar, "--c", c, "--mass", mass, "--p-max", 20 * mc]
+    if command == "snyder":
+        return [command] + units + ["--p-max-2d", 12 * mc, "--grid-n", "256",
+                                    "--grid-n-2d", "128"]
+    return [command] + units + ["--sigma-p", 0.1 * mc, "--t-max", 25 * hbar / (mass * c * c),
+                                "--grid-n", "1024", "--n-samples", "1024", "--no-emit-plots"]
+
+
+def statuses(argv, tmp_path):
+    """(exit status, each check's status, stderr) of one in-process run."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = run(argv + ["--output-dir", tmp_path])
+    return code, [line.rpartition(": ")[2] for line in out.getvalue().splitlines()
+                  if ": measured " in line], err.getvalue()
+
+
+class TestUnitInvariance:
+    """Gates are judged in Compton units, so a verdict does not depend on the units."""
+
+    @pytest.mark.parametrize("command", ["zitterbewegung", "averaging", "snyder"])
+    @given(st.tuples(*[st.floats(-75, 75)] * 3))
+    @settings(max_examples=25, deadline=None)
+    def test_verdicts_match_compton_units(self, tmp_path_factory, command, log_units):
+        # hbar, c and m each within 1e+-75, so every input stays finite: the run gives
+        # each check the status and the exit code of its hbar = c = m = 1 twin, or exits 2
+        # with one line that names a key.
+        out = tmp_path_factory.mktemp("units")
+        twin = statuses(physics_in_compton_units(command, 1.0, 1.0, 1.0), out)
+        assert twin[0] != 2
+        code, checks, err = statuses(physics_in_compton_units(
+            command, *(10.0 ** e for e in log_units)), out)
+        if code == 2:
+            assert err.count("\n") == 1 and names_key(err)
+        else:
+            assert (code, checks) == twin[:2], err

@@ -156,7 +156,7 @@ class TestInitPacket:
         # In user units (m c^2)^2 underflows to 0 at m = 1e-300 and the p = 0 mode
         # would have E = 0; such a mass is rejected where it is converted, and in
         # Compton units every mode has H^2 = E^2 >= 1.
-        with pytest.raises(ConfigError, match=r"p-max/\(mass c\) is out of"):
+        with pytest.raises(ConfigError, match=r"^p-max\^2/\(mass c\)\^2 is out of"):
             RunConfig("zitterbewegung", mass=1e-300).validate()
         f = dd.init_packet(GRID, 0.0, 0.1, mode, SEED)
         assert np.all(dd.mode_energy(f.grid.points) >= 1.0)
