@@ -68,10 +68,9 @@ def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
         report.add(name, measured * unit, expected * unit, ok)
 
 
-def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
+def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     a = cfg.a_prime
     dset = ga.build_dirac_set()
-    report = Report("verify-algebra")
 
     _gate(report, "clifford residual", ga.verify_clifford(dset))
     factor = ga.deformation_factor(a, 1.0)  # at the Compton momentum m c
@@ -110,7 +109,7 @@ def run_verify_algebra(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     report.add("orbital rotation sign convention",
                "L_i H = +i*hbar*c*(p_j alpha_k - p_k alpha_j), (i,j,k) cyclic",
                "fixed by exact covariance", None)
-    return report, []
+    return []
 
 
 def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
@@ -129,8 +128,7 @@ def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
     return rows
 
 
-def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    report = Report("snyder")
+def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
                     for n in (cfg.grid_n, cfg.grid_n_2d))
     rows = _snyder_rows(cfg, ns_1d, ns_2d)
@@ -157,7 +155,7 @@ def run_snyder(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
     checks, ns, resids = zip(*rows)
     write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"), ["check", "n", "a", "residual"],
               [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
-    return report, ["snyder_residuals.csv"]
+    return ["snyder_residuals.csv"]
 
 
 def _packet_pair_series(cfg: RunConfig):
@@ -176,8 +174,7 @@ def _in_user_units(cfg: RunConfig, *series):
     return [dd.TimeSeries(times=s.times * time, values=s.values * length) for s in series]
 
 
-def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    report = Report("zitterbewegung")
+def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     mixed, positive = series_pair
     meas = dd.measure_oscillation(mixed)
     _gate(report, "mixed packet oscillation frequency", meas.omega, OMEGA_ZB,
@@ -201,11 +198,10 @@ def run_zitterbewegung(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
                          os.path.join(cfg.output_dir, "zitterbewegung.svg"),
                          title="position expectation vs time")
         outputs.append("zitterbewegung.svg")
-    return report, outputs
+    return outputs
 
 
-def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
-    report = Report("averaging")
+def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     mixed, _positive = series_pair
     raw_amp = dd.amplitude_at(mixed, OMEGA_ZB)
 
@@ -236,7 +232,7 @@ def run_averaging(cfg: RunConfig, series_pair) -> tuple[Report, list[str]]:
                          os.path.join(cfg.output_dir, "averaging.svg"),
                          title="Compton-scale averaging")
         outputs.append("averaging.svg")
-    return report, outputs
+    return outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,9 +285,7 @@ def main(argv=None) -> int:
             series_pair = _packet_pair_series(cfg) if PACKET_RUNNERS.intersection(names) else None
             report, outputs = Report(cfg.command), []
             for name in names:
-                rep, outs = RUNNERS[name](cfg, series_pair)
-                report.extend(rep)
-                outputs.extend(outs)
+                outputs += RUNNERS[name](cfg, series_pair, report)
     except ValueError as exc:
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2

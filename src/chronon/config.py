@@ -40,6 +40,13 @@ def _product(x: float, *factors: tuple[float, int]) -> float:
         return math.copysign(math.inf, mantissa)
 
 
+def _normal_quotient(x: float, n: int) -> bool:
+    """x/n >= 2^-1022, the smallest normal float, compared in integers (inf as 1/0): n
+    may be beyond the float range."""
+    num, den = (1, 0) if x == math.inf else x.as_integer_ratio()
+    return num << 1022 >= den * n
+
+
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
@@ -81,26 +88,27 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name in _FLOAT_KEYS:
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise ConfigError(f"{name.replace('_', '-')} must be finite, got {val}")
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag)
-                   for v in self.spinor_seed):
-            raise ConfigError("spinor-seed components must be finite")
-        for name in ("hbar", "c", "mass", "p_max", "p_max_2d", "sigma_p", "t_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name.replace('_', '-')} must be strictly positive")
-        if self.a is not None and self.a < 0:
-            raise ConfigError("a must be nonnegative")
-        if len(self.spinor_seed) != 4:
-            raise ConfigError("spinor-seed needs exactly 4 components")
-        if self.n_samples < 2 or self.grid_n < 8 or self.grid_n_2d < 8:
-            raise ConfigError("grid and sample counts are too small")
-        if self.window is not None and self.window <= 0:
-            raise ConfigError("window must be strictly positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        value = {key: getattr(self, attr) for key, (attr, _) in KEY_SPECS.items()}
+
+        def given(keys: str) -> str:  # "key=value, ..." for each key named, once; floats in %g
+            return ", ".join(f"{k}={value[k]:g}" if isinstance(value[k], float) else
+                             f"{k}={value[k]}" for k in dict.fromkeys(keys.split()))
+        # One rule per key, in order; each rejection names its key and value.
+        rules = [(key, "finite", math.isfinite(value[key]))
+                 for key in _FLOAT_KEYS if value[key] is not None]
+        rules.append(("spinor-seed", "4 finite components", len(self.spinor_seed) == 4 and all(
+            math.isfinite(v.real) and math.isfinite(v.imag) for v in self.spinor_seed)))
+        rules += [(key, "strictly positive", value[key] > 0) for key in
+                  ("hbar", "c", "mass", "p-max", "p-max-2d", "sigma-p", "t-max", "window")
+                  if value[key] is not None]
+        rules += [(key, "a power of two >= 8", n >= 8 and not n & (n - 1))
+                  for key, n in (("grid-n", self.grid_n), ("grid-n-2d", self.grid_n_2d))]
+        rules += [("a", "nonnegative", self.a is None or self.a >= 0),
+                  ("n-samples", "at least 2", self.n_samples >= 2),
+                  ("seed", "nonnegative", self.seed >= 0)]
+        for key, rule, ok in rules:
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {given(key)}")
         # Derived scales the commands form, each named with the keys it depends on.
         top, tiny = sys.float_info.max, sys.float_info.min
         a_keys = "a mass c hbar" if self.a is not None else "mass c"
@@ -110,27 +118,32 @@ class RunConfig:
         if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
             checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
         if self.command != "verify-algebra":
-            # The witness e^(-p'^2/2) and mode energies square p'; a and <x> scale back.
-            checks += [("p-max^2/(mass c)^2", "p-max mass c", tiny <= p < math.sqrt(top)),
+            # The witness e^(-p'^2/2) and mode energies square p', the wavenumbers divide by
+            # its grid step 2 p'/n; a and <x> scale back.
+            checks += [("p-max^2/(mass c)^2", "p-max mass c", p < math.sqrt(top)),
+                       ("2 p-max/(grid-n mass c)", "p-max grid-n mass c",
+                        _normal_quotient(2 * p, self.grid_n)),
                        ("hbar/(mass c)", "hbar mass c", tiny <= self.to_user(1.0, LENGTH) < top)]
         if self.command in ("snyder", "all"):
             # The 2-D witness squares p_x'^2 + p_y'^2; x p f reaches (a' p')^2 p' at an edge.
-            checks.append(("2 p-max-2d^2/(mass c)^2", "p-max-2d mass c",
-                           tiny <= p_2d < math.sqrt(top / 2)))
+            checks += [("2 p-max-2d^2/(mass c)^2", "p-max-2d mass c", p_2d < math.sqrt(top / 2)),
+                       ("2 p-max-2d/(grid-n-2d mass c)", "p-max-2d grid-n-2d mass c",
+                        _normal_quotient(2 * p_2d, self.grid_n_2d))]
             checks += [(f"(a {key}/hbar)^2 {key}/(mass c)", f"{key} {a_keys}",
                         _product(edge, (self.a_prime, 2), (edge, 2)) < top)
                        for key, edge in (("p-max", p), ("p-max-2d", p_2d))]
         if self.command in ("zitterbewegung", "averaging", "all"):
-            # The envelope squares sigma-p', the trend fit the times t', which scale back.
+            # The envelope squares sigma-p', the trend fit the times t', which scale back
+            # to a series whose spacing must stay a normal float to read as uniform.
             checks += [("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
                        ("t-max/(hbar/(mass c^2))", "t-max hbar mass c",
                         math.sqrt(tiny) <= self.to_compton(self.t_max, TIME)),
+                       ("t-max/(n-samples - 1)", "t-max n-samples",
+                        _normal_quotient(self.t_max, self.n_samples - 1)),
                        ("hbar/(mass c^2)", "hbar mass c", tiny <= self.to_user(1.0, TIME) < top)]
         for name, keys, ok in checks:
             if not ok:
-                given = ", ".join(f"{k}={getattr(self, KEY_SPECS[k][0]):g}"
-                                  for k in dict.fromkeys(keys.split()))
-                raise ConfigError(f"{name} is out of floating-point range at {given}")
+                raise ConfigError(f"{name} is out of floating-point range at {given(keys)}")
         return self
 
 
@@ -167,7 +180,7 @@ KEY_SPECS = {
     "emit-plots": ("emit_plots", _parse_bool),
     "seed": ("seed", int),
 }
-_FLOAT_KEYS = tuple(attr for attr, parse in KEY_SPECS.values() if parse is float)
+_FLOAT_KEYS = tuple(key for key, (_, parse) in KEY_SPECS.items() if parse is float)
 
 
 def read_config_file(path: str) -> dict[str, object]:

@@ -86,7 +86,7 @@ def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
 
 def position_expectation(field: SpinorMomentumField) -> complex:
     """<psi| i d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
-    deriv = spectral_derivative(field.amps, field.grid, axis=0)
+    deriv = spectral_derivative(field.amps, field.grid)
     val = np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp
     return complex(val)
 
@@ -279,8 +279,6 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     trend = np.polyval(np.polyfit(t, x, 1), t)
     resid = x - trend
     spec = np.abs(np.fft.rfft(resid))
-    if len(spec) < 3:
-        return OscillationMeasurement(0.0, 0.0, False)
     bins = spec[1:]
     peak = int(np.argmax(bins)) + 1
     # Significance: peak must beat 3x the median bin and the residual must

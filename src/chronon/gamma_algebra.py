@@ -78,17 +78,14 @@ class DiracMatrixSet:
     beta: np.ndarray
     alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
     gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    sigma_big: tuple[np.ndarray, np.ndarray, np.ndarray]
     spin: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_dirac_set() -> DiracMatrixSet:
     """beta = diag(1,1,-1,-1); alpha_i with sigma_i in both off-diagonal blocks."""
     gamma = (BETA,) + tuple(BETA @ a for a in ALPHA)
-    sigma_big = tuple(np.kron(I2, s) for s in PAULI)
-    spin = tuple(0.5 * s for s in sigma_big)
-    return DiracMatrixSet(beta=BETA, alpha=ALPHA, gamma=gamma,
-                          sigma_big=sigma_big, spin=spin)
+    spin = tuple(0.5 * np.kron(I2, s) for s in PAULI)
+    return DiracMatrixSet(beta=BETA, alpha=ALPHA, gamma=gamma, spin=spin)
 
 
 def verify_clifford(dset: DiracMatrixSet) -> float:
@@ -170,7 +167,7 @@ def spin_spectrum(gen: GeneratorSet) -> list[np.ndarray]:
     return spectra
 
 
-def is_spin_half(spectra, tol: float = 1e-12) -> bool:
+def is_spin_half(spectra, tol: float) -> bool:
     """True iff every L_i has spectrum {-1/2 (x2), +1/2 (x2)}."""
     target = np.array([-0.5, -0.5, 0.5, 0.5])
     return all(np.max(np.abs(vals - target)) <= tol for vals in spectra)

@@ -65,9 +65,6 @@ class Report:
         out.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(out) + "\n"
 
-    def extend(self, other: "Report") -> None:
-        self.lines.extend(other.lines)
-
 
 # Rows formatted per write: memory stays flat in the length of the table.
 _CSV_ROWS = 1024

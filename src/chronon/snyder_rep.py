@@ -54,22 +54,21 @@ class GridSpec1D:
         return _frozen(2 * np.pi * np.fft.fftfreq(self.n, d=self.dp))
 
 
-def spectral_derivative(f: np.ndarray, grid: GridSpec1D, axis: int = 0) -> np.ndarray:
-    """d f / dp along ``axis`` by FFT; a real f takes rfft/irfft and gives a real
+def spectral_derivative(f: np.ndarray, grid: GridSpec1D) -> np.ndarray:
+    """d f / dp along axis 0 by FFT; a real f takes rfft/irfft and gives a real
     result, without the imaginary Nyquist term that the complex path keeps."""
     real = np.isrealobj(f)
     f = np.asarray(f, dtype=float if real else complex)
-    if f.shape[axis] != grid.n:
-        raise ValueError(f"axis {axis} has {f.shape[axis]} samples, grid has {grid.n}")
-    shape = [1] * f.ndim
-    shape[axis] = -1
+    if len(f) != grid.n:
+        raise ValueError(f"axis 0 has {len(f)} samples, grid has {grid.n}")
+    shape = (-1,) + (1,) * (f.ndim - 1)
     if real:
-        spectrum = np.fft.rfft(f, axis=axis)
+        spectrum = np.fft.rfft(f, axis=0)
         spectrum *= 1j * grid.wavenumbers[:grid.n // 2 + 1].reshape(shape)
-        return np.fft.irfft(spectrum, n=grid.n, axis=axis)
-    spectrum = np.fft.fft(f, axis=axis)
+        return np.fft.irfft(spectrum, n=grid.n, axis=0)
+    spectrum = np.fft.fft(f, axis=0)
     spectrum *= 1j * grid.wavenumbers.reshape(shape)
-    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D, a: float) -> np.ndarray:
@@ -78,14 +77,15 @@ def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D, a: float) -> np.nd
     return 1j * coeff * spectral_derivative(f, grid)
 
 
-def interior(n: int, fraction: float = 0.8) -> slice:
-    """The central ``fraction`` of n grid points along one axis."""
-    margin = int(round(n * (1 - fraction) / 2))
+def interior(n: int) -> slice:
+    """The central 80% of n grid points along one axis: a tenth of n off each end."""
+    margin = round(n / 10)
     return slice(margin, n - margin)
 
 
-def gaussian_1d(grid: GridSpec1D, center: float = 0.0, width: float = 1.0) -> np.ndarray:
-    return np.exp(-(((grid.points - center) / width) ** 2) / 2).astype(complex)
+def gaussian_1d(grid: GridSpec1D) -> np.ndarray:
+    """The witness e^(-p^2/2), as a complex array."""
+    return np.exp(-(grid.points ** 2) / 2).astype(complex)
 
 
 def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:

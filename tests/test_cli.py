@@ -218,7 +218,65 @@ class TestExitStatuses:
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         assert run([command, "--seed", "-1", "--output-dir", tmp_path]) == 2
         assert capsys.readouterr().err == \
-            "chronon: config error: seed must be nonnegative, got -1\n"
+            "chronon: config error: seed must be nonnegative, got seed=-1\n"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["snyder", "--grid-n-2d", "100"], "grid-n-2d=100"),
+        (["all", "--grid-n", "96"], "grid-n=96"),
+        (["snyder", "--grid-n", "4"], "grid-n=4"),
+        (["zitterbewegung", "--n-samples", "1"], "n-samples=1"),
+        (["all", "--p-max", "nan"], "p-max=nan"),
+        (["all", "--spinor-seed", "1,0,1"], "spinor-seed=((1+0j), 0j, (1+0j))"),
+        (["all", "--hbar", "0"], "hbar=0"),
+        (["averaging", "--window", "-1"], "window=-1"),
+        (["all", "--a", "-1"], "a=-1"),
+        # The grid step 2 p-max'/n is subnormal, and the wavenumbers pi/dp' would overflow.
+        (["snyder", "--p-max", "1e-307"], "p-max=1e-307, grid-n=1024"),
+        (["snyder", "--p-max-2d", "1e-307"], "p-max-2d=1e-307, grid-n-2d=256"),
+        (["zitterbewegung", "--p-max", "1e-307"], "p-max=1e-307, grid-n=1024"),
+        # t-max' = 1e-120 is fine, but the user-unit sample spacing is subnormal.
+        (["zitterbewegung", "--t-max", "1e-320", "--hbar", "1e-200"], "n-samples=4096"),
+        # Counts beyond the float range: the quotients are taken exactly.
+        (["snyder", "--grid-n", str(2**1100)], f"grid-n={2**1100},"),
+        (["averaging", "--n-samples", str(10**400)], f"n-samples={10**400}"),
+    ], ids=["grid-n-2d-100", "grid-n-96", "grid-n-4", "n-samples-1", "p-max-nan",
+            "spinor-seed-3", "hbar-0", "window-negative", "a-negative", "p-max-1e-307",
+            "p-max-2d-1e-307", "zitterbewegung-p-max-1e-307", "t-max-1e-320", "grid-n-2^1100",
+            "n-samples-1e400"])
+    def test_each_rule_names_its_key(self, tmp_path, capsys, argv, named):
+        assert run(argv + ["--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronon: config error:") and err.count("\n") == 1
+        assert names_key(err) and named in err
+
+    @pytest.mark.parametrize("key, n_key, n", [("p-max", "grid-n", 1024),
+                                               ("p-max-2d", "grid-n-2d", 256)])
+    def test_smallest_normal_grid_step_runs(self, tmp_path, capsys, key, n_key, n):
+        # The step 2 p'/n divides the wavenumbers.  At the smallest normal step the run
+        # ends in its report; one ulp of the edge less is rejected, naming both keys.
+        # Overflow itself starts at a step of pi/max, about 1.75e-308.
+        argv = ["snyder", "--no-emit-plots", "--output-dir", tmp_path, f"--{n_key}", n]
+        edge = sys.float_info.min * n / 2
+        assert run(argv + [f"--{key}", edge]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert run(argv + [f"--{key}", math.nextafter(edge, 0)]) == 2
+        err = capsys.readouterr().err
+        assert f"is out of floating-point range at {key}=" in err and f"{n_key}={n}," in err
+
+    def test_smallest_normal_user_time_spacing_runs(self, tmp_path, capsys):
+        # hbar = 1e-200 puts t-max' = t-max m c^2/hbar near 1e-105, inside the range the
+        # trend fit squares; the spacing t-max/(n-samples - 1) of the series in the user's
+        # units must be a normal float for TimeSeries to read it as uniform.
+        argv = ["zitterbewegung", "--hbar", "1e-200", "--n-samples", "33", "--no-emit-plots",
+                "--output-dir", tmp_path]
+        edge = 32 * sys.float_info.min
+        assert run(argv + ["--t-max", edge]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "zitterbewegung.csv").read_text().splitlines()) == 34
+        assert run(argv + ["--t-max", math.nextafter(edge, 0)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "chronon: config error: t-max/(n-samples - 1) is out of floating-point range at "
+            "t-max=7.12024e-307, n-samples=33")
 
     def test_negative_mass_exits_2(self, tmp_path):
         assert run(["zitterbewegung", "--mass", "-1",

@@ -7,6 +7,7 @@ from chronon import cli
 from chronon import gamma_algebra as ga
 from chronon.config import LENGTH, MOMENTUM, TIME, RunConfig
 from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
+from chronon.reporting import Report
 
 
 def is_degenerate(gen, tol=1e-14):
@@ -38,7 +39,8 @@ def unit_config(units):
 def verify_algebra_lines(units):
     """name -> measured text of ``verify-algebra``'s report at a unit set."""
     with np.errstate(over="raise", invalid="raise"):
-        report, _ = cli.run_verify_algebra(unit_config(units), None)
+        report = Report("verify-algebra")
+        assert cli.run_verify_algebra(unit_config(units), None, report) == []
     return {line.name: line.measured for line in report.lines}
 
 
@@ -121,7 +123,7 @@ class TestCoordinateRep:
         # [x, y] = (i/2) Sigma_z in units of a at kappa=1/2: oracle is direct multiplication.
         rep = ga.coordinate_rep(dset, 0.5, 0.5j)
         bracket = commutator(rep.x_hat[0], rep.x_hat[1])
-        np.testing.assert_allclose(bracket, 0.5j * dset.sigma_big[2], atol=1e-15)
+        np.testing.assert_allclose(bracket, 0.5j * (2 * dset.spin[2]), atol=1e-15)
 
 
 class TestSolveNormalization:
@@ -148,8 +150,7 @@ class TestSolveNormalization:
         dset = ga.build_dirac_set()
         zero = np.zeros((4, 4), dtype=complex)
         broken = ga.DiracMatrixSet(beta=dset.beta, alpha=(zero, zero, zero),
-                                  gamma=dset.gamma, sigma_big=dset.sigma_big,
-                                  spin=dset.spin)
+                                  gamma=dset.gamma, spin=dset.spin)
         _, _, resid = ga.solve_normalization(broken)
         expected = frobenius(1j * dset.spin[2])  # a^2 has cancelled
         assert resid >= expected - 1e-12
@@ -186,7 +187,6 @@ class TestLeastSquaresSolve:
         # [x, y] = -i S_z (in units of a) needs kappa^2 = -1/4: the root with Im > 0.
         dset = ga.build_dirac_set()
         flipped = ga.DiracMatrixSet(beta=dset.beta, alpha=dset.alpha, gamma=dset.gamma,
-                                    sigma_big=dset.sigma_big,
                                     spin=tuple(-s for s in dset.spin))
         kappa, _, _ = ga.solve_normalization(flipped)
         assert kappa == 0.5j
@@ -209,7 +209,7 @@ class TestGenerators:
 
     def test_l_z_is_spin_z(self, dset):
         gen = self.canonical(dset)
-        np.testing.assert_allclose(gen.L[2], 0.5 * dset.sigma_big[2], atol=1e-14)
+        np.testing.assert_allclose(gen.L[2], 0.5 * (2 * dset.spin[2]), atol=1e-14)
 
     def test_zero_rep_gives_zero_generators(self, dset):
         gen = ga.extract_generators(ga.coordinate_rep(dset, 0.0, 0.0))
@@ -225,7 +225,7 @@ class TestGenerators:
 
     def test_spin_spectrum_canonical(self, dset):
         spectra = ga.spin_spectrum(self.canonical(dset))
-        assert ga.is_spin_half(spectra)
+        assert ga.is_spin_half(spectra, cli.SPIN_TOL)
 
     def test_spin_spectrum_scales_quadratically(self, dset):
         gen = ga.extract_generators(ga.coordinate_rep(dset, 1.0, 0.5j))

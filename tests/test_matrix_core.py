@@ -38,7 +38,7 @@ class TestCommutator:
         ax, ay = dset.alpha[0], dset.alpha[1]
         oracle = ax @ ay - ay @ ax
         np.testing.assert_allclose(commutator(ax, ay), oracle, atol=0)
-        np.testing.assert_allclose(oracle, 2j * dset.sigma_big[2], atol=1e-15)
+        np.testing.assert_allclose(oracle, 2j * (2 * dset.spin[2]), atol=1e-15)
 
     @given(matrices_2x2(), matrices_2x2())
     def test_antisymmetry(self, a, b):

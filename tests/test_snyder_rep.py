@@ -34,8 +34,9 @@ def grid():
 
 
 def gaussian_1d(grid, center=0.0, width=1.0):
-    """A real 1-D factor of the 2-D witness."""
-    return sr.gaussian_1d(grid, center=center, width=width).real
+    """The real witness e^(-((p - center)/width)^2/2); centre 0 and width 1 give
+    ``sr.gaussian_1d``, a 1-D factor of the 2-D witness."""
+    return np.exp(-(((grid.points - center) / width) ** 2) / 2)
 
 
 def gaussian_2d(grid, center=(0.0, 0.0), width=1.0):
@@ -44,7 +45,8 @@ def gaussian_2d(grid, center=(0.0, 0.0), width=1.0):
 
 
 def gradient_2d(g, grid):
-    return sr.spectral_derivative(g, grid, axis=0), sr.spectral_derivative(g, grid, axis=1)
+    """(d/dp_x, d/dp_y) of a whole 2-D array, p_x along axis 0."""
+    return sr.spectral_derivative(g, grid), sr.spectral_derivative(g.T, grid).T
 
 
 def position_apply_2d(f, grid, a, axis):
@@ -184,11 +186,13 @@ class TestSpectralDerivative:
     @pytest.mark.parametrize("ndim, axis", [(1, 0), (2, 0), (2, 1)],
                              ids=["1d", "2d-axis0", "2d-axis1"])
     def test_real_input_takes_half_spectrum(self, grid2, ndim, axis):
-        # rfft/irfft drop the imaginary Nyquist term; the real parts agree.
-        f = (sr.gaussian_1d(grid2, center=0.4).real if ndim == 1
+        # rfft/irfft drop the imaginary Nyquist term; the real parts agree.  Axis 1 is
+        # differentiated as axis 0 of the transpose.
+        f = (gaussian_1d(grid2, center=0.4) if ndim == 1
              else gaussian_2d(grid2, center=(0.5, -0.3)))
-        got = sr.spectral_derivative(f, grid2, axis=axis)
-        expected = sr.spectral_derivative(f.astype(complex), grid2, axis=axis)
+        f = f.T if axis else f
+        got = sr.spectral_derivative(f, grid2)
+        expected = sr.spectral_derivative(f.astype(complex), grid2)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, expected.real, rtol=0,
                                    atol=1e-13 * np.max(np.abs(expected)))
@@ -196,7 +200,7 @@ class TestSpectralDerivative:
 
 class TestPositionApply1D:
     def test_undeformed_limit_bitwise(self, grid):
-        f = sr.gaussian_1d(grid, center=0.3, width=1.2)
+        f = gaussian_1d(grid, center=0.3, width=1.2).astype(complex)
         deformed = sr.snyder_position_apply_1d(f, grid, 0.0)
         canonical = 1j * sr.spectral_derivative(f, grid)
         np.testing.assert_array_equal(deformed, canonical)
@@ -214,6 +218,9 @@ class TestPositionApply1D:
 
 
 class TestHeisenbergResidual1D:
+    def test_centred_helper_is_the_command_witness(self, grid):
+        np.testing.assert_array_equal(gaussian_1d(grid), sr.gaussian_1d(grid).real)
+
     def test_undeformed(self, grid):
         f = sr.gaussian_1d(grid)
         assert sr.heisenberg_residual_1d(grid, 0.0, f) <= 1e-8
@@ -237,7 +244,7 @@ class TestHeisenbergResidual1D:
     def test_translation_invariance(self, grid, a, center):
         # Identity holds pointwise; translating the witness by <= p_max/4
         # leaves the residual within tolerance.
-        f = sr.gaussian_1d(grid, center=center)
+        f = gaussian_1d(grid, center=center).astype(complex)
         assert sr.heisenberg_residual_1d(grid, a, f) <= 1e-7
 
     def test_random_witnesses(self, grid, a):
@@ -245,7 +252,7 @@ class TestHeisenbergResidual1D:
         for _ in range(10):
             center = rng.uniform(-5, 5)
             width = rng.uniform(0.5, 2.0)
-            f = sr.gaussian_1d(grid, center=center, width=width)
+            f = gaussian_1d(grid, center=center, width=width).astype(complex)
             assert sr.heisenberg_residual_1d(grid, a, f) <= 1e-7
 
 
@@ -253,7 +260,7 @@ class TestPositionApply2D:
     def test_undeformed_limit(self, grid2):
         f = gaussian_2d(grid2, center=(0.5, -0.3))
         got = position_apply_2d(f, grid2, 0.0, axis=0)
-        expected = 1j * sr.spectral_derivative(f, grid2, axis=0)
+        expected = 1j * sr.spectral_derivative(f, grid2)
         np.testing.assert_array_equal(got, expected)
 
     def test_cross_term_vanishes_on_axis(self, grid2, a):
@@ -262,7 +269,7 @@ class TestPositionApply2D:
         f = gaussian_2d(grid2)
         got = position_apply_2d(f, grid2, a, axis=0)
         ix = grid2.n // 2  # p_x = 0 row
-        diag_only = 1j * sr.spectral_derivative(f, grid2, axis=0)[ix]
+        diag_only = 1j * sr.spectral_derivative(f, grid2)[ix]
         np.testing.assert_allclose(got[ix], diag_only, atol=1e-10)
 
     def test_gaussian_analytic_oracle(self, grid2, a):
@@ -303,8 +310,8 @@ class TestCommutatorResidual2D:
         f = gaussian_2d(grid2)
         px = grid2.points[:, None]
         py = grid2.points[None, :]
-        lz = 1j * (py * sr.spectral_derivative(f, grid2, axis=0)
-                   - px * sr.spectral_derivative(f, grid2, axis=1))
+        df_dpx, df_dpy = gradient_2d(f, grid2)
+        lz = 1j * (py * df_dpx - px * df_dpy)
         assert np.max(np.abs(lz)) <= 1e-9
 
     def test_spectral_convergence(self, a):
@@ -345,8 +352,8 @@ class TestCommutatorResidual2D:
             return position_apply_2d(g, grid, a, axis=1)
 
         xf, yf = x(f), y(f)
-        lz = 1j * (py * sr.spectral_derivative(f, grid, axis=0)
-                   - px * sr.spectral_derivative(f, grid, axis=1))
+        df_dpx, df_dpy = gradient_2d(f, grid)
+        lz = 1j * (py * df_dpx - px * df_dpy)
         comm = x(yf) - y(xf) - (1j * a**2) * lz
         mixed = x(py * f) - py * xf - 1j * a**2 * px * py * f
         inner = (sr.interior(grid.n),) * 2
@@ -489,8 +496,8 @@ class TestLinearity:
     @settings(max_examples=20, deadline=None)
     def test_position_apply_linear(self, alpha, beta):
         grid = sr.GridSpec1D(n=128, p_max=10.0)
-        f = sr.gaussian_1d(grid, center=-1.0)
-        g = sr.gaussian_1d(grid, center=1.5, width=0.8)
+        f = gaussian_1d(grid, center=-1.0).astype(complex)
+        g = gaussian_1d(grid, center=1.5, width=0.8).astype(complex)
         lhs = sr.snyder_position_apply_1d(alpha * f + beta * g, grid, 1.0)
         rhs = (alpha * sr.snyder_position_apply_1d(f, grid, 1.0)
                + beta * sr.snyder_position_apply_1d(g, grid, 1.0))
