@@ -214,7 +214,7 @@ def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
           abs(np.sinc(1.0 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB * window/2 = 1
 
     if cfg.window is not None:
-        extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))  # may raise
+        extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))
         report.add(f"user window ({cfg.window:g}) attenuation",
                    dd.amplitude_at(extra, OMEGA_ZB) / raw_amp, "diagnostic only", None)
 

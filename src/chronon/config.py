@@ -93,7 +93,13 @@ class RunConfig:
         def given(keys: str) -> str:  # "key=value, ..." for each key named, once; floats in %g
             return ", ".join(f"{k}={value[k]:g}" if isinstance(value[k], float) else
                              f"{k}={value[k]}" for k in dict.fromkeys(keys.split()))
-        # One rule per key, in order; each rejection names its key and value.
+
+        def require(ok: bool, subject: str, rule: str, keys: str) -> None:
+            if not ok:
+                raise ConfigError(f"{subject} must be {rule}, got {given(keys)}")
+        # One rule per key, in order; each rejection names its key and value.  The spectrum
+        # of measure_oscillation takes at least 32 samples.
+        least = 32 if self.command in ("zitterbewegung", "all") else 2
         rules = [(key, "finite", math.isfinite(value[key]))
                  for key in _FLOAT_KEYS if value[key] is not None]
         rules.append(("spinor-seed", "4 finite components", len(self.spinor_seed) == 4 and all(
@@ -104,16 +110,16 @@ class RunConfig:
         rules += [(key, "a power of two >= 8", n >= 8 and not n & (n - 1))
                   for key, n in (("grid-n", self.grid_n), ("grid-n-2d", self.grid_n_2d))]
         rules += [("a", "nonnegative", self.a is None or self.a >= 0),
-                  ("n-samples", "at least 2", self.n_samples >= 2),
+                  ("n-samples", f"at least {least}", self.n_samples >= least),
                   ("seed", "nonnegative", self.seed >= 0)]
         for key, rule, ok in rules:
-            if not ok:
-                raise ConfigError(f"{key} must be {rule}, got {given(key)}")
+            require(ok, key, rule, key)
         # Derived scales the commands form, each named with the keys it depends on.
         top, tiny = sys.float_info.max, sys.float_info.min
         a_keys = "a mass c hbar" if self.a is not None else "mass c"
-        p, p_2d, sigma = (self.to_compton(x, MOMENTUM)
-                          for x in (self.p_max, self.p_max_2d, self.sigma_p))
+        p, p_2d, sigma, p0 = (self.to_compton(x, MOMENTUM)
+                              for x in (self.p_max, self.p_max_2d, self.sigma_p, self.p0))
+        t = self.to_compton(self.t_max, TIME)
         checks = []
         if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
             checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
@@ -137,13 +143,36 @@ class RunConfig:
             # to a series whose spacing must stay a normal float to read as uniform.
             checks += [("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
                        ("t-max/(hbar/(mass c^2))", "t-max hbar mass c",
-                        math.sqrt(tiny) <= self.to_compton(self.t_max, TIME)),
+                        math.sqrt(tiny) <= t),
                        ("t-max/(n-samples - 1)", "t-max n-samples",
                         _normal_quotient(self.t_max, self.n_samples - 1)),
                        ("hbar/(mass c^2)", "hbar mass c", tiny <= self.to_user(1.0, TIME) < top)]
         for name, keys, ok in checks:
             if not ok:
                 raise ConfigError(f"{name} is out of floating-point range at {given(keys)}")
+        if self.command in ("verify-algebra", "snyder"):
+            return self
+        # The packet's closed-form preconditions, on the Compton-unit values the layers see.
+        # sigma-p' >= 2 dp' = 4 p'/grid-n (exact) leaves no aliasing at the dual Nyquist point.
+        require(sigma >= math.ldexp(p, 3 - self.grid_n.bit_length()), "sigma-p",
+                "at least 2 grid steps 2 p-max/grid-n", "sigma-p p-max grid-n")
+        require(abs(p0) + 6 * sigma <= p, "|p0| + 6 sigma-p", "at most p-max", "p0 sigma-p p-max")
+        # 2 samples per ZB period pi with a 4x margin; an int compares with any float exactly.
+        n, in_units = self.n_samples, "t-max n-samples hbar mass c"
+        require(n >= 4 * 2 * t * 2.0 / (2 * math.pi), "n-samples",
+                "at least 8 t-max/(pi hbar/(mass c^2))", "n-samples t-max hbar mass c")
+        if self.command == "zitterbewegung":
+            return self
+        from chronon.dirac_dynamics import window_samples  # numpy: averaging and all only
+        num, den = t.as_integer_ratio()
+        dt = num / (den * (n - 1))  # the series' spacing as np.linspace forms it, for any n
+        windows = [("the full-period window pi hbar/(mass c^2)", math.pi, in_units),
+                   ("the Compton window hbar/(mass c^2)", 1.0, in_units)]
+        if self.window is not None:
+            windows.append(("window", self.to_compton(self.window, TIME), "window t-max n-samples"))
+        for name, w, keys in windows:  # a window of more samples than a float holds is too long
+            require(w >= 2 * dt and dt > 0 and w / dt < math.inf and window_samples(dt, w) <= n,
+                    name, "between 2 sample intervals and n-samples samples long", keys)
         return self
 
 
@@ -157,8 +186,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_seed_vector(s: str) -> tuple[complex, ...]:
-    parts = [p.strip() for p in s.split(",")]
-    return tuple(complex(p) for p in parts)
+    return tuple(complex(p.strip()) for p in s.split(","))
 
 
 KEY_SPECS = {
@@ -207,8 +235,7 @@ def read_config_file(path: str) -> dict[str, object]:
 def resolve(command: str, file_values: dict[str, object],
             flag_values: dict[str, object]) -> RunConfig:
     """Apply precedence: defaults, then config file, then flags."""
-    cfg = RunConfig(command=command)
-    cfg = replace(cfg, **file_values)
+    cfg = RunConfig(command=command, **file_values)
     cfg = replace(cfg, **{k: v for k, v in flag_values.items() if v is not None})
     if not cfg.output_dir:
         cfg = replace(cfg, output_dir=os.environ.get("CHRONON_OUTPUT_DIR", "out"))

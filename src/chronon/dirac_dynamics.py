@@ -13,6 +13,9 @@ per mode (``position_series``), with no per-time evolution; ``evolve`` and
 the modes' phases in blocks of 16 x 16 times from three small phase tables, on
 the calling thread.  The signal analysis below ``position_series`` runs on
 Compton-unit series, so its noise floor and least-squares cutoff are Compton-unit.
+``RunConfig.validate`` holds every precondition closed-form in the config (a resolved
+packet inside the box, enough samples, windows that fit); the layers raise only on a
+packet wrapping around the position box and on a projection annihilating it.
 """
 
 from __future__ import annotations
@@ -42,28 +45,16 @@ class SpinorMomentumField:
     amps: np.ndarray  # shape (n, 4)
 
 
-def init_packet(grid: GridSpec1D, p0: float, sigma_p: float, mode: str = "mixed",
-                spinor_seed=(1.0, 0.0, 1.0, 0.0)) -> SpinorMomentumField:
-    """Gaussian envelope times a constant spinor, normalized to unit norm.
+def init_packet(grid: GridSpec1D, p0: float, sigma_p: float, mode: str,
+                spinor_seed) -> SpinorMomentumField:
+    """Gaussian envelope times a constant 4-spinor, normalized to unit norm.
 
     mode is "mixed" or "positive"; "positive" applies Lambda_plus mode by mode
     first, and rejects a seed that loses all but 1e-14 of its norm to it.
     """
-    # sigma_p >= 2*dp keeps the envelope's spectrum below 1e-16 at the
-    # Nyquist point of the dual (position) grid, so no aliasing.
-    if sigma_p < 2 * grid.dp:
-        raise ValueError(f"sigma-p spans {sigma_p / grid.dp:g} grid steps, fewer than 2; "
-                         f"raise --sigma-p or --grid-n, or lower --p-max")
-    if abs(p0) + 6 * sigma_p > grid.p_max:
-        raise ValueError("packet support |p0| + 6 sigma-p exceeds --p-max")
-    if mode not in ("mixed", "positive"):
-        raise ValueError(f"unknown packet mode {mode!r}")
     p = grid.points
     envelope = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2))
-    seed = np.asarray(spinor_seed, dtype=complex)
-    if seed.shape != (4,):
-        raise ValueError("spinor_seed must have 4 components")
-    amps = envelope[:, None] * seed[None, :]
+    amps = envelope[:, None] * np.asarray(spinor_seed, dtype=complex)[None, :]
     if mode == "positive":
         unprojected = np.sum(np.abs(amps) ** 2)
         amps = (amps + _apply_hamiltonian(amps, p) / mode_energy(p)[:, None]) / 2
@@ -87,8 +78,7 @@ def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
 def position_expectation(field: SpinorMomentumField) -> complex:
     """<psi| i d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
     deriv = spectral_derivative(field.amps, field.grid)
-    val = np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp
-    return complex(val)
+    return complex(np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp)
 
 
 def expect_position(field: SpinorMomentumField) -> float:
@@ -103,11 +93,9 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size >= 2:
-            dt = np.diff(t)
-            if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=0):
-                raise ValueError("times must be strictly increasing and uniform")
+        dt = np.diff(np.asarray(self.times, dtype=float))
+        if dt.size and (np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=0)):
+            raise ValueError("times must be strictly increasing and uniform")
 
     @property
     def dt(self) -> float:
@@ -168,13 +156,8 @@ def position_series(field: SpinorMomentumField, t_max: float,
     beyond |<x>| = 1), and above the roundoff of the spectral derivative, means
     the packet wraps around the box and raises ValueError.
     """
-    # 2 samples per rest-frame oscillation period 2 pi/2, with a 4x safety factor.
-    required = np.ceil(4 * 2 * t_max * 2.0 / (2 * np.pi))
-    if n_samples < required:
-        raise ValueError(f"n_samples={n_samples} undersamples the oscillation; "
-                         f"need >= {required:g}")
-    times = np.linspace(0.0, t_max, n_samples if t_max > 0 else 1)
-    dt = t_max / max(len(times) - 1, 1)
+    times = np.linspace(0.0, t_max, n_samples)
+    dt = t_max / (n_samples - 1)
     v, omega, weights = _zb_weights(field)
     offset = expect_position(field) - weights.sum().real
     reference = expect_position(evolve(field, times[-1]))  # before the tables take memory
@@ -219,14 +202,7 @@ def sliding_average(series: TimeSeries, window: float) -> TimeSeries:
     exactly centered; the output is shortened by half a window at each end.
     A sinusoid at angular frequency w is attenuated by |sinc(w*window/2)|.
     """
-    dt = series.dt
-    if window < 2 * dt:
-        raise ValueError("window must span at least 2 sample intervals")
-    k = window_samples(dt, window)
-    if k > len(series.values):
-        span = series.times[-1] - series.times[0]
-        raise ValueError(f"window {window:g} needs {k:g} samples but the series has "
-                         f"{len(series.values)} (span {span:g}); raise --t-max")
+    k = window_samples(series.dt, window)
     half = (k - 1) // 2
     values = np.convolve(series.values, np.full(k, 1.0 / k), mode="valid")
     times = series.times[half:len(series.times) - half]
@@ -274,10 +250,7 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     the median bin magnitude) reports no oscillation.
     """
     t, x = series.times, series.values
-    if len(t) < 32:
-        raise ValueError("need at least 32 samples to measure an oscillation")
-    trend = np.polyval(np.polyfit(t, x, 1), t)
-    resid = x - trend
+    resid = x - np.polyval(np.polyfit(t, x, 1), t)
     spec = np.abs(np.fft.rfft(resid))
     bins = spec[1:]
     peak = int(np.argmax(bins)) + 1
@@ -294,6 +267,4 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
         if denom < 0:
             delta = 0.5 * (lm - lp) / denom
     omega = 2 * np.pi * (peak + delta) / (len(t) * series.dt)
-    return OscillationMeasurement(omega=omega,
-                                  amplitude=_sinusoid_fit(t, x, omega),
-                                  detected=True)
+    return OscillationMeasurement(omega, _sinusoid_fit(t, x, omega), True)

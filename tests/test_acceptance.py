@@ -61,7 +61,8 @@ def packet_series():
     grid = sr.GridSpec1D(n=1024, p_max=20.0)
     series = {}
     for mode in ("mixed", "positive"):
-        packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode=mode)
+        packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode=mode,
+                                spinor_seed=(1, 0, 1, 0))
         series[mode] = dd.position_series(packet, t_max=50.0, n_samples=4096)
     return series
 
@@ -173,7 +174,7 @@ def test_08_compton_scale_averaging(packet_series, announce):
 
 def test_09_unitarity_over_long_evolution(announce):
     grid = sr.GridSpec1D(n=1024, p_max=20.0)
-    packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode="mixed")
+    packet = dd.init_packet(grid, p0=0.0, sigma_p=0.1, mode="mixed", spinor_seed=(1, 0, 1, 0))
     t_final = 1000.0 * COMPTON_TIME
     evolved = dd.evolve(packet, t_final)
     norm_drift = abs(norm(evolved) - norm(packet))

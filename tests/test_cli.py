@@ -102,7 +102,7 @@ class TestConfigResolution:
                                               "floating-point range at a=1e\\+200, mass=1, "
                                               "c=1, hbar=1$"):
             resolve("verify-algebra", {}, {"a": 1e200})
-        assert resolve("averaging", {}, {"t_max": math.sqrt(sys.float_info.min)}).t_max > 0
+        assert resolve("zitterbewegung", {}, {"t_max": math.sqrt(sys.float_info.min)}).t_max > 0
         with pytest.raises(ConfigError, match="^t-max/\\(hbar/\\(mass c\\^2\\)\\) is out of "
                                               "floating-point range at t-max=50, hbar=1e\\+160, "
                                               "mass=1, c=1$"):
@@ -156,7 +156,7 @@ class TestConfigResolution:
 # KEY_SPECS key -> (flag text, or None for the --no- form of a boolean; parsed value)
 FLAG_SAMPLES = {
     "hbar": ("2", 2.0), "c": ("3", 3.0), "mass": ("0.5", 0.5), "a": ("0.25", 0.25),
-    "grid-n": ("64", 64), "p-max": ("10", 10.0), "grid-n-2d": ("32", 32),
+    "grid-n": ("256", 256), "p-max": ("10", 10.0), "grid-n-2d": ("32", 32),
     "p-max-2d": ("6", 6.0), "p0": ("0.5", 0.5), "sigma-p": ("0.2", 0.2),
     "spinor-seed": ("1,0,1j,0", (1 + 0j, 0j, 1j, 0j)), "t-max": ("20", 20.0),
     "n-samples": ("512", 512), "window": ("1.5", 1.5), "output-dir": ("somewhere", "somewhere"),
@@ -239,10 +239,23 @@ class TestExitStatuses:
         # Counts beyond the float range: the quotients are taken exactly.
         (["snyder", "--grid-n", str(2**1100)], f"grid-n={2**1100},"),
         (["averaging", "--n-samples", str(10**400)], f"n-samples={10**400}"),
+        (["zitterbewegung", "--t-max", "0"], "t-max=0"),
+        # The packet's closed-form preconditions, named in the user's units.
+        (["zitterbewegung", "--sigma-p", "0.05"], "sigma-p=0.05, p-max=20, grid-n=1024"),
+        (["all", "--p0", "18", "--sigma-p", "1"], "p0=18, sigma-p=1, p-max=20"),
+        (["averaging", "--n-samples", "64", "--hbar", "0.5"],
+         "n-samples=64, t-max=50, hbar=0.5, mass=1, c=1"),
+        (["zitterbewegung", "--n-samples", "16", "--t-max", "1"], "n-samples=16"),
+        (["averaging", "--t-max", "2"], "t-max=2, n-samples=4096, hbar=1, mass=1, c=1"),
+        (["averaging", "--window", "0.01"], "window=0.01, t-max=50, n-samples=4096"),
+        (["averaging", "--window", "1e300", "--hbar", "2"],
+         "window=1e+300, t-max=50, n-samples=4096"),
     ], ids=["grid-n-2d-100", "grid-n-96", "grid-n-4", "n-samples-1", "p-max-nan",
             "spinor-seed-3", "hbar-0", "window-negative", "a-negative", "p-max-1e-307",
             "p-max-2d-1e-307", "zitterbewegung-p-max-1e-307", "t-max-1e-320", "grid-n-2^1100",
-            "n-samples-1e400"])
+            "n-samples-1e400", "t-max-0", "sigma-p-under-2-steps", "support-past-p-max",
+            "undersampled", "n-samples-under-32", "full-period-window-too-long",
+            "window-under-2-intervals", "window-too-long"])
     def test_each_rule_names_its_key(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err
@@ -299,9 +312,9 @@ class TestExitStatuses:
         (["snyder", "--a", "1e200"], "a=1e+200"),
         (["verify-algebra", "--mass", "1e-300", "--a", "1e300", "--c", "1e300"],
          "mass=1e-300"),
-        # The required sample count prints in :g form, not as a 300-digit integer.
-        (["all", "--t-max", "1e300"], "need >= 2.54648e+300"),
-        (["all", "--window", "1e300"], "needs 8.19e+301 samples"),
+        # Numbers print in :g form, never as a 300-digit integer.
+        (["all", "--t-max", "1e300"], "got n-samples=4096, t-max=1e+300,"),
+        (["all", "--window", "1e300"], "got window=1e+300, t-max=50, n-samples=4096"),
         # The Gaussian witnesses square the box edges.
         (["snyder", "--p-max", "1e160"], "p-max=1e+160"),
         (["snyder", "--p-max-2d", "1e160"], "p-max-2d=1e+160"),
@@ -627,7 +640,9 @@ class TestAveragingCommand:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("chronon: config error: window 3.14159 ")
+        assert lines[0] == ("chronon: config error: the full-period window pi hbar/(mass c^2) "
+                            "must be between 2 sample intervals and n-samples samples long, "
+                            "got t-max=2, n-samples=4096, hbar=1, mass=1, c=1")
 
 
 class TestReproducibility:
@@ -796,8 +811,7 @@ SWEEP = ("1e-150", "1e-60", "1", "1e60", "1e150")
 
 def names_key(line):
     """True when the line names a config key, as ``key=`` or ``--key``."""
-    return any(f"{form}=" in line or f"--{key}" in line
-               for key in KEY_SPECS for form in (key, key.replace("-", "_")))
+    return any(f"{key}=" in line or f"--{key}" in line for key in KEY_SPECS)
 
 
 def sweep(tmp_path, argv, a_values=(None,)):
@@ -881,3 +895,36 @@ class TestUnitInvariance:
             assert err.count("\n") == 1 and names_key(err)
         else:
             assert (code, checks) == twin[:2], err
+
+
+class TestPacketPreconditions:
+    """validate holds every closed-form precondition of the packet commands."""
+
+    @given(st.sampled_from(["zitterbewegung", "averaging", "all"]),
+           st.sampled_from([64, 256, 1024, 2048]), st.floats(2, 40), st.floats(0.8, 20),
+           st.floats(-1.1, 1.1), st.floats(0.3, 300), st.floats(0.9, 4),
+           st.none() | st.floats(0.01, 30), st.sampled_from(["1,0,1,0", "0,0,1,0", "1,0,0,0"]))
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_config_fails_only_on_the_dynamics(self, tmp_path_factory, command, grid_n,
+                                                        p_max, steps, reach, t_max, oversample,
+                                                        window, seed):
+        # Drawn around each rule's boundary: sigma-p in grid steps, p0 as a share of the room
+        # p-max - 6 sigma-p, n-samples as a multiple of 8 per ZB period.  A config validate
+        # rejects exits 2 naming a key; one it accepts exits 0 or 1, or 2 only where the run
+        # must tell: the packet wraps around the box, or the projection annihilates it.
+        sigma_p = steps * 2 * (2 * p_max / grid_n)
+        values = {"grid-n": grid_n, "p-max": p_max, "sigma-p": sigma_p,
+                  "p0": reach * (p_max - 6 * sigma_p), "t-max": t_max,
+                  "n-samples": max(2, math.ceil(oversample * 8 * t_max / math.pi)),
+                  "window": window, "spinor-seed": seed, "grid-n-2d": 32}
+        argv = [command, "--no-emit-plots"] + [f"--{key}={v}" for key, v in values.items()
+                                                if v is not None]
+        try:
+            parsed_config(argv)
+        except ConfigError:
+            code, _, err = statuses(argv, tmp_path_factory.mktemp("rejected"))
+            assert code == 2 and err.count("\n") == 1 and names_key(err)
+            return
+        code, _, err = statuses(argv, tmp_path_factory.mktemp("accepted"))
+        assert code in (0, 1) or (code == 2 and err.count("\n") == 1 and (
+            "the packet wraps around" in err or "annihilated the packet" in err)), err

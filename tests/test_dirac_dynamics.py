@@ -126,16 +126,20 @@ class TestInitPacket:
         assert 0 < w_minus < 0.1
 
     def test_narrow_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            dd.init_packet(GRID, 0.0, GRID.dp, "mixed", SEED)
+        # validate holds sigma-p to 2 grid steps before a packet is built: GRID's
+        # step is that of the default p-max and grid-n.
+        RunConfig("zitterbewegung", sigma_p=2 * GRID.dp).validate()
+        with pytest.raises(ConfigError, match=r"^sigma-p must be at least 2 grid steps 2 "
+                                              r"p-max/grid-n, got sigma-p=0.0390625, p-max=20, "
+                                              r"grid-n=1024$"):
+            RunConfig("zitterbewegung", sigma_p=GRID.dp).validate()
 
     def test_boundary_violation_rejected(self):
-        with pytest.raises(ValueError):
-            dd.init_packet(GRID, 18.0, 1.0, "mixed", SEED)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            dd.init_packet(GRID, 0.0, 0.1, "projected", SEED)
+        # |p0| + 6 sigma-p may reach p-max, not pass it.
+        RunConfig("zitterbewegung", p0=-14.0, sigma_p=1.0).validate()
+        with pytest.raises(ConfigError, match=r"^\|p0\| \+ 6 sigma-p must be at most p-max, "
+                                              r"got p0=18, sigma-p=1, p-max=20$"):
+            RunConfig("zitterbewegung", p0=18.0, sigma_p=1.0).validate()
 
     @pytest.mark.parametrize("mode", ["mixed", "positive"])
     def test_narrow_packet_keeps_its_norm(self, mode):
@@ -250,14 +254,14 @@ class TestZbDecomposition:
 
 
 class TestPositionSeries:
-    def test_degenerate_t_max(self, mixed):
-        s = dd.position_series(mixed, 0.0, 1)
-        assert len(s.times) == 1
-        assert s.values[0] == dd.expect_position(mixed)
-
-    def test_undersampling_rejected(self, mixed):
-        with pytest.raises(ValueError, match="undersample"):
-            dd.position_series(mixed, 50.0, 64)
+    def test_undersampling_rejected(self):
+        # 8 samples per ZB period pi: 8 * 50/pi = 127.3, so 128 samples and no fewer.
+        RunConfig("averaging", n_samples=128).validate()
+        for n in (64, 127):
+            with pytest.raises(ConfigError, match=r"^n-samples must be at least 8 t-max/"
+                                                  rf"\(pi hbar/\(mass c\^2\)\), got n-samples={n}, "
+                                                  r"t-max=50, hbar=1, mass=1, c=1$"):
+                RunConfig("averaging", n_samples=n).validate()
 
     def test_positive_series_is_pure_drift(self, positive_series):
         meas = dd.measure_oscillation(positive_series)
@@ -308,11 +312,6 @@ class TestSeriesPaths:
         series = dd.position_series(mixed, 50.0, 4097)
         assert len(series.values) == 4097 and series.times[-1] == 50.0
         self.assert_matches_evolution(mixed, series, 97)
-
-    def test_one_sample_with_positive_t_max(self, mixed):
-        series = dd.position_series(mixed, 0.1, 1)
-        np.testing.assert_array_equal(series.times, [0.0])
-        assert series.values[0] == dd.expect_position(mixed)
 
     @pytest.mark.parametrize("p0, t_max", [(3.0, 100.0), (0.0, 200.0)])
     def test_packet_wrapping_around_the_box_rejected(self, p0, t_max):
@@ -495,18 +494,25 @@ class TestSlidingAverage:
         expected = abs(np.sin(omega * w_eff / 2) / (omega * w_eff / 2))
         assert dd.amplitude_at(out, omega) == pytest.approx(expected, rel=0.02)
 
+    # validate holds every window to the series the averaging command samples, here
+    # 64 samples over [0, 10]: at least 2 intervals of 10/63, at most the 64 samples.
+    SERIES = {"t_max": 10.0, "n_samples": 64}
+
     def test_short_window_rejected(self):
-        t = np.linspace(0, 10, 64)
-        s = dd.TimeSeries(times=t, values=np.sin(t))
-        with pytest.raises(ValueError):
-            dd.sliding_average(s, 0.5 * s.dt)
+        RunConfig("averaging", window=2 * 10 / 63, **self.SERIES).validate()
+        with pytest.raises(ConfigError, match=r"^window must be between 2 sample intervals "
+                                              r"and n-samples samples long, got "
+                                              r"window=0.0793651, t-max=10, n-samples=64$"):
+            RunConfig("averaging", window=0.5 * 10 / 63, **self.SERIES).validate()
 
     def test_window_longer_than_series_rejected(self):
+        RunConfig("averaging", window=10.0, **self.SERIES).validate()  # k = 63 of 64 samples
         t = np.linspace(0, 10, 64)
-        s = dd.TimeSeries(times=t, values=np.sin(t))
-        with pytest.raises(ValueError, match=r"window 12 .*span 10"):
-            dd.sliding_average(s, 12.0)
-        assert len(dd.sliding_average(s, 10.0).values) == 2  # k = 63 of 64 samples
+        assert len(dd.sliding_average(dd.TimeSeries(times=t, values=np.sin(t)), 10.0).values) == 2
+        with pytest.raises(ConfigError, match=r"^window must be between 2 sample intervals "
+                                              r"and n-samples samples long, got window=12, "
+                                              r"t-max=10, n-samples=64$"):
+            RunConfig("averaging", window=12.0, **self.SERIES).validate()
 
 
 class TestMeasureOscillation:
@@ -526,9 +532,12 @@ class TestMeasureOscillation:
         assert meas.amplitude == 0.0
 
     def test_short_series_rejected(self):
-        t = np.linspace(0, 1, 8)
-        with pytest.raises(ValueError):
-            dd.measure_oscillation(dd.TimeSeries(times=t, values=np.sin(t)))
+        # The commands that measure an oscillation take at least 32 samples.
+        RunConfig("zitterbewegung", t_max=1.0, n_samples=32).validate()
+        for command in ("zitterbewegung", "all"):
+            with pytest.raises(ConfigError, match=r"^n-samples must be at least 32, "
+                                                  r"got n-samples=31$"):
+                RunConfig(command, t_max=1.0, n_samples=31).validate()
 
     @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, np.inf, np.nan])),
                     min_size=1, max_size=40))
