@@ -70,9 +70,7 @@ def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
 
 def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     a = cfg.a_prime
-    dset = ga.build_dirac_set()
-
-    _gate(report, "clifford residual", ga.verify_clifford(dset))
+    _gate(report, "clifford residual", ga.verify_clifford())
     factor = ga.deformation_factor(a, 1.0)  # at the Compton momentum m c
     _gate(report, "Compton deformation factor", factor, 1.0 + a**2)
     report.add("mixed deformation coefficient at Compton momentum",
@@ -83,23 +81,23 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
         for name in ("normalization kappa", "spin spectrum", "lorentz closure"):
             report.skip(name, "undeformed limit")
     else:
-        kappa, kappa_t, resid = ga.solve_normalization(dset)
+        kappa, kappa_t, resid = ga.solve_normalization()
         _gate(report, "normalization kappa", kappa, 0.5)
         report.add("normalization kappa_t", kappa_t, "+-0.5j (non-Hermitian time coordinate)",
                    None)
-        gen = ga.extract_generators(ga.coordinate_rep(dset, kappa, kappa_t))
-        spectra = ga.spin_spectrum(gen)
+        L, M = ga.generators(kappa, kappa_t)
+        spectra = ga.spin_spectrum(L)
         half = cfg.hbar / 2
         spin_half = ga.is_spin_half(spectra, SPIN_TOL)
         report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
                    "; ".join(str(np.round(s * cfg.hbar, 6)) for s in spectra),
                    f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
-        _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(gen))
+        _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(L, M))
         _gate(report, "normalization search residual", resid)
 
     uniform = random.Random(cfg.seed).uniform
     momenta = np.reshape([uniform(-1.0, 1.0) for _ in range(300)], (100, 3))  # units of m c
-    orbital, total = ga.rotation_covariance_check(dset, momenta)
+    orbital, total = ga.rotation_covariance_check(momenta)
     transverse = np.hypot(momenta[:, [1, 0, 0]], momenta[:, [2, 2, 1]]).ravel().tolist()
     orbital_ok = all(not (t > ORBITAL_FLOOR and res <= ORBITAL_FLOOR)
                      for t, res in zip(transverse, orbital))
@@ -291,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"chronon: config error: out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"chronon: config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"chronon: I/O error: {exc}", file=sys.stderr)

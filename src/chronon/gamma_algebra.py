@@ -1,18 +1,19 @@
 """Dirac-representation matrices as coordinate operators on quantized spacetime.
 
-In Compton units (hbar = c = m = 1).  Builds the block matrices (beta
-diagonal, alpha off-diagonal with Pauli blocks) once, as the read-only
-``BETA`` and ``ALPHA`` that every other layer uses, checks the Clifford
-relations in signature (+,-,-,-), represents the noncommuting coordinates in
-units of the fundamental length a as x_i = kappa*alpha_i and t = kappa_t*beta
-(a^2 cancels from every bracket the generators and normalizations are read
-from), recovers the normalization constants by least squares, extracts
-rotation and boost generators from the coordinate brackets, verifies that
-the angular part carries spin one-half, and checks the rotational covariance
-of the free Hamiltonian for all (momentum, axis) cases in one pass over
-stacked 4x4 arrays, each case through the operations of a lone 4x4 in the
-same order, so its norms are bit-identical to the one-case check.  Only the
-deformation factors take a, as a' = a m c/hbar.
+In Compton units (hbar = c = m = 1).  The one home of the Dirac matrices: the
+read-only ``BETA``, ``ALPHA``, ``GAMMA`` and ``SPIN``, built once at import and
+read by every other layer.  ``verify_clifford`` checks the Clifford relations
+in signature (+,-,-,-).  ``generators(kappa, kappa_t)`` reads the rotation and
+boost generators from the brackets of the coordinates x_i = kappa*alpha_i and
+t = kappa_t*beta, in units of the fundamental length a (a^2 cancels from every
+bracket the generators and normalizations are read from).
+``solve_normalization`` recovers kappa and kappa_t by least squares,
+``spin_spectrum`` and ``is_spin_half`` show the angular part carries spin
+one-half, and ``verify_lorentz_algebra`` checks closure.
+``rotation_covariance_check`` tests ``free_hamiltonian`` for all (momentum,
+axis) cases in one pass over stacked 4x4 arrays, each case through the
+operations of a lone 4x4 in the same order, so its norms are bit-identical to
+the one-case check.  Only the deformation factors take a, as a' = a m c/hbar.
 
 Sign conventions fixed here (the source relations leave them open):
 
@@ -27,7 +28,6 @@ Sign conventions fixed here (the source relations leave them open):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,13 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-# The Dirac representation itself; every DiracMatrixSet shares these arrays.
+# The Dirac representation itself: beta = diag(1,1,-1,-1), alpha_i with sigma_i in both
+# off-diagonal blocks, gamma^i = beta alpha_i (a kron, not a matmul, so importing touches no
+# BLAS buffers) and the spin matrices S_i = Sigma_i/2.
 BETA = _frozen(np.kron(PAULI_Z, I2))
 ALPHA = tuple(_frozen(np.kron(PAULI_X, s)) for s in PAULI)
+GAMMA = (BETA,) + tuple(_frozen(np.kron(1j * PAULI_Y, s)) for s in PAULI)
+SPIN = tuple(_frozen(0.5 * np.kron(I2, s)) for s in PAULI)
 
 
 class NotHermitianError(ValueError):
@@ -71,61 +75,24 @@ METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-@dataclass(frozen=True)
-class DiracMatrixSet:
-    """The named 4x4 matrices of the Dirac representation."""
-
-    beta: np.ndarray
-    alpha: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gamma: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    spin: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def build_dirac_set() -> DiracMatrixSet:
-    """beta = diag(1,1,-1,-1); alpha_i with sigma_i in both off-diagonal blocks."""
-    gamma = (BETA,) + tuple(BETA @ a for a in ALPHA)
-    spin = tuple(0.5 * np.kron(I2, s) for s in PAULI)
-    return DiracMatrixSet(beta=BETA, alpha=ALPHA, gamma=gamma, spin=spin)
-
-
-def verify_clifford(dset: DiracMatrixSet) -> float:
+def verify_clifford() -> float:
     """Max Frobenius residual of {gamma^mu, gamma^nu} = 2 eta^{mu nu} I over all 10 pairs."""
     eye4 = np.eye(4, dtype=complex)
     worst = 0.0
     for mu in range(4):
         for nu in range(mu, 4):
-            g_mu, g_nu = dset.gamma[mu], dset.gamma[nu]
+            g_mu, g_nu = GAMMA[mu], GAMMA[nu]
             res = g_mu @ g_nu + g_nu @ g_mu - 2 * METRIC[mu, nu] * eye4
             worst = max(worst, frobenius(res))
     return worst
 
 
-@dataclass(frozen=True)
-class CoordinateRep:
-    """Coordinate operators in units of a: x_i = kappa*alpha_i, t = kappa_t*beta."""
-
-    t_hat: np.ndarray
-    x_hat: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def coordinate_rep(dset: DiracMatrixSet, kappa: complex, kappa_t: complex) -> CoordinateRep:
-    x_hat = tuple(kappa * a for a in dset.alpha)
-    return CoordinateRep(t_hat=kappa_t * dset.beta, x_hat=x_hat)
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Rotation generators L_i and boost generators M_i extracted from the brackets."""
-
-    L: tuple[np.ndarray, np.ndarray, np.ndarray]
-    M: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def extract_generators(rep: CoordinateRep) -> GeneratorSet:
-    """L_i = [x_j, x_k]/i over the cyclic triples, M_i = [t, x_i]/i."""
-    ls = [(1 / 1j) * commutator(rep.x_hat[j], rep.x_hat[k]) for _, j, k in _CYCLIC]
-    ms = [(1 / 1j) * commutator(rep.t_hat, x) for x in rep.x_hat]
-    return GeneratorSet(L=tuple(ls), M=tuple(ms))
+def generators(kappa: complex, kappa_t: complex):
+    """(L, M) at x_i = kappa*alpha_i, t = kappa_t*beta: L_i = [x_j, x_k]/i over the cyclic
+    triples, the rotation generators, and M_i = [t, x_i]/i, the boost generators."""
+    x_hat, t_hat = tuple(kappa * a for a in ALPHA), kappa_t * BETA
+    return (tuple((1 / 1j) * commutator(x_hat[j], x_hat[k]) for _, j, k in _CYCLIC),
+            tuple((1 / 1j) * commutator(t_hat, x) for x in x_hat))
 
 
 def _levi_civita() -> np.ndarray:
@@ -138,14 +105,13 @@ def _levi_civita() -> np.ndarray:
 _EPS = _levi_civita()
 
 
-def verify_lorentz_algebra(gen: GeneratorSet) -> float:
+def verify_lorentz_algebra(J, K) -> float:
     """Max residual of the J/K closure relations with J = L, K = M.
 
     Checks the three cyclic [J,J] and [K,K] brackets plus all nine [J_i,K_j]
     brackets.  A fully vanishing generator set closes trivially, so a zero
     residual shows closure only for nonzero generators.
     """
-    J, K = gen.L, gen.M
     worst = 0.0
     for i, j, k in _CYCLIC:
         worst = max(worst, frobenius(commutator(J[i], J[j]) - 1j * J[k]))
@@ -157,10 +123,10 @@ def verify_lorentz_algebra(gen: GeneratorSet) -> float:
     return worst
 
 
-def spin_spectrum(gen: GeneratorSet) -> list[np.ndarray]:
+def spin_spectrum(L) -> list[np.ndarray]:
     """Sorted eigenvalues of each L_i (rejects non-Hermitian generators)."""
     spectra = []
-    for i, l in enumerate(gen.L):
+    for i, l in enumerate(L):
         if not is_hermitian(l):
             raise NotHermitianError(f"L_{'xyz'[i]} is not Hermitian")
         spectra.append(np.linalg.eigvalsh(l))
@@ -187,7 +153,7 @@ def _root(z: complex) -> complex:
     return max(r, -r, key=lambda w: (w.real, w.imag))
 
 
-def solve_normalization(dset: DiracMatrixSet) -> tuple[complex, complex, float]:
+def solve_normalization() -> tuple[complex, complex, float]:
     """Recover the coordinate normalizations by least squares on their squares.
 
     [x, y] = kappa^2 [alpha_x, alpha_y] must equal i S_z (in units of a, where
@@ -199,14 +165,13 @@ def solve_normalization(dset: DiracMatrixSet) -> tuple[complex, complex, float]:
     residual being the larger of ||kappa^2 [alpha_x, alpha_y] - i S_z||_F
     and the Lorentz-closure residual at (kappa, kappa_t).
     """
-    bracket = commutator(dset.alpha[0], dset.alpha[1])
-    target = 1j * dset.spin[2]
+    bracket = commutator(ALPHA[0], ALPHA[1])
+    target = 1j * SPIN[2]
     kappa = _root(_least_squares([bracket], [target]))
-    gen = extract_generators(coordinate_rep(dset, kappa, 1.0))
-    J, K1 = gen.L, gen.M
+    J, K1 = generators(kappa, 1.0)
     kappa_t = _root(_least_squares([commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC],
                                    [-1j * J[k] for _, _, k in _CYCLIC]))
-    closure = verify_lorentz_algebra(extract_generators(coordinate_rep(dset, kappa, kappa_t)))
+    closure = verify_lorentz_algebra(*generators(kappa, kappa_t))
     return kappa, kappa_t, max(frobenius(kappa**2 * bracket - target), closure)
 
 
@@ -223,17 +188,16 @@ def mixed_deformation_rhs(a: float, p1: float, p2: float) -> float:
     return a**2 * p1 * p2
 
 
-def free_hamiltonian(dset: DiracMatrixSet, p: np.ndarray) -> np.ndarray:
+def free_hamiltonian(p: np.ndarray) -> np.ndarray:
     """H(p) = alpha.p + beta for momenta of shape (..., 3): one 4x4 per momentum."""
     p = np.asarray(p, dtype=float)
-    h = dset.beta.astype(complex)
+    h = BETA
     for i in range(3):
-        h = h + p[..., i, None, None] * dset.alpha[i]
+        h = h + p[..., i, None, None] * ALPHA[i]
     return h
 
 
-def rotation_covariance_check(dset: DiracMatrixSet,
-                              momenta: np.ndarray) -> tuple[list[float], list[float]]:
+def rotation_covariance_check(momenta: np.ndarray) -> tuple[list[float], list[float]]:
     """Orbital vs orbital-plus-spin rotation action on the free Hamiltonian.
 
     For each row p of the (n, 3) ``momenta`` and each axis i, L_i H =
@@ -243,9 +207,9 @@ def rotation_covariance_check(dset: DiracMatrixSet,
     the spin term is required whenever the first does not.
     """
     p = np.asarray(momenta, dtype=float)
-    h, col = free_hamiltonian(dset, p), p[:, :, None, None]
-    orbital = np.stack([1j * (col[:, j] * dset.alpha[k] - col[:, k] * dset.alpha[j])
+    h, col = free_hamiltonian(p), p[:, :, None, None]
+    orbital = np.stack([1j * (col[:, j] * ALPHA[k] - col[:, k] * ALPHA[j])
                         for _, j, k in _CYCLIC], axis=1)
-    total = orbital + np.stack([commutator(h, s) for s in dset.spin], axis=1)
+    total = orbital + np.stack([commutator(h, s) for s in SPIN], axis=1)
     return tuple([math.hypot(*m) for m in np.abs(a).reshape(-1, 16).tolist()]
                  for a in (orbital, total))

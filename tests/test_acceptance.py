@@ -45,15 +45,9 @@ def announce(capsys):
 
 
 @pytest.fixture(scope="module")
-def dset():
-    return ga.build_dirac_set()
-
-
-@pytest.fixture(scope="module")
-def generators(dset):
-    kappa, kappa_t, _ = ga.solve_normalization(dset)
-    rep = ga.coordinate_rep(dset, kappa, kappa_t)
-    return kappa, kappa_t, ga.extract_generators(rep)
+def generators():
+    kappa, kappa_t, _ = ga.solve_normalization()
+    return kappa, kappa_t, ga.generators(kappa, kappa_t)
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +61,15 @@ def packet_series():
     return series
 
 
-def test_01_clifford_algebra(dset, announce):
-    resid = ga.verify_clifford(dset)
+def test_01_clifford_algebra(announce):
+    resid = ga.verify_clifford()
     announce(1, "clifford algebra residual <= 1e-12", resid <= 1e-12,
              f"residual {resid:.3e}")
 
 
 def test_02_normalization_and_spin(generators, announce):
-    kappa, _, gen = generators
-    spectra = ga.spin_spectrum(gen)
+    kappa, _, (L, _) = generators
+    spectra = ga.spin_spectrum(L)
     ok = abs(kappa - 0.5) <= 1e-8 and ga.is_spin_half(spectra, 1e-12)
     announce(2, "kappa = 1/2 and spin-1/2 spectrum", ok,
              f"kappa {kappa:.10f}")
@@ -88,8 +82,8 @@ def test_03_compton_deformation_factor(announce):
 
 
 def test_04_lorentz_closure(generators, announce):
-    _, _, gen = generators
-    closure = ga.verify_lorentz_algebra(gen)
+    _, _, (L, M) = generators
+    closure = ga.verify_lorentz_algebra(L, M)
     announce(4, "lorentz algebra closure <= 1e-10", closure <= 1e-10,
              f"residual {closure:.3e}")
 
@@ -127,10 +121,10 @@ def test_05_snyder_residuals_and_convergence(announce):
              f"1d {r1:.3e}, 2d {r2:.3e}, 2d floor scaled to {floor2:.1e}")
 
 
-def test_06_rotation_covariance(dset, announce):
+def test_06_rotation_covariance(announce):
     rng = np.random.default_rng(42)
     momenta = rng.uniform(-1.0, 1.0, size=(100, 3))  # in units of m c
-    orbital, total = ga.rotation_covariance_check(dset, momenta)
+    orbital, total = ga.rotation_covariance_check(momenta)
     worst = max(total)
     orbital_ok = True
     for (p, axis), res_orb in zip(itertools.product(momenta, range(3)), orbital):

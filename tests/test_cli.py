@@ -417,6 +417,21 @@ class TestExitStatuses:
         assert proc.stderr.startswith("chronon: config error: out of floating-point range: "
                                       "divide by zero")
 
+    # validate bounds no count from above.  Each of these asks numpy for an array of more
+    # than 2^47 bytes, the whole user address space of a 64-bit process, so the allocation
+    # fails at once and nothing is ever allocated.
+    @pytest.mark.parametrize("argv", [
+        ["zitterbewegung", "--n-samples", 10**15],
+        ["zitterbewegung", "--grid-n", 2**50],
+        ["snyder", "--grid-n", 2**50],
+        ["snyder", "--grid-n-2d", 2**50],
+    ], ids=["zb-n-samples", "zb-grid-n", "snyder-grid-n", "snyder-grid-n-2d"])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--no-emit-plots", "--output-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chronon: config error: out of memory: Unable to allocate ")
+        assert err.count("\n") == 1
+
     def test_unwritable_output_dir_exits_3(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -50,7 +50,7 @@ def positive_series(positive):
 
 def energy_projectors(p):
     """(Lambda_plus, Lambda_minus) = (I +- H/E)/2 for momentum p along z."""
-    h = ga.free_hamiltonian(ga.build_dirac_set(), (0.0, 0.0, p))
+    h = ga.free_hamiltonian((0.0, 0.0, p))
     e = dd.mode_energy(p)
     eye = np.eye(4, dtype=complex)
     return (eye + h / e) / 2, (eye - h / e) / 2
@@ -77,7 +77,7 @@ class TestProjectors:
         np.testing.assert_allclose(vals, [0, 0, 1, 1], atol=1e-12)
 
     def test_mode_hamiltonian_spectrum(self):
-        h = ga.free_hamiltonian(ga.build_dirac_set(), (0.0, 0.0, 0.8))
+        h = ga.free_hamiltonian((0.0, 0.0, 0.8))
         e = dd.mode_energy(0.8)
         np.testing.assert_allclose(np.linalg.eigvalsh(h), [-e, -e, e, e], atol=1e-12)
 
@@ -89,13 +89,12 @@ class TestOneHamiltonian:
         # row by row on random spinors, at momenta given in the units of m = mass,
         # c = 1.5 and converted at the edge into units of m c.
         cfg = RunConfig("zitterbewegung", mass=mass, c=1.5)
-        dset = ga.build_dirac_set()
         rng = np.random.default_rng(11)
         p = np.array([cfg.to_compton(p, MOMENTUM) for p in (-7.0, -0.3, 0.0, 0.25, 4.0)])
         amps = rng.normal(size=(len(p), 4)) + 1j * rng.normal(size=(len(p), 4))
         h_amps = dd._apply_hamiltonian(amps, p)
         for i, p_i in enumerate(p):
-            expected = ga.free_hamiltonian(dset, (0.0, 0.0, p_i)) @ amps[i]
+            expected = ga.free_hamiltonian((0.0, 0.0, p_i)) @ amps[i]
             np.testing.assert_allclose(h_amps[i], expected, rtol=0, atol=1e-13)
 
 

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronon.gamma_algebra import (PAULI_X, PAULI_Y, PAULI_Z, build_dirac_set,
-                                   commutator, frobenius)
+from chronon.gamma_algebra import ALPHA, PAULI_X, PAULI_Y, PAULI_Z, SPIN, commutator, frobenius
 
 
 def finite_complex(max_magnitude=5.0):
@@ -34,11 +33,10 @@ class TestCommutator:
 
     def test_alpha_commutator_gives_big_sigma(self):
         # [alpha_x, alpha_y] = 2i Sigma_z, by direct 4x4 multiplication.
-        dset = build_dirac_set()
-        ax, ay = dset.alpha[0], dset.alpha[1]
+        ax, ay = ALPHA[0], ALPHA[1]
         oracle = ax @ ay - ay @ ax
         np.testing.assert_allclose(commutator(ax, ay), oracle, atol=0)
-        np.testing.assert_allclose(oracle, 2j * (2 * dset.spin[2]), atol=1e-15)
+        np.testing.assert_allclose(oracle, 2j * (2 * SPIN[2]), atol=1e-15)
 
     @given(matrices_2x2(), matrices_2x2())
     def test_antisymmetry(self, a, b):
