@@ -1,7 +1,9 @@
 """Command-line entry point: dispatch experiments, write reports and tables.
 
 Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
-the user's units only the observables they write, as they write them.
+the user's units only the observables they write, as they write them.  ``main`` runs the
+steps ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and
+writes their artifacts, ``report.txt`` and ``manifest.txt`` in one guarded block.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
@@ -19,8 +21,8 @@ import numpy as np
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.config import (COMMANDS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
-                            RunConfig, manifest_lines, read_config_file, resolve)
+from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, PACKET_STEPS, TIME,
+                            ConfigError, RunConfig, manifest_lines, read_config_file, resolve)
 from chronon.reporting import Report, fmt_column, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
@@ -53,7 +55,6 @@ ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| and of p_transverse, in Compt
 AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
-OMEGA_ZB = 2.0  # the rest-frame Zitterbewegung frequency 2 m c^2/hbar
 
 
 def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
@@ -66,6 +67,17 @@ def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
     else:
         ok = abs(measured - expected) <= tol * (abs(expected) if op == "rel" else 1)
         report.add(name, measured * unit, expected * unit, ok)
+
+
+def _write_artifacts(cfg: RunConfig, stem: str, header, columns, plot=None) -> list[str]:
+    """Write ``<stem>.csv`` and, with plots on, ``<stem>.svg`` of ``plot`` = (series, labels,
+    title); the names written."""
+    write_csv(os.path.join(cfg.output_dir, stem + ".csv"), header, columns)
+    if plot is None or not cfg.emit_plots:
+        return [stem + ".csv"]
+    series, labels, title = plot
+    render_line_plot(series, labels, os.path.join(cfg.output_dir, stem + ".svg"), title=title)
+    return [stem + ".csv", stem + ".svg"]
 
 
 def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]:
@@ -133,8 +145,7 @@ def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     by_check: dict[str, list[tuple[int, float]]] = {}
     for check, n, resid in rows:
         by_check.setdefault(check, []).append((n, resid))
-    for check, pairs in by_check.items():
-        pairs.sort()
+    for check, pairs in by_check.items():  # the rungs ascend, so the finest comes last
         finest_n, finest_r = pairs[-1]
         if finest_n < MIN_RESOLVED_N:
             report.add(f"{check} residual (n={finest_n})", finest_r,
@@ -151,9 +162,8 @@ def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
                        "falls >= 4x per doubling (or at floor)" if mono else "violated",
                        ">= 4x per doubling until 1e-12 floor", mono)
     checks, ns, resids = zip(*rows)
-    write_csv(os.path.join(cfg.output_dir, "snyder_residuals.csv"), ["check", "n", "a", "residual"],
-              [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
-    return ["snyder_residuals.csv"]
+    return _write_artifacts(cfg, "snyder_residuals", ["check", "n", "a", "residual"],
+                            [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
 
 
 def _packet_pair_series(cfg: RunConfig):
@@ -175,12 +185,12 @@ def _in_user_units(cfg: RunConfig, *series):
 def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     mixed, positive = series_pair
     meas = dd.measure_oscillation(mixed)
-    _gate(report, "mixed packet oscillation frequency", meas.omega, OMEGA_ZB,
+    _gate(report, "mixed packet oscillation frequency", meas.omega, dd.OMEGA_ZB,
           cfg.to_user(1.0, FREQUENCY))
     length = cfg.to_user(1.0, LENGTH)  # the bound 1/2 is the ZB operator norm at rest
     report.add("mixed packet oscillation amplitude", meas.amplitude * length,
                f"<= hbar/(2mc) = {0.5 * length:g}", meas.amplitude <= 0.5 * (1 + AMPLITUDE_SLACK))
-    pos_amp = dd.amplitude_at(positive, OMEGA_ZB)
+    pos_amp = dd.amplitude_at(positive, dd.OMEGA_ZB)
     _gate(report, "positive-projected component at ZB frequency", pos_amp)
     pos_meas = dd.measure_oscillation(positive)
     report.add("positive-projected spectrum", "no oscillation detected" if not pos_meas.detected
@@ -188,56 +198,47 @@ def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]
                "no oscillation detected", None)
     _gate(report, "mixed/positive amplitude dichotomy", meas.amplitude / max(pos_amp, 1e-300))
     mixed, positive = _in_user_units(cfg, mixed, positive)
-    outputs = ["zitterbewegung.csv"]
-    write_csv(os.path.join(cfg.output_dir, "zitterbewegung.csv"),
-              ["t", "x_mixed", "x_positive"], [mixed.times, mixed.values, positive.values])
-    if cfg.emit_plots:
-        render_line_plot([mixed, positive], ["mixed", "positive-projected"],
-                         os.path.join(cfg.output_dir, "zitterbewegung.svg"),
-                         title="position expectation vs time")
-        outputs.append("zitterbewegung.svg")
-    return outputs
+    return _write_artifacts(cfg, "zitterbewegung", ["t", "x_mixed", "x_positive"],
+                            [mixed.times, mixed.values, positive.values],
+                            ([mixed, positive], ["mixed", "positive-projected"],
+                             "position expectation vs time"))
 
 
 def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     mixed, _positive = series_pair
-    raw_amp = dd.amplitude_at(mixed, OMEGA_ZB)
+    raw_amp = dd.amplitude_at(mixed, dd.OMEGA_ZB)
 
-    avg_period = dd.sliding_average(mixed, np.pi)  # one ZB period, 2 pi/OMEGA_ZB
+    avg_period = dd.sliding_average(mixed, 2 * np.pi / dd.OMEGA_ZB)  # one ZB period
     _gate(report, "full-period window suppression",
-          raw_amp / max(dd.amplitude_at(avg_period, OMEGA_ZB), 1e-300))
+          raw_amp / max(dd.amplitude_at(avg_period, dd.OMEGA_ZB), 1e-300))
 
     avg_compton = dd.sliding_average(mixed, 1.0)  # the Compton time hbar/(m c^2)
-    _gate(report, "Compton window attenuation", dd.amplitude_at(avg_compton, OMEGA_ZB) / raw_amp,
-          abs(np.sinc(1.0 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB * window/2 = 1
+    _gate(report, "Compton window attenuation",
+          dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / raw_amp,
+          abs(np.sinc(dd.OMEGA_ZB * 1.0 / 2 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB window/2
 
     if cfg.window is not None:
         extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))
         report.add(f"user window ({cfg.window:g}) attenuation",
-                   dd.amplitude_at(extra, OMEGA_ZB) / raw_amp, "diagnostic only", None)
+                   dd.amplitude_at(extra, dd.OMEGA_ZB) / raw_amp, "diagnostic only", None)
 
     mixed, avg_compton, avg_period = _in_user_units(cfg, mixed, avg_compton, avg_period)
-    outputs = ["averaging.csv"]
     # sliding_average returns a centred slice of the times, so padding half a
     # window of blanks at each end lines the averaged column up with the raw one.
     half = (len(mixed.values) - len(avg_compton.values)) // 2
     averaged = [""] * half + fmt_column(avg_compton.values) + [""] * half
-    write_csv(os.path.join(cfg.output_dir, "averaging.csv"), ["t", "x_raw", "x_averaged"],
-              [mixed.times, mixed.values, averaged])
-    if cfg.emit_plots:
-        render_line_plot([mixed, avg_compton, avg_period],
-                         ["raw", "compton window", "full-period window"],
-                         os.path.join(cfg.output_dir, "averaging.svg"),
-                         title="Compton-scale averaging")
-        outputs.append("averaging.svg")
-    return outputs
+    return _write_artifacts(cfg, "averaging", ["t", "x_raw", "x_averaged"],
+                            [mixed.times, mixed.values, averaged],
+                            ([mixed, avg_compton, avg_period],
+                             ["raw", "compton window", "full-period window"],
+                             "Compton-scale averaging"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chronon",
                                      description="quantized-spacetime algebra checks "
                                                  "and Dirac wave-packet experiments")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=CHAINS)
     parser.add_argument("--config", default=None, help="flat key = value config file")
     for key, (attr, parse) in KEY_SPECS.items():
         if key == "emit-plots":
@@ -248,15 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-RUNNERS = {
+RUNNERS = {  # step -> runner, for the steps of config.CHAINS
     "verify-algebra": run_verify_algebra,
     "snyder": run_snyder,
     "zitterbewegung": run_zitterbewegung,
     "averaging": run_averaging,
 }
-# command -> the runners it chains, in report order
-CHAINS = {**{name: (name,) for name in RUNNERS}, "all": tuple(RUNNERS)}
-PACKET_RUNNERS = {"zitterbewegung", "averaging"}  # they read the (mixed, positive) pair
 
 
 def main(argv=None) -> int:
@@ -275,15 +273,21 @@ def main(argv=None) -> int:
         print(f"chronon: cannot create output dir: {exc}", file=sys.stderr)
         return 3
 
-    names = CHAINS[cfg.command]
+    steps = CHAINS[cfg.command]
     try:
         # Units far outside the float range overflow, divide by zero or give NaN: numpy
         # raises on each, so the message stays one line.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            series_pair = _packet_pair_series(cfg) if PACKET_RUNNERS.intersection(names) else None
+            series_pair = None if PACKET_STEPS.isdisjoint(steps) else _packet_pair_series(cfg)
             report, outputs = Report(cfg.command), []
-            for name in names:
-                outputs += RUNNERS[name](cfg, series_pair, report)
+            for step in steps:
+                outputs += RUNNERS[step](cfg, series_pair, report)
+        text = report.render()
+        with open(os.path.join(cfg.output_dir, "report.txt"), "w", newline="\n") as fh:
+            fh.write(text)
+        outputs = ["report.txt"] + outputs + ["manifest.txt"]
+        with open(os.path.join(cfg.output_dir, "manifest.txt"), "w", newline="\n") as fh:
+            fh.write("\n".join(manifest_lines(cfg, outputs)) + "\n")
     except ValueError as exc:
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2
@@ -293,17 +297,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the size it could not allocate
         print(f"chronon: config error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"chronon: I/O error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        text = report.render()
-        with open(os.path.join(cfg.output_dir, "report.txt"), "w", newline="\n") as fh:
-            fh.write(text)
-        outputs = ["report.txt"] + outputs
-        with open(os.path.join(cfg.output_dir, "manifest.txt"), "w", newline="\n") as fh:
-            fh.write("\n".join(manifest_lines(cfg, outputs + ["manifest.txt"])) + "\n")
     except OSError as exc:
         print(f"chronon: I/O error: {exc}", file=sys.stderr)
         return 3

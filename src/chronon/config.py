@@ -1,7 +1,9 @@
 """Run configuration: defaults <- config file <- command-line flags.
 
 Config files are flat ``key = value`` text with ``#`` comments; keys use the
-same kebab-case names as the CLI flags.  Unknown keys are rejected.
+same kebab-case names as the CLI flags.  Unknown keys are rejected.  ``CHAINS`` is the
+command table: the parser's choices, the CLI's steps and ``RunConfig.validate``'s per-step
+rules all read it.
 
 The one module that knows hbar, c and m: the layers compute in Compton units
 (momenta in m c, lengths in hbar/(m c), times in hbar/(m c^2)), with the one
@@ -18,7 +20,10 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-COMMANDS = ("verify-algebra", "snyder", "zitterbewegung", "averaging", "all")
+# command -> the steps it runs, in report order; each step is one cli runner.
+_STEPS = ("verify-algebra", "snyder", "zitterbewegung", "averaging")
+CHAINS = {**{step: (step,) for step in _STEPS}, "all": _STEPS}
+PACKET_STEPS = {"zitterbewegung", "averaging"}  # they read the packet's <x>(t) pair
 
 # Exponents of (hbar, mass, c) in the Compton unit of each dimension.
 MOMENTUM, LENGTH, TIME, FREQUENCY = (0, 1, 1), (1, -1, -1), (1, -1, -2), (-1, 1, 2)
@@ -86,8 +91,10 @@ class RunConfig:
         return 1.0 if self.a is None else self.to_compton(self.a, LENGTH)
 
     def validate(self) -> "RunConfig":
-        if self.command not in COMMANDS:
+        if self.command not in CHAINS:
             raise ConfigError(f"unknown command {self.command!r}")
+        steps = CHAINS[self.command]
+        packet = not PACKET_STEPS.isdisjoint(steps)
         value = {key: getattr(self, attr) for key, (attr, _) in KEY_SPECS.items()}
 
         def given(keys: str) -> str:  # "key=value, ..." for each key named, once; floats in %g
@@ -99,7 +106,7 @@ class RunConfig:
                 raise ConfigError(f"{subject} must be {rule}, got {given(keys)}")
         # One rule per key, in order; each rejection names its key and value.  The spectrum
         # of measure_oscillation takes at least 32 samples.
-        least = 32 if self.command in ("zitterbewegung", "all") else 2
+        least = 32 if "zitterbewegung" in steps else 2
         rules = [(key, "finite", math.isfinite(value[key]))
                  for key in _FLOAT_KEYS if value[key] is not None]
         rules.append(("spinor-seed", "4 finite components", len(self.spinor_seed) == 4 and all(
@@ -121,16 +128,16 @@ class RunConfig:
                               for x in (self.p_max, self.p_max_2d, self.sigma_p, self.p0))
         t = self.to_compton(self.t_max, TIME)
         checks = []
-        if self.command in ("verify-algebra", "snyder", "all"):  # the coefficient a'^2
+        if "verify-algebra" in steps or "snyder" in steps:  # the coefficient a'^2
             checks.append(("(a mass c/hbar)^2", a_keys, _product(1.0, (self.a_prime, 2)) < top))
-        if self.command != "verify-algebra":
+        if "snyder" in steps or packet:
             # The witness e^(-p'^2/2) and mode energies square p', the wavenumbers divide by
             # its grid step 2 p'/n; a and <x> scale back.
             checks += [("p-max^2/(mass c)^2", "p-max mass c", p < math.sqrt(top)),
                        ("2 p-max/(grid-n mass c)", "p-max grid-n mass c",
                         _normal_quotient(2 * p, self.grid_n)),
                        ("hbar/(mass c)", "hbar mass c", tiny <= self.to_user(1.0, LENGTH) < top)]
-        if self.command in ("snyder", "all"):
+        if "snyder" in steps:
             # The 2-D witness squares p_x'^2 + p_y'^2; x p f reaches (a' p')^2 p' at an edge.
             checks += [("2 p-max-2d^2/(mass c)^2", "p-max-2d mass c", p_2d < math.sqrt(top / 2)),
                        ("2 p-max-2d/(grid-n-2d mass c)", "p-max-2d grid-n-2d mass c",
@@ -138,7 +145,7 @@ class RunConfig:
             checks += [(f"(a {key}/hbar)^2 {key}/(mass c)", f"{key} {a_keys}",
                         _product(edge, (self.a_prime, 2), (edge, 2)) < top)
                        for key, edge in (("p-max", p), ("p-max-2d", p_2d))]
-        if self.command in ("zitterbewegung", "averaging", "all"):
+        if packet:
             # The envelope squares sigma-p', the trend fit the times t', which scale back
             # to a series whose spacing must stay a normal float to read as uniform.
             checks += [("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
@@ -150,23 +157,23 @@ class RunConfig:
         for name, keys, ok in checks:
             if not ok:
                 raise ConfigError(f"{name} is out of floating-point range at {given(keys)}")
-        if self.command in ("verify-algebra", "snyder"):
+        if not packet:
             return self
+        from chronon.dirac_dynamics import OMEGA_ZB, window_samples  # numpy: packets only
         # The packet's closed-form preconditions, on the Compton-unit values the layers see.
         # sigma-p' >= 2 dp' = 4 p'/grid-n (exact) leaves no aliasing at the dual Nyquist point.
         require(sigma >= math.ldexp(p, 3 - self.grid_n.bit_length()), "sigma-p",
                 "at least 2 grid steps 2 p-max/grid-n", "sigma-p p-max grid-n")
         require(abs(p0) + 6 * sigma <= p, "|p0| + 6 sigma-p", "at most p-max", "p0 sigma-p p-max")
-        # 2 samples per ZB period pi with a 4x margin; an int compares with any float exactly.
+        # 2 samples per ZB period with a 4x margin; an int compares with any float exactly.
         n, in_units = self.n_samples, "t-max n-samples hbar mass c"
-        require(n >= 4 * 2 * t * 2.0 / (2 * math.pi), "n-samples",
+        require(n >= 4 * 2 * t * OMEGA_ZB / (2 * math.pi), "n-samples",
                 "at least 8 t-max/(pi hbar/(mass c^2))", "n-samples t-max hbar mass c")
-        if self.command == "zitterbewegung":
+        if "averaging" not in steps:
             return self
-        from chronon.dirac_dynamics import window_samples  # numpy: averaging and all only
         num, den = t.as_integer_ratio()
         dt = num / (den * (n - 1))  # the series' spacing as np.linspace forms it, for any n
-        windows = [("the full-period window pi hbar/(mass c^2)", math.pi, in_units),
+        windows = [("the full-period window pi hbar/(mass c^2)", 2 * math.pi / OMEGA_ZB, in_units),
                    ("the Compton window hbar/(mass c^2)", 1.0, in_units)]
         if self.window is not None:
             windows.append(("window", self.to_compton(self.window, TIME), "window t-max n-samples"))

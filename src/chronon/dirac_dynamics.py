@@ -13,6 +13,8 @@ per mode (``position_series``), with no per-time evolution; ``evolve`` and
 the modes' phases in blocks of 16 x 16 times from three small phase tables, on
 the calling thread.  The signal analysis below ``position_series`` runs on
 Compton-unit series, so its noise floor and least-squares cutoff are Compton-unit.
+``OMEGA_ZB`` = 2 is the rest-frame ZB frequency; the CLI's gates and windows and the
+config's sampling rule derive from it.
 ``RunConfig.validate`` holds every precondition closed-form in the config (a resolved
 packet inside the box, enough samples, windows that fit); the layers raise only on a
 packet wrapping around the position box and on a projection annihilating it.
@@ -26,6 +28,8 @@ import numpy as np
 
 from chronon.gamma_algebra import ALPHA, BETA
 from chronon.snyder_rep import GridSpec1D, spectral_derivative
+
+OMEGA_ZB = 2.0  # the rest-frame Zitterbewegung frequency 2 m c^2/hbar: mode p rings at OMEGA_ZB E
 
 
 def mode_energy(p):
@@ -127,7 +131,7 @@ def _zb_weights(field: SpinorMomentumField):
     plus = (field.amps + h_amps / e[:, None]) / 2
     minus = field.amps - plus
     weights = (-1j * dp / e) * np.sum(np.conj(plus) * (minus @ ALPHA[2]), axis=1)
-    return float(v), 2 * e, weights
+    return float(v), OMEGA_ZB * e, weights
 
 
 def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,17 +220,13 @@ class OscillationMeasurement:
     detected: bool
 
 
-def _sinusoid_fit(times: np.ndarray, values: np.ndarray, omega: float) -> float:
-    """Amplitude of the best-fit a + b t + A cos(wt) + B sin(wt)."""
-    design = np.column_stack([np.ones_like(times), times,
-                              np.cos(omega * times), np.sin(omega * times)])
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(np.hypot(coeffs[2], coeffs[3]))
-
-
 def amplitude_at(series: TimeSeries, omega: float) -> float:
-    """Oscillation amplitude at a fixed angular frequency (trend removed)."""
-    return _sinusoid_fit(series.times, series.values, omega)
+    """Oscillation amplitude at a fixed angular frequency (trend removed): sqrt(A^2 + B^2) of
+    the least-squares a + b t + A cos(omega t) + B sin(omega t)."""
+    t = series.times
+    design = np.column_stack([np.ones_like(t), t, np.cos(omega * t), np.sin(omega * t)])
+    coeffs, *_ = np.linalg.lstsq(design, series.values, rcond=None)
+    return float(np.hypot(coeffs[2], coeffs[3]))
 
 
 def _median(values: np.ndarray) -> np.float64:
@@ -267,4 +267,4 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
         if denom < 0:
             delta = 0.5 * (lm - lp) / denom
     omega = 2 * np.pi * (peak + delta) / (len(t) * series.dt)
-    return OscillationMeasurement(omega, _sinusoid_fit(t, x, omega), True)
+    return OscillationMeasurement(omega, amplitude_at(series, omega), True)

@@ -52,10 +52,6 @@ GAMMA = (BETA,) + tuple(_frozen(np.kron(1j * PAULI_Y, s)) for s in PAULI)
 SPIN = tuple(_frozen(0.5 * np.kron(I2, s)) for s in PAULI)
 
 
-class NotHermitianError(ValueError):
-    """Matrix fails the Hermiticity tolerance required by the operation."""
-
-
 def is_hermitian(a: np.ndarray, rtol: float = 1e-12) -> bool:
     return np.linalg.norm(a - a.conj().T) <= rtol * max(np.linalg.norm(a), 1.0)
 
@@ -95,16 +91,6 @@ def generators(kappa: complex, kappa_t: complex):
             tuple((1 / 1j) * commutator(t_hat, x) for x in x_hat))
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in _CYCLIC:
-        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
-    return eps
-
-
-_EPS = _levi_civita()
-
-
 def verify_lorentz_algebra(J, K) -> float:
     """Max residual of the J/K closure relations with J = L, K = M.
 
@@ -113,30 +99,26 @@ def verify_lorentz_algebra(J, K) -> float:
     residual shows closure only for nonzero generators.
     """
     worst = 0.0
-    for i, j, k in _CYCLIC:
-        worst = max(worst, frobenius(commutator(J[i], J[j]) - 1j * J[k]))
-        worst = max(worst, frobenius(commutator(K[i], K[j]) + 1j * J[k]))
-    for i in range(3):
-        for j in range(3):
-            target = sum(_EPS[i, j, k] * K[k] for k in range(3))
-            worst = max(worst, frobenius(commutator(J[i], K[j]) - 1j * target))
+    for i, j, k in _CYCLIC:  # [J_i, K_j] = i eps_ijk K_k: +i K_k, -i K_k swapped, 0 at i = j
+        worst = max(worst, frobenius(commutator(J[i], J[j]) - 1j * J[k]),
+                    frobenius(commutator(K[i], K[j]) + 1j * J[k]),
+                    frobenius(commutator(J[i], K[j]) - 1j * K[k]),
+                    frobenius(commutator(J[j], K[i]) + 1j * K[k]),
+                    frobenius(commutator(J[i], K[i])))
     return worst
 
 
 def spin_spectrum(L) -> list[np.ndarray]:
-    """Sorted eigenvalues of each L_i (rejects non-Hermitian generators)."""
-    spectra = []
-    for i, l in enumerate(L):
-        if not is_hermitian(l):
-            raise NotHermitianError(f"L_{'xyz'[i]} is not Hermitian")
-        spectra.append(np.linalg.eigvalsh(l))
-    return spectra
+    """Sorted eigenvalues of each L_i: real for a Hermitian L_i, complex for any other."""
+    return [np.linalg.eigvalsh(l) if is_hermitian(l) else np.sort_complex(np.linalg.eigvals(l))
+            for l in L]
 
 
 def is_spin_half(spectra, tol: float) -> bool:
-    """True iff every L_i has spectrum {-1/2 (x2), +1/2 (x2)}."""
+    """True iff every L_i has the real spectrum {-1/2 (x2), +1/2 (x2)}: a complex spectrum, of
+    a non-Hermitian L_i, is not spin one-half even at eigenvalues +-1/2."""
     target = np.array([-0.5, -0.5, 0.5, 0.5])
-    return all(np.max(np.abs(vals - target)) <= tol for vals in spectra)
+    return all(np.isrealobj(vals) and np.max(np.abs(vals - target)) <= tol for vals in spectra)
 
 
 def _least_squares(brackets, targets) -> complex:

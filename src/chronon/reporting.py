@@ -106,8 +106,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 

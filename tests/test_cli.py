@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from chronon import cli
 from chronon import dirac_dynamics as dd
+from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
-from chronon.config import (COMMANDS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
+from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
                             RunConfig, read_config_file, resolve)
 from chronon.reporting import Report, fmt_number, render_line_plot
 
@@ -138,6 +139,12 @@ class TestConfigResolution:
         path.write_text("mode = mixed\n")
         assert run(["zitterbewegung", "--config", path, "--output-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("text, emit", [("yes", True), ("false", False)])
+    def test_emit_plots_in_config_file(self, tmp_path, text, emit):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"emit-plots = {text}\n")
+        assert read_config_file(str(path)) == {"emit_plots": emit}
+
     def test_spinor_seed_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("spinor-seed = 1, 0, 1j, 0\n")
@@ -171,7 +178,7 @@ def parsed_config(argv):
 
 
 class TestParser:
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", CHAINS)
     def test_every_flag_parses_for_every_command(self, command):
         assert set(FLAG_SAMPLES) == set(KEY_SPECS)
         argv = [command]
@@ -214,7 +221,7 @@ class TestExitStatuses:
         assert capsys.readouterr().err.splitlines()[-1] == \
             "chronon: error: the following arguments are required: command"
 
-    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("command", CHAINS)
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         assert run([command, "--seed", "-1", "--output-dir", tmp_path]) == 2
         assert capsys.readouterr().err == \
@@ -436,6 +443,41 @@ class TestExitStatuses:
         blocker = tmp_path / "file"
         blocker.write_text("x")
         assert run(["snyder", "--output-dir", blocker / "sub"]) == 3
+
+    @pytest.mark.parametrize("blocked", ["zitterbewegung.csv", "report.txt"])
+    def test_unwritable_artifact_exits_3(self, tmp_path, capsys, blocked):
+        # A directory where a runner's CSV, or the report written after the runners, goes.
+        (tmp_path / blocked).mkdir()
+        assert run(["zitterbewegung", "--output-dir", tmp_path] + FAST_ZB) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("chronon: I/O error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("emit-plots = maybe", "bad value for emit-plots: not a boolean: 'maybe'"),
+        ("emit-plots", "expected 'key = value'"),
+    ], ids=["not-a-boolean", "no-equals-sign"])
+    def test_config_file_parse_error_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        assert run(["snyder", "--config", path, "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == f"chronon: config error: {path}:1: {message}\n"
+
+    @pytest.mark.parametrize("scale, spectrum", [
+        (1 + 1j, "[-0.5-0.5j -0.5-0.5j  0.5+0.5j  0.5+0.5j]"),
+        (2, "[-1. -1.  1.  1.]"),
+    ], ids=["non-hermitian", "doubled"])
+    def test_spin_mutant_fails_the_spin_line(self, tmp_path, capsys, monkeypatch, scale,
+                                             spectrum):
+        # Scaling S_i scales kappa^2, so the generators read (1+i) S_i, which is not
+        # Hermitian, or 2 S_i: the spin line FAILs and the report keeps every line.
+        assert run(["verify-algebra", "--output-dir", tmp_path / "default"]) == 0
+        monkeypatch.setattr(ga, "SPIN", tuple(scale * s for s in ga.SPIN))
+        assert run(["verify-algebra", "--output-dir", tmp_path / "mutant"]) == 1
+        assert capsys.readouterr().err == ""
+        default, mutant = (report_lines(tmp_path / name) for name in ("default", "mutant"))
+        assert list(mutant) == list(default)
+        assert mutant["spin spectrum"] == (f"spin spectrum: measured {'; '.join([spectrum] * 3)}, "
+                                           "expected {-0.5 x2, +0.5 x2}: FAIL")
 
     def test_check_failure_exits_1(self, tmp_path):
         # A wide momentum spread pushes the mean interference frequency

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from chronon import cli
 from chronon import gamma_algebra as ga
 from chronon.config import LENGTH, MOMENTUM, TIME, RunConfig
-from chronon.gamma_algebra import NotHermitianError, commutator, frobenius, is_hermitian
+from chronon.gamma_algebra import commutator, frobenius, is_hermitian
 from chronon.reporting import Report
 
 
@@ -235,9 +235,17 @@ class TestGenerators:
         np.testing.assert_allclose(spectra[2], [-2, -2, 2, 2], atol=1e-12)
 
     def test_spin_spectrum_rejects_non_hermitian(self):
+        # A non-Hermitian generator gets its complex spectrum, which is not spin one-half,
+        # not even at eigenvalues exactly +-1/2 (a Jordan block on L_z's +1/2 pair).
         L, _ = ga.generators(*CANONICAL)
-        with pytest.raises(NotHermitianError):
-            ga.spin_spectrum((L[0] + 1j * np.eye(4), L[1], L[2]))
+        shifted = ga.spin_spectrum((L[0] + 1j * np.eye(4), L[1], L[2]))
+        np.testing.assert_allclose(shifted[0], [-0.5 + 1j, -0.5 + 1j, 0.5 + 1j, 0.5 + 1j],
+                                   atol=1e-12)
+        jordan = L[2] + np.outer(np.eye(4)[0], np.eye(4)[2])
+        np.testing.assert_array_equal(np.diag(jordan).real, [0.5, -0.5, 0.5, -0.5])
+        for spectra in (shifted, ga.spin_spectrum((L[0], L[1], jordan))):
+            assert not ga.is_spin_half(spectra, cli.SPIN_TOL)
+        assert ga.is_spin_half(ga.spin_spectrum(L), cli.SPIN_TOL)
 
     def test_rescaling_preserves_multiplicity_pattern(self):
         for s in (0.5, 2.0, 3.7):
