@@ -23,7 +23,7 @@ from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
 from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, PACKET_STEPS, TIME,
                             ConfigError, RunConfig, manifest_lines, read_config_file, resolve)
-from chronon.reporting import Report, fmt_column, render_line_plot, write_csv
+from chronon.reporting import Report, fmt_column, fmt_number, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
 # (comparator, tolerance), a Compton-unit number: gates are judged in Compton units.
@@ -102,7 +102,7 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
         half = cfg.hbar / 2
         spin_half = ga.is_spin_half(spectra, SPIN_TOL)
         report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
-                   "; ".join(str(np.round(s * cfg.hbar, 6)) for s in spectra),
+                   "; ".join(" ".join(map(fmt_number, s * cfg.hbar)) for s in spectra),
                    f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
         _gate(report, "lorentz closure residual", ga.verify_lorentz_algebra(L, M))
         _gate(report, "normalization search residual", resid)

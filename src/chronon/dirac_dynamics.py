@@ -10,9 +10,10 @@ time series of it comes from the Heisenberg-picture solution
 x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
 per mode (``position_series``), with no per-time evolution; ``evolve`` and
 ``expect_position`` are the reference it is checked against.  The series sums
-the modes' phases in blocks of 16 x 16 times from three small phase tables, on
-the calling thread.  The signal analysis below ``position_series`` runs on
-Compton-unit series, so its noise floor and least-squares cutoff are Compton-unit.
+the phases once per distinct live frequency (modes p and -p share omega = 2E),
+in blocks of 16 x 16 times from three small phase tables, on the calling
+thread.  The signal analysis below ``position_series`` runs on Compton-unit
+series, so its noise floor and least-squares cutoff are Compton-unit.
 ``OMEGA_ZB`` = 2 is the rest-frame ZB frequency; the CLI's gates and windows and the
 config's sampling rule derive from it.
 ``RunConfig.validate`` holds every precondition closed-form in the config (a resolved
@@ -107,7 +108,7 @@ class TimeSeries:
 
 
 # Rows and columns of one block of the time grid: each block of _BLOCK**2
-# times is one (_BLOCK x s) @ (s x _BLOCK) complex product over s modes, so
+# times is one (_BLOCK x s) @ (s x _BLOCK) complex product over s frequencies, so
 # memory stays flat in the number of times.
 _BLOCK = 16
 
@@ -147,12 +148,14 @@ def position_series(field: SpinorMomentumField, t_max: float,
     <x>(t) = <x>(0) + v t + Re sum_p C_p (e^{i omega_p t} - 1), with (v, omega,
     C) from ``_zb_weights`` and <x>(0) from ``expect_position``.  Times are
     t = (_BLOCK^2 J + _BLOCK j + k) dt with j, k < _BLOCK, so e^{i omega t} is the
-    product of three phases: one live-mode vector e^{i omega _BLOCK^2 J dt} per block
-    of _BLOCK^2 times, taken with the weights; the _BLOCK x live table
-    e^{i omega _BLOCK j dt}; and the live x _BLOCK table e^{i omega k dt}.  Each
-    block is then one elementwise product into a reused buffer and one complex
-    matrix product, so a series of n times takes (n/_BLOCK^2 + 2 _BLOCK) complex
-    exponentials per live mode and memory stays flat in n.
+    product of three phases, each over the distinct frequencies of the live modes
+    (p and -p ring at one omega, since E(p) = E(-p), and their weights are added):
+    one vector e^{i omega _BLOCK^2 J dt} per block of _BLOCK^2 times, taken with
+    the weights; the _BLOCK x omega table e^{i omega _BLOCK j dt}; and the
+    omega x _BLOCK table e^{i omega k dt}.  Each block is then one elementwise
+    product into a reused buffer and one complex matrix product, so a series of
+    n times takes (n/_BLOCK^2 + 2 _BLOCK) complex exponentials per distinct live
+    frequency and memory stays flat in n.
 
     The formula holds on the whole line, while ``expect_position`` measures on
     the periodic position box of the grid, so the last value is checked
@@ -168,7 +171,10 @@ def position_series(field: SpinorMomentumField, t_max: float,
     # A mode whose weight is exactly 0 (the envelope underflows there) adds
     # exactly nothing, so the tables and products skip it.
     live = weights != 0
-    omega, weights = omega[live], weights[live]
+    # E(p) = E(-p): mirrored modes ring at one omega, summed once with their weights added.
+    omega, slot = np.unique(omega[live], return_inverse=True)
+    w = weights[live]
+    weights = np.bincount(slot, w.real) + 1j * np.bincount(slot, w.imag)
     ticks = np.arange(_BLOCK) * dt
     step, rows = _phases(omega, ticks), _phases(ticks * _BLOCK, omega)
     # Whole blocks only: the last block's sums past t_max are computed and sliced off.

@@ -463,8 +463,8 @@ class TestExitStatuses:
         assert capsys.readouterr().err == f"chronon: config error: {path}:1: {message}\n"
 
     @pytest.mark.parametrize("scale, spectrum", [
-        (1 + 1j, "[-0.5-0.5j -0.5-0.5j  0.5+0.5j  0.5+0.5j]"),
-        (2, "[-1. -1.  1.  1.]"),
+        (1 + 1j, "-0.5-0.5j -0.5-0.5j 0.5+0.5j 0.5+0.5j"),
+        (2, "-1 -1 1 1"),
     ], ids=["non-hermitian", "doubled"])
     def test_spin_mutant_fails_the_spin_line(self, tmp_path, capsys, monkeypatch, scale,
                                              spectrum):

@@ -322,7 +322,8 @@ class TestSeriesPaths:
 def table_series(field, t_max, n_samples):
     """<x>(t) with the Zitterbewegung sum as one whole-array expression of three tables.
 
-    For t = (B^2 J + B j + k) dt, B = _BLOCK: the weights times e^{i w B^2 J dt} per
+    For t = (B^2 J + B j + k) dt, B = _BLOCK: over the distinct live frequencies w,
+    with the weights of the modes sharing one added, the weights times e^{i w B^2 J dt} per
     block J, times e^{i w B j dt} per row j, matrix-multiplied by e^{i w k dt} per
     column k, every block stacked in one array: what ``position_series`` computes
     block by block.
@@ -332,7 +333,9 @@ def table_series(field, t_max, n_samples):
     v, omega, weights = dd._zb_weights(field)
     offset = dd.expect_position(field) - weights.sum().real
     live = weights != 0
-    omega, weights = omega[live], weights[live]
+    omega, slot = np.unique(omega[live], return_inverse=True)
+    w = weights[live]
+    weights = np.bincount(slot, w.real) + 1j * np.bincount(slot, w.imag)
     block = dd._BLOCK
     ticks = np.arange(block) * dt
     step = np.exp(1j * np.outer(omega, ticks))
@@ -380,8 +383,9 @@ class TestSeriesTables:
 
         assert traced_peak(16384) <= traced_peak(4096) + (16384 - 4096) * 56
 
-    def test_exponentials_per_live_mode(self, monkeypatch):
-        # Two tables of 16 phases and one vector per block of 256 times: 48 per live mode.
+    def test_exponentials_per_distinct_frequency(self, monkeypatch):
+        # Two tables of 16 phases and one vector per block of 256 times: 48 per distinct
+        # live frequency.  Modes p and -p share one, so 2048 live modes ring at 1025.
         f = dd.init_packet(GridSpec1D(n=2048, p_max=20.0), 0.0, 2.0, "mixed", SEED)
         live = np.count_nonzero(dd._zb_weights(f)[2])
         counted, exp = [], np.exp
@@ -392,7 +396,7 @@ class TestSeriesTables:
 
         monkeypatch.setattr(dd.np, "exp", counting_exp)
         dd.position_series(f, 50.0, 4096)
-        assert live == 2048 and sum(counted) == 48 * live
+        assert live == 2048 and sum(counted) == 48 * 1025
 
 
 def full_mode_series(field, t_max, n_samples):
@@ -421,20 +425,26 @@ def direct_series(field, t_max, n_samples):
     return dd.expect_position(field) - weights.sum().real + v * times + np.real(zb)
 
 
-SUM_CASES = {  # (mode, n, sigma_p, t_max, has_zeros)
-    "default-mixed": ("mixed", 1024, 0.1, 50.0, True),
-    "default-positive": ("positive", 1024, 0.1, 50.0, True),
-    "packet-wide": ("mixed", 2048, 2.0, 25.0, False),
+SUM_CASES = {  # (mode, n, p_max, p0, sigma_p, t_max, has_zeros)
+    "default-mixed": ("mixed", 1024, 20.0, 0.0, 0.1, 50.0, True),
+    "default-positive": ("positive", 1024, 20.0, 0.0, 0.1, 50.0, True),
+    "packet-wide": ("mixed", 2048, 20.0, 0.0, 2.0, 25.0, False),
+    # Off centre: the modes p and -p share a frequency but not a weight.
+    "moving": ("mixed", 1024, 20.0, 0.7, 0.1, 50.0, True),
+    # Only 749 of the 1024 frequencies are distinct: p and -p coincide bit for bit
+    # for part of the grid only.
+    "odd-p-max": ("mixed", 1024, 13.37, 0.0, 1.0, 50.0, False),
 }
 
 
 class TestZeroWeightModes:
-    """position_series skips the modes whose weight is exactly 0."""
+    """position_series skips the modes whose weight is exactly 0, and sums each
+    distinct frequency once."""
 
     @pytest.mark.parametrize("case", SUM_CASES)
     def test_matches_full_mode_sum(self, case):
-        mode, n, sigma_p, t_max, has_zeros = SUM_CASES[case]
-        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
+        mode, n, p_max, p0, sigma_p, t_max, has_zeros = SUM_CASES[case]
+        f = dd.init_packet(GridSpec1D(n=n, p_max=p_max), p0, sigma_p, mode, SEED)
         _, _, weights = dd._zb_weights(f)
         # The default packet's envelope underflows, so the skip is exercised;
         # packet-wide's has no zero weight and takes every mode as before.
@@ -450,8 +460,8 @@ class TestDirectSum:
 
     @pytest.mark.parametrize("case", SUM_CASES)
     def test_matches_direct_sum(self, case):
-        mode, n, sigma_p, _, _ = SUM_CASES[case]
-        f = dd.init_packet(GridSpec1D(n=n, p_max=20.0), 0.0, sigma_p, mode, SEED)
+        mode, n, p_max, p0, sigma_p, _, _ = SUM_CASES[case]
+        f = dd.init_packet(GridSpec1D(n=n, p_max=p_max), p0, sigma_p, mode, SEED)
         series = dd.position_series(f, 50.0, 4096)
         reference = direct_series(f, 50.0, 4096)
         np.testing.assert_array_less(np.abs(series.values - reference),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronon import dirac_dynamics as dd
 from chronon import snyder_rep as sr
 from chronon.cli import RESIDUAL_FLOOR
 from chronon.config import RunConfig
@@ -150,6 +151,15 @@ class TestGridSpec:
     def test_rejects_bad_pmax(self):
         with pytest.raises(ValueError):
             sr.GridSpec1D(n=16, p_max=0.0)
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    @pytest.mark.parametrize("p_max", [RunConfig("all").p_max, RunConfig("all").p_max_2d])
+    def test_default_grids_mirror_bitwise(self, p_max, n):
+        # The Zitterbewegung series sums each distinct frequency 2E(p) once; on the
+        # default grids p and -p coincide bit for bit, which halves its work.
+        points = sr.GridSpec1D(n=n, p_max=p_max).points
+        assert np.array_equal(points[1:][::-1], -points[1:])
+        assert len(np.unique(dd.OMEGA_ZB * dd.mode_energy(points))) == n // 2 + 1
 
     @pytest.mark.parametrize("name", ["points", "wavenumbers"])
     def test_arrays_cached_read_only(self, name):
