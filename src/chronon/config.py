@@ -1,9 +1,9 @@
 """Run configuration: defaults <- config file <- command-line flags.
 
-Config files are flat ``key = value`` text with ``#`` comments; keys use the
-same kebab-case names as the CLI flags.  Unknown keys are rejected.  ``CHAINS`` is the
-command table: the parser's choices, the CLI's steps and ``RunConfig.validate``'s per-step
-rules all read it.
+Config files are flat ``key = value`` text with ``#`` comments; each ``RunConfig`` field
+after ``command`` is a key, named in kebab-case like its CLI flag.  Unknown keys are
+rejected.  ``CHAINS`` is the command table: the parser's choices, the CLI's steps and
+``RunConfig.validate``'s per-step rules all read it.
 
 The one module that knows hbar, c and m: the layers compute in Compton units
 (momenta in m c, lengths in hbar/(m c), times in hbar/(m c^2)), with the one
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # command -> the steps it runs, in report order; each step is one cli runner.
 _STEPS = ("verify-algebra", "snyder", "zitterbewegung", "averaging")
@@ -147,7 +147,8 @@ class RunConfig:
                        for key, edge in (("p-max", p), ("p-max-2d", p_2d))]
         if packet:
             # The envelope squares sigma-p', the trend fit the times t', which scale back
-            # to a series whose spacing must stay a normal float to read as uniform.
+            # to user-unit times whose spacing must stay a normal float, so that the times
+            # written stay exact and distinct.
             checks += [("sigma-p/(mass c)", "sigma-p mass c", math.sqrt(tiny) <= sigma),
                        ("t-max/(hbar/(mass c^2))", "t-max hbar mass c",
                         math.sqrt(tiny) <= t),
@@ -183,7 +184,6 @@ class RunConfig:
         return self
 
 
-# key -> (attribute, parser)
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("true", "1", "yes"):
         return True
@@ -196,25 +196,11 @@ def _parse_seed_vector(s: str) -> tuple[complex, ...]:
     return tuple(complex(p.strip()) for p in s.split(","))
 
 
-KEY_SPECS = {
-    "hbar": ("hbar", float),
-    "c": ("c", float),
-    "mass": ("mass", float),
-    "a": ("a", float),
-    "grid-n": ("grid_n", int),
-    "p-max": ("p_max", float),
-    "grid-n-2d": ("grid_n_2d", int),
-    "p-max-2d": ("p_max_2d", float),
-    "p0": ("p0", float),
-    "sigma-p": ("sigma_p", float),
-    "spinor-seed": ("spinor_seed", _parse_seed_vector),
-    "t-max": ("t_max", float),
-    "n-samples": ("n_samples", int),
-    "window": ("window", float),
-    "output-dir": ("output_dir", str),
-    "emit-plots": ("emit_plots", _parse_bool),
-    "seed": ("seed", int),
-}
+# key -> (attribute, parser): each RunConfig field after command, kebab-cased, parsed as
+# the type of its default, except these (an unset optional key parses as a float).
+_PARSERS = {bool: _parse_bool, tuple: _parse_seed_vector, type(None): float}
+KEY_SPECS = {f.name.replace("_", "-"): (f.name, _PARSERS.get(type(f.default), type(f.default)))
+             for f in fields(RunConfig)[1:]}
 _FLOAT_KEYS = tuple(key for key, (_, parse) in KEY_SPECS.items() if parse is float)
 
 

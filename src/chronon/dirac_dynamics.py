@@ -97,11 +97,6 @@ class TimeSeries:
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        dt = np.diff(np.asarray(self.times, dtype=float))
-        if dt.size and (np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=0)):
-            raise ValueError("times must be strictly increasing and uniform")
-
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])

@@ -144,8 +144,8 @@ def solve_normalization() -> tuple[complex, complex, float]:
     kappa_t = 1, and kappa_t^2 is the least-squares z of z [K1_i, K1_j] =
     -i J_k over the cyclic triples.  The closed forms kappa = 1/2 and
     kappa_t = i/2 are not used.  Returns (kappa, kappa_t, residual), the
-    residual being the larger of ||kappa^2 [alpha_x, alpha_y] - i S_z||_F
-    and the Lorentz-closure residual at (kappa, kappa_t).
+    residual being ||kappa^2 [alpha_x, alpha_y] - i S_z||_F; the closure at
+    (kappa, kappa_t) is ``verify_lorentz_algebra`` of their ``generators``.
     """
     bracket = commutator(ALPHA[0], ALPHA[1])
     target = 1j * SPIN[2]
@@ -153,8 +153,7 @@ def solve_normalization() -> tuple[complex, complex, float]:
     J, K1 = generators(kappa, 1.0)
     kappa_t = _root(_least_squares([commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC],
                                    [-1j * J[k] for _, _, k in _CYCLIC]))
-    closure = verify_lorentz_algebra(*generators(kappa, kappa_t))
-    return kappa, kappa_t, max(frobenius(kappa**2 * bracket - target), closure)
+    return kappa, kappa_t, frobenius(kappa**2 * bracket - target)
 
 
 def deformation_factor(a: float, p: float) -> float:

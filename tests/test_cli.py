@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
@@ -190,6 +191,23 @@ class TestParser:
         # Flags may also come before the command.
         assert parsed_config(argv[1:] + [command]) == expected
 
+    def test_keys_are_the_fields_after_command(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert names[0] == "command"
+        assert list(KEY_SPECS) == [name.replace("_", "-") for name in names[1:]]
+        assert [attr for attr, _ in KEY_SPECS.values()] == names[1:]
+
+    @pytest.mark.parametrize("key", FLAG_SAMPLES)
+    def test_config_file_key_parses_as_its_flag(self, key, tmp_path):
+        text, value = FLAG_SAMPLES[key]
+        path = tmp_path / "run.conf"
+        path.write_text(f"{key} = {'false' if text is None else text}\n")
+        from_file = resolve("snyder", read_config_file(str(path)), {})
+        from_flag = parsed_config(["snyder"] + ([f"--no-{key}"] if text is None
+                                                else [f"--{key}", text]))
+        assert from_file == from_flag
+        assert getattr(from_file, KEY_SPECS[key][0]) == value
+
     @pytest.mark.parametrize("flags, emit", [([], True), (["--no-emit-plots"], False),
                                              (["--emit-plots"], True)])
     def test_emit_plots_flag(self, flags, emit):
@@ -286,7 +304,7 @@ class TestExitStatuses:
     def test_smallest_normal_user_time_spacing_runs(self, tmp_path, capsys):
         # hbar = 1e-200 puts t-max' = t-max m c^2/hbar near 1e-105, inside the range the
         # trend fit squares; the spacing t-max/(n-samples - 1) of the series in the user's
-        # units must be a normal float for TimeSeries to read it as uniform.
+        # units must be a normal float for the written times to stay exact and distinct.
         argv = ["zitterbewegung", "--hbar", "1e-200", "--n-samples", "33", "--no-emit-plots",
                 "--output-dir", tmp_path]
         edge = 32 * sys.float_info.min
