@@ -3,7 +3,7 @@
 Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
 the user's units only the observables they write, as they write them.  ``main`` runs the
 steps ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and
-writes their artifacts, ``report.txt`` and ``manifest.txt`` in one guarded block.
+makes the output dir and writes every file in one guarded block.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
@@ -22,7 +22,7 @@ from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
 from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, PACKET_STEPS, TIME,
-                            ConfigError, RunConfig, manifest_lines, read_config_file, resolve)
+                            RunConfig, manifest_lines, read_config_file, resolve)
 from chronon.reporting import Report, fmt_column, fmt_number, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
@@ -264,18 +264,13 @@ def main(argv=None) -> int:
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve(args.command, file_values, flag_values)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"chronon: cannot create output dir: {exc}", file=sys.stderr)
-        return 3
-
     steps = CHAINS[cfg.command]
     try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
         # Units far outside the float range overflow, divide by zero or give NaN: numpy
         # raises on each, so the message stays one line.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

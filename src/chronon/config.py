@@ -109,8 +109,9 @@ class RunConfig:
         least = 32 if "zitterbewegung" in steps else 2
         rules = [(key, "finite", math.isfinite(value[key]))
                  for key in _FLOAT_KEYS if value[key] is not None]
-        rules.append(("spinor-seed", "4 finite components", len(self.spinor_seed) == 4 and all(
-            math.isfinite(v.real) and math.isfinite(v.imag) for v in self.spinor_seed)))
+        rules += [("spinor-seed", "4 finite components", len(self.spinor_seed) == 4 and all(
+            math.isfinite(v.real) and math.isfinite(v.imag) for v in self.spinor_seed)),
+                  ("spinor-seed", "nonzero", any(self.spinor_seed))]  # a direction, any scale
         rules += [(key, "strictly positive", value[key] > 0) for key in
                   ("hbar", "c", "mass", "p-max", "p-max-2d", "sigma-p", "t-max", "window")
                   if value[key] is not None]

@@ -52,14 +52,16 @@ class SpinorMomentumField:
 
 def init_packet(grid: GridSpec1D, p0: float, sigma_p: float, mode: str,
                 spinor_seed) -> SpinorMomentumField:
-    """Gaussian envelope times a constant 4-spinor, normalized to unit norm.
+    """Gaussian envelope times the direction of a 4-spinor seed, normalized to unit norm.
 
     mode is "mixed" or "positive"; "positive" applies Lambda_plus mode by mode
     first, and rejects a seed that loses all but 1e-14 of its norm to it.
     """
     p = grid.points
     envelope = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2))
-    amps = envelope[:, None] * np.asarray(spinor_seed, dtype=complex)[None, :]
+    seed = np.asarray(spinor_seed, dtype=complex).view(float)  # (Re, Im) pairs
+    # Scaled in floats to a largest |Re| or |Im| of 1, so no magnitude or quotient overflows.
+    amps = envelope[:, None] * (seed / np.max(np.abs(seed))).view(complex)
     if mode == "positive":
         unprojected = np.sum(np.abs(amps) ** 2)
         amps = (amps + _apply_hamiltonian(amps, p) / mode_energy(p)[:, None]) / 2
@@ -80,14 +82,10 @@ def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
     return SpinorMomentumField(grid=field.grid, amps=amps)
 
 
-def position_expectation(field: SpinorMomentumField) -> complex:
-    """<psi| i d/dp |psi>; the imaginary part is a boundary-safety diagnostic."""
-    deriv = spectral_derivative(field.amps, field.grid)
-    return complex(np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp)
-
-
 def expect_position(field: SpinorMomentumField) -> float:
-    return position_expectation(field).real
+    """Re <psi| i d/dp |psi>."""
+    deriv = spectral_derivative(field.amps, field.grid)
+    return complex(np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp).real
 
 
 @dataclass(frozen=True)

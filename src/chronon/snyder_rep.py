@@ -11,6 +11,7 @@ choice; it is the one that makes the 2-D residual vanish in the continuum.
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
 Real f takes rfft/irfft, which drop the complex path's imaginary Nyquist term.
+Every norm is ``np.linalg.norm``, rescaled where a square leaves the float range.
 The 2-D witness is a product u(p_x) v(p_y), so every operand of the 2-D check is a
 short sum of p_x-factor x p_y-factor pairs: its derivatives are 1-D transforms of
 length n, and only its interior is assembled, by one matrix product per residual.
@@ -23,21 +24,19 @@ from functools import cached_property
 
 import numpy as np
 
-from chronon.gamma_algebra import _frozen
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class GridSpec1D:
-    """Uniform momentum grid p_k = -p_max + 2 p_max k / n, n a power of two."""
+    """Uniform momentum grid p_k = -p_max + 2 p_max k / n: n a power of two >= 8 and
+    p_max > 0, as ``RunConfig.validate`` requires of every grid the CLI builds."""
 
     n: int
     p_max: float
-
-    def __post_init__(self):
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
 
     @property
     def dp(self) -> float:
@@ -94,28 +93,23 @@ def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
     lhs = snyder_position_apply_1d(p * f, grid, a) - p * snyder_position_apply_1d(f, grid, a)
     rhs = 1j * (1.0 + (a * p) ** 2) * f
     inner = interior(grid.n)
-    return _norm_ratio((lhs - rhs)[inner], np.linalg.norm, f[inner])
+    return _norm_ratio((lhs - rhs)[inner], f[inner])
 
 
-def _norm_2d(g: np.ndarray) -> float:
-    # einsum, not np.linalg.norm: OpenBLAS splits a dot product this long over
-    # worker threads, whose wake-up costs more than the sum and slows what follows.
-    return np.sqrt(np.einsum("ij,ij->", g, g))
-
-
-def _norm_ratio(x: np.ndarray, norm, *factors: np.ndarray) -> float:
-    """norm(x) / ||f||, f the outer product of the 1-D ``factors``; where a square, a product
-    or the quotient leaves the float range, it is taken on arrays scaled to a maximum of 1."""
+def _norm_ratio(x: np.ndarray, *factors: np.ndarray) -> float:
+    """||x|| / ||f||, f the outer product of the 1-D ``factors``; where a square, a product
+    or the quotient leaves the float range, it is taken on arrays scaled to a maximum of 1.
+    a' and p' come from user units, so the operands can reach the edge of the float range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_norm = np.prod([np.linalg.norm(g) for g in factors])
-        ratio = norm(x) / f_norm
+        ratio = np.linalg.norm(x) / f_norm
         x_max = 0.0 if 0 < ratio < np.inf and f_norm < np.inf else np.max(np.abs(x))
         if x_max:  # an x of zeros keeps its ratio, 0 (nan where f is 0 too)
             ratio = x_max
             for g in factors:  # ||f|| and max|f| = max|u| max|v|, one factor at a time
                 g_max = np.max(np.abs(g))
                 ratio = ratio / g_max / np.linalg.norm(g / g_max)
-            ratio *= norm(x / x_max)
+            ratio *= np.linalg.norm(x / x_max)
     return float(ratio)
 
 
@@ -162,8 +156,8 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
     mixed = (position([(u, pv)], 0) + negated((col, p * row) for col, row in xf)
              + [(-bp * u, pv)])
 
-    # Only the interior is assembled, each operand as one (m x r) @ (r x m) product;
-    # matmul raises under np.errstate(over="raise") where einsum would not.
+    # Only the interior is assembled, each operand as one (m x r) @ (r x m) product,
+    # which raises on overflow under np.errstate(over="raise").
     inner = interior(grid.n)
 
     def assemble(pairs):
@@ -171,5 +165,4 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
                 @ np.stack([row[inner] for _, row in pairs]))
 
     witness = u[inner], v[inner]
-    return (_norm_ratio(assemble(comm), _norm_2d, *witness),
-            _norm_ratio(assemble(mixed), _norm_2d, *witness))
+    return _norm_ratio(assemble(comm), *witness), _norm_ratio(assemble(mixed), *witness)

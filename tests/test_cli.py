@@ -252,6 +252,7 @@ class TestExitStatuses:
         (["zitterbewegung", "--n-samples", "1"], "n-samples=1"),
         (["all", "--p-max", "nan"], "p-max=nan"),
         (["all", "--spinor-seed", "1,0,1"], "spinor-seed=((1+0j), 0j, (1+0j))"),
+        (["zitterbewegung", "--spinor-seed", "0,0,0,0"], "spinor-seed=(0j, 0j, 0j, 0j)"),
         (["all", "--hbar", "0"], "hbar=0"),
         (["averaging", "--window", "-1"], "window=-1"),
         (["all", "--a", "-1"], "a=-1"),
@@ -276,7 +277,7 @@ class TestExitStatuses:
         (["averaging", "--window", "1e300", "--hbar", "2"],
          "window=1e+300, t-max=50, n-samples=4096"),
     ], ids=["grid-n-2d-100", "grid-n-96", "grid-n-4", "n-samples-1", "p-max-nan",
-            "spinor-seed-3", "hbar-0", "window-negative", "a-negative", "p-max-1e-307",
+            "spinor-seed-3", "spinor-seed-zero", "hbar-0", "window-negative", "a-negative", "p-max-1e-307",
             "p-max-2d-1e-307", "zitterbewegung-p-max-1e-307", "t-max-1e-320", "grid-n-2^1100",
             "n-samples-1e400", "t-max-0", "sigma-p-under-2-steps", "support-past-p-max",
             "undersampled", "n-samples-under-32", "full-period-window-too-long",
@@ -457,10 +458,14 @@ class TestExitStatuses:
         assert err.startswith("chronon: config error: out of memory: Unable to allocate ")
         assert err.count("\n") == 1
 
-    def test_unwritable_output_dir_exits_3(self, tmp_path):
+    def test_unwritable_output_dir_exits_3(self, tmp_path, capsys):
+        # The output dir is made in the guarded block that writes every file.
         blocker = tmp_path / "file"
         blocker.write_text("x")
         assert run(["snyder", "--output-dir", blocker / "sub"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("chronon: I/O error: ")
+        assert str(blocker / "sub") in err
 
     @pytest.mark.parametrize("blocked", ["zitterbewegung.csv", "report.txt"])
     def test_unwritable_artifact_exits_3(self, tmp_path, capsys, blocked):
@@ -673,6 +678,21 @@ class TestZitterbewegungCommand:
         code = run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
                     "--no-emit-plots", "--output-dir", tmp_path])
         assert code != 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scale", [1e-200, 0.5, 1e200])
+    def test_spinor_seed_is_a_direction(self, tmp_path, capsys, scale):
+        # Any nonzero multiple of the seed is the same packet: the seed is scaled to a
+        # largest |Re| or |Im| of 1 before the envelope, so 1e200 does not overflow and
+        # 1e-200 does not underflow.
+        seed = ",".join(str(scale * x) for x in (1, 0, 1, 0))
+        outputs = []
+        for flags in ([], ["--spinor-seed", seed]):
+            out_dir = tmp_path / str(len(outputs))
+            assert run(["zitterbewegung", "--output-dir", out_dir] + FAST_ZB + flags) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("report.txt", "zitterbewegung.csv")])
+        assert outputs[1] == outputs[0]
         assert capsys.readouterr().err == ""
 
     def test_plots_emitted_by_default(self, tmp_path):

@@ -82,8 +82,9 @@ def whole_array_residual_2d(grid, a, f):
     mixed -= py * xf
     mixed -= a**2 * px * py * f
     inner = (sr.interior(grid.n),) * 2
-    fnorm = sr._norm_2d(f[inner])
-    return float(sr._norm_2d(comm[inner]) / fnorm), float(sr._norm_2d(mixed[inner]) / fnorm)
+    fnorm = np.linalg.norm(f[inner])
+    return (float(np.linalg.norm(comm[inner]) / fnorm),
+            float(np.linalg.norm(mixed[inner]) / fnorm))
 
 
 def assert_matches_whole_arrays(got, grid, a, center):
@@ -143,14 +144,18 @@ class TestGridSpec:
         assert grid.points[0] == -20.0
         assert np.allclose(np.diff(grid.points), grid.dp)
 
+    # The grid rules have one home, RunConfig.validate, which checks every grid the CLI
+    # builds; GridSpec1D does not repeat them.
     @pytest.mark.parametrize("n", [7, 12, 100, 4])
     def test_rejects_non_power_of_two(self, n):
-        with pytest.raises(ValueError):
-            sr.GridSpec1D(n=n, p_max=1.0)
+        for key in ("grid_n", "grid_n_2d"):
+            with pytest.raises(ValueError, match=f"^{key.replace('_', '-')} must be a power"):
+                RunConfig("snyder", **{key: n}).validate()
 
     def test_rejects_bad_pmax(self):
-        with pytest.raises(ValueError):
-            sr.GridSpec1D(n=16, p_max=0.0)
+        for key in ("p_max", "p_max_2d"):
+            with pytest.raises(ValueError, match=f"^{key.replace('_', '-')} must be strictly"):
+                RunConfig("snyder", **{key: 0.0}).validate()
 
     @pytest.mark.parametrize("n", [256, 1024, 2048])
     @pytest.mark.parametrize("p_max", [RunConfig("all").p_max, RunConfig("all").p_max_2d])
