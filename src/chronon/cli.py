@@ -1,9 +1,10 @@
 """Command-line entry point: dispatch experiments, write reports and tables.
 
 Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
-the user's units only the observables they write, as they write them.  ``main`` runs the
-steps ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and
-makes the output dir and writes every file in one guarded block.
+the user's units only the observables they write, as they write them.  ``main`` reads the
+config, runs the steps ``config.CHAINS`` names for the command, each through its ``RUNNERS``
+entry, and makes the output dir and writes every file in one guarded block, which maps each
+failure to its exit status.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
@@ -125,7 +126,8 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
 
 def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
     """(check, n, residual) rows of the 1-D and 2-D checks at the given grid sizes, on the
-    witness e^(-p^2/2), 1 m c wide, and u(p_x) u(p_y) in 2-D; residuals in Compton units."""
+    witness u(p) = e^(-p^2/2), 1 m c wide, and in 2-D on u(p_x - 1/2) u(p_y), off centre
+    so that L_z f, the i a'^2 L_z side of [x, y] f, is not 0; residuals in Compton units."""
     rows, a, label = [], cfg.a_prime, "canonical-limit-" if cfg.a == 0 else ""
     for n in ns_1d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
@@ -133,8 +135,8 @@ def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
                      sr.heisenberg_residual_1d(grid, a, sr.gaussian_1d(grid))))
     for n in ns_2d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM))
-        u = sr.gaussian_1d(grid).real
-        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, u, u)
+        u_x, u_y = (sr.gaussian_1d(grid, center).real for center in (0.5, 0.0))
+        r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, u_x, u_y)
         rows += [(f"{label}coordinate-xy-2d", n, r_xy), (f"{label}mixed-2d", n, r_mixed)]
     return rows
 
@@ -264,12 +266,7 @@ def main(argv=None) -> int:
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg = resolve(args.command, file_values, flag_values)
-    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
-        print(f"chronon: config error: {exc}", file=sys.stderr)
-        return 2
-
-    steps = CHAINS[cfg.command]
-    try:
+        steps = CHAINS[cfg.command]
         os.makedirs(cfg.output_dir, exist_ok=True)
         # Units far outside the float range overflow, divide by zero or give NaN: numpy
         # raises on each, so the message stays one line.
@@ -284,7 +281,7 @@ def main(argv=None) -> int:
         outputs = ["report.txt"] + outputs + ["manifest.txt"]
         with open(os.path.join(cfg.output_dir, "manifest.txt"), "w", newline="\n") as fh:
             fh.write("\n".join(manifest_lines(cfg, outputs)) + "\n")
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError is a ValueError
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

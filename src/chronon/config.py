@@ -159,6 +159,8 @@ class RunConfig:
         for name, keys, ok in checks:
             if not ok:
                 raise ConfigError(f"{name} is out of floating-point range at {given(keys)}")
+        for key in ("grid-n", "grid-n-2d", "n-samples"):  # the most 64-byte spinor rows numpy sizes
+            require(value[key] <= sys.maxsize // 64, key, f"at most {sys.maxsize // 64}", key)
         if not packet:
             return self
         from chronon.dirac_dynamics import OMEGA_ZB, window_samples  # numpy: packets only
@@ -207,22 +209,26 @@ _FLOAT_KEYS = tuple(key for key, (_, parse) in KEY_SPECS.items() if parse is flo
 
 def read_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in KEY_SPECS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            attr, parse = KEY_SPECS[key]
-            try:
-                values[attr] = parse(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:  # a file that cannot be opened or read is a config error too
+        raise ConfigError(str(exc)) from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in KEY_SPECS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        attr, parse = KEY_SPECS[key]
+        try:
+            values[attr] = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 

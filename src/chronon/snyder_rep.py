@@ -82,9 +82,9 @@ def interior(n: int) -> slice:
     return slice(margin, n - margin)
 
 
-def gaussian_1d(grid: GridSpec1D) -> np.ndarray:
-    """The witness e^(-p^2/2), as a complex array."""
-    return np.exp(-(grid.points ** 2) / 2).astype(complex)
+def gaussian_1d(grid: GridSpec1D, center: float = 0.0) -> np.ndarray:
+    """The witness e^(-(p - center)^2/2), as a complex array."""
+    return np.exp(-((grid.points - center) ** 2) / 2).astype(complex)
 
 
 def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:

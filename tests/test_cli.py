@@ -31,9 +31,8 @@ def run(args):
 
 
 def gaussian_2d(grid):
-    """The 2-D Snyder witness on the whole grid: a product of two 1-D Gaussians."""
-    g = sr.gaussian_1d(grid).real
-    return np.outer(g, g)
+    """The 2-D Snyder witness on the whole grid: e^(-(p_x - 1/2)^2/2) e^(-p_y^2/2)."""
+    return np.outer(sr.gaussian_1d(grid, 0.5).real, sr.gaussian_1d(grid).real)
 
 
 class TestConfigResolution:
@@ -265,6 +264,14 @@ class TestExitStatuses:
         # Counts beyond the float range: the quotients are taken exactly.
         (["snyder", "--grid-n", str(2**1100)], f"grid-n={2**1100},"),
         (["averaging", "--n-samples", str(10**400)], f"n-samples={10**400}"),
+        # Counts whose 64-byte spinor rows numpy cannot describe.
+        (["snyder", "--grid-n", str(2**62)], f"at most {sys.maxsize // 64}, got grid-n={2**62}"),
+        (["snyder", "--grid-n-2d", str(2**62)],
+         f"at most {sys.maxsize // 64}, got grid-n-2d={2**62}"),
+        (["zitterbewegung", "--grid-n", str(2**62)],
+         f"at most {sys.maxsize // 64}, got grid-n={2**62}"),
+        (["zitterbewegung", "--n-samples", str(10**20)],
+         f"at most {sys.maxsize // 64}, got n-samples={10**20}"),
         (["zitterbewegung", "--t-max", "0"], "t-max=0"),
         # The packet's closed-form preconditions, named in the user's units.
         (["zitterbewegung", "--sigma-p", "0.05"], "sigma-p=0.05, p-max=20, grid-n=1024"),
@@ -279,9 +286,10 @@ class TestExitStatuses:
     ], ids=["grid-n-2d-100", "grid-n-96", "grid-n-4", "n-samples-1", "p-max-nan",
             "spinor-seed-3", "spinor-seed-zero", "hbar-0", "window-negative", "a-negative", "p-max-1e-307",
             "p-max-2d-1e-307", "zitterbewegung-p-max-1e-307", "t-max-1e-320", "grid-n-2^1100",
-            "n-samples-1e400", "t-max-0", "sigma-p-under-2-steps", "support-past-p-max",
-            "undersampled", "n-samples-under-32", "full-period-window-too-long",
-            "window-under-2-intervals", "window-too-long"])
+            "n-samples-1e400", "snyder-grid-n-2^62", "snyder-grid-n-2d-2^62",
+            "zitterbewegung-grid-n-2^62", "n-samples-1e20", "t-max-0", "sigma-p-under-2-steps",
+            "support-past-p-max", "undersampled", "n-samples-under-32",
+            "full-period-window-too-long", "window-under-2-intervals", "window-too-long"])
     def test_each_rule_names_its_key(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--output-dir", tmp_path]) == 2
         err = capsys.readouterr().err
@@ -443,7 +451,7 @@ class TestExitStatuses:
         assert proc.stderr.startswith("chronon: config error: out of floating-point range: "
                                       "divide by zero")
 
-    # validate bounds no count from above.  Each of these asks numpy for an array of more
+    # Below validate's count bound of 2^57 - 1, each of these asks numpy for an array of more
     # than 2^47 bytes, the whole user address space of a 64-bit process, so the allocation
     # fails at once and nothing is ever allocated.
     @pytest.mark.parametrize("argv", [
@@ -457,6 +465,17 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("chronon: config error: out of memory: Unable to allocate ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, errno", [("missing.cfg", 2), ("", 21)],
+                             ids=["missing", "a-directory"])
+    def test_unopenable_config_exits_2(self, tmp_path, capsys, name, errno):
+        # The config file is read in the block that maps every failure to its status.
+        path = tmp_path / name
+        assert run(["snyder", "--config", path, "--output-dir", tmp_path / "out"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"chronon: config error: [Errno {errno}] " \
+            f"{os.strerror(errno)}: '{path}'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_dir_exits_3(self, tmp_path, capsys):
         # The output dir is made in the guarded block that writes every file.

@@ -517,6 +517,25 @@ class TestSlidingAverage:
         expected = abs(np.sin(omega * w_eff / 2) / (omega * w_eff / 2))
         assert dd.amplitude_at(out, omega) == pytest.approx(expected, rel=0.02)
 
+    @pytest.mark.parametrize("p0, sigma_p, n, window, n_samples", [
+        (0.0, 0.1, 1024, np.pi, 4096), (0.0, 0.1, 1024, 1.0, 4096),
+        (0.7, 0.1, 1024, np.pi, 4096), (0.7, 0.1, 1024, 1.0, 4096),
+        (0.0, 2.0, 2048, np.pi, 4096), (0.0, 2.0, 2048, 1.0, 4096),
+        (0.0, 0.1, 1024, 2.5, 20000), (0.0, 0.1, 1024, 0.01, 65536),
+    ], ids=["default-period", "default-compton", "p0-0.7-period", "p0-0.7-compton",
+            "packet-wide-period", "packet-wide-compton", "window-2.5", "window-0.01"])
+    def test_running_sums_match_convolution(self, p0, sigma_p, n, window, n_samples):
+        # The reference: each k-sample mean taken directly, by np.convolve.
+        grid = GridSpec1D(n=n, p_max=20.0)
+        series = dd.position_series(dd.init_packet(grid, p0, sigma_p, "mixed", SEED), 50.0,
+                                    n_samples)
+        k = dd.window_samples(series.dt, window)
+        reference = np.convolve(series.values, np.full(k, 1.0 / k), mode="valid")
+        out = dd.sliding_average(series, window)
+        np.testing.assert_array_equal(out.times, series.times[k // 2:n_samples - k // 2])
+        np.testing.assert_array_less(np.abs(out.values - reference),
+                                     2e-15 * np.maximum(1.0, np.abs(reference)))
+
     # validate holds every window to the series the averaging command samples, here
     # 64 samples over [0, 10]: at least 2 intervals of 10/63, at most the 64 samples.
     SERIES = {"t_max": 10.0, "n_samples": 64}

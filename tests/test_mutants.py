@@ -1,7 +1,7 @@
 """Every gate can FAIL: a named physics mutant, run through ``main``, FAILs its lines.
 
 Each row of ``MUTANTS`` names a defect of the physics, applies it with ``monkeypatch``
-and runs one command end to end; every ``cli.GATES`` line the row names must then
+and runs one command line end to end; every ``cli.GATES`` line the row names must then
 read FAIL, and the run must end in its report (exit 1), not in a config error.  The
 gates no mutant reaches yet are listed in ``NO_MUTANT_YET``, so that a new gate either
 brings its mutant or is listed there on purpose.
@@ -40,6 +40,13 @@ def quartered_snyder_coefficient(monkeypatch):
     monkeypatch.setattr(sr, "snyder_position_apply_1d", position)
 
 
+def scaled_derivative(monkeypatch):
+    """The spectral derivative x (1 + 1e-4): every position operator is 1e-4 too large."""
+    derivative = sr.spectral_derivative
+    monkeypatch.setattr(sr, "spectral_derivative",
+                        lambda f, grid: (1 + 1e-4) * derivative(f, grid))
+
+
 def leaky_projection(monkeypatch):
     """Lambda_plus leaks 1e-6 of the mixed packet into the positive-energy one."""
     init = dd.init_packet
@@ -69,30 +76,31 @@ def heavier_mass(monkeypatch):
         p[:, None] * (amps @ ga.ALPHA[2]) + 1.02 * (amps @ ga.BETA)))
 
 
-# mutant -> (argv, the GATES lines it FAILs)
-MUTANTS = {
-    scaled_gamma_1: (["verify-algebra"], ["clifford residual"]),
-    scaled_alpha: (["verify-algebra"], ["normalization kappa"]),
-    flipped_spin: (["verify-algebra"], ["lorentz closure residual",
+# (mutant, argv, the GATES lines it FAILs)
+MUTANTS = [
+    (scaled_gamma_1, ["verify-algebra"], ["clifford residual"]),
+    (scaled_alpha, ["verify-algebra"], ["normalization kappa"]),
+    (flipped_spin, ["verify-algebra"], ["lorentz closure residual",
                                         "normalization search residual",
                                         "rotation covariance max total residual"]),
-    quartered_snyder_coefficient: (["snyder"], ["heisenberg-1d residual"]),
-    leaky_projection: (["zitterbewegung"], ["positive-projected component at ZB frequency",
+    (quartered_snyder_coefficient, ["snyder"], ["heisenberg-1d residual"]),
+    (scaled_derivative, ["snyder"], ["heisenberg-1d residual", "coordinate-xy-2d residual",
+                                     "mixed-2d residual"]),
+    (scaled_derivative, ["snyder", "--a", "0"], ["canonical-limit-heisenberg-1d residual"]),
+    (leaky_projection, ["zitterbewegung"], ["positive-projected component at ZB frequency",
                                             "mixed/positive amplitude dichotomy"]),
-    widened_window: (["averaging"], ["full-period window suppression",
+    (widened_window, ["averaging"], ["full-period window suppression",
                                      "Compton window attenuation"]),
-    heavier_mass: (["zitterbewegung"], ["mixed packet oscillation frequency"]),
-}
+    (heavier_mass, ["zitterbewegung"], ["mixed packet oscillation frequency"]),
+]
 
 # Gates that no mutant FAILs yet.  The two deformation-factor lines compare
-# deformation_factor with its own formula; scaling a inside the 2-D residual scales
-# its target too; the canonical-limit lines run at a = 0, where the deformed terms vanish.
+# deformation_factor with its own formula.  The canonical-limit 2-D lines run at a = 0,
+# where x and y are i d/dp_x and i d/dp_y: they commute with each other and with p_y
+# whatever is wrong with the derivative, so both brackets vanish for any such defect.
 NO_MUTANT_YET = {
     "Compton deformation factor",
     "deformation factor (a=0)",
-    "coordinate-xy-2d residual",
-    "mixed-2d residual",
-    "canonical-limit-heisenberg-1d residual",
     "canonical-limit-coordinate-xy-2d residual",
     "canonical-limit-mixed-2d residual",
 }
@@ -106,9 +114,9 @@ def statuses(argv, out_dir):
                   for line in lines if ": measured " in line}
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.__name__)
-def test_mutant_fails_its_gates(mutant, monkeypatch, tmp_path, capsys):
-    argv, gates = MUTANTS[mutant]
+@pytest.mark.parametrize("mutant, argv, gates", MUTANTS,
+                         ids=[" ".join([m.__name__, *argv[1:]]) for m, argv, _ in MUTANTS])
+def test_mutant_fails_its_gates(mutant, argv, gates, monkeypatch, tmp_path, capsys):
     mutant(monkeypatch)
     code, status = statuses(argv, tmp_path)
     assert capsys.readouterr().err == ""
@@ -117,14 +125,17 @@ def test_mutant_fails_its_gates(mutant, monkeypatch, tmp_path, capsys):
 
 
 def test_gates_pass_without_a_mutant(tmp_path):
-    # The control: the same lines PASS on the unmutated battery.
-    code, status = statuses(["all"], tmp_path)
-    gates = [gate for _, names in MUTANTS.values() for gate in names]
-    assert code == 0
+    # The control: the same lines PASS on the unmutated battery and at a = 0.
+    status = {}
+    for argv in (["all"], ["snyder", "--a", "0"]):
+        code, run_status = statuses(argv, tmp_path / "-".join(argv))
+        assert code == 0
+        status.update(run_status)
+    gates = [gate for _, _, names in MUTANTS for gate in names]
     assert {gate: status[gate] for gate in gates} == dict.fromkeys(gates, "PASS")
 
 
 def test_every_gate_has_a_mutant_or_is_listed():
-    covered = {gate for _, names in MUTANTS.values() for gate in names}
+    covered = {gate for _, _, names in MUTANTS for gate in names}
     assert covered.isdisjoint(NO_MUTANT_YET)
     assert covered | NO_MUTANT_YET == set(GATES)
