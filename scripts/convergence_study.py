@@ -10,14 +10,14 @@ floor, which scales with the deformation coefficient 1 + (a' p_max')^2.
     python3 scripts/convergence_study.py
 """
 
-from chronon.cli import _snyder_rows
+from chronon.cli import snyder_rows
 from chronon.config import RunConfig
 
 
 def main() -> None:
     cfg = RunConfig("snyder")  # the rows of ``chronon snyder`` at other grid sizes
     ns_1d, ns_2d = (16, 32, 64, 128, 256, 512, 1024), (16, 32, 64, 128, 256)
-    rows = _snyder_rows(cfg, ns_1d, ns_2d)
+    rows = snyder_rows(cfg, ns_1d, ns_2d)
     res = {(check, n): r for check, n, r in rows}
 
     print(f"1-D deformed Heisenberg residual (p_max = {cfg.p_max:g})")

@@ -124,7 +124,7 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
     return []
 
 
-def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
+def snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
     """(check, n, residual) rows of the 1-D and 2-D checks at the given grid sizes, on the
     witness u(p) = e^(-p^2/2), 1 m c wide, and in 2-D on u(p_x - 1/2) u(p_y), off centre
     so that L_z f, the i a'^2 L_z side of [x, y] f, is not 0; residuals in Compton units."""
@@ -135,7 +135,7 @@ def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
                      sr.heisenberg_residual_1d(grid, a, sr.gaussian_1d(grid))))
     for n in ns_2d:
         grid = sr.GridSpec1D(n=n, p_max=cfg.to_compton(cfg.p_max_2d, MOMENTUM))
-        u_x, u_y = (sr.gaussian_1d(grid, center).real for center in (0.5, 0.0))
+        u_x, u_y = (sr.gaussian_1d(grid, center) for center in (0.5, 0.0))
         r_xy, r_mixed = sr.coordinate_commutator_residual_2d(grid, a, u_x, u_y)
         rows += [(f"{label}coordinate-xy-2d", n, r_xy), (f"{label}mixed-2d", n, r_mixed)]
     return rows
@@ -144,7 +144,7 @@ def _snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
 def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
                     for n in (cfg.grid_n, cfg.grid_n_2d))
-    rows = _snyder_rows(cfg, ns_1d, ns_2d)
+    rows = snyder_rows(cfg, ns_1d, ns_2d)
     by_check: dict[str, list[tuple[int, float]]] = {}
     for check, n, resid in rows:
         by_check.setdefault(check, []).append((n, resid))
@@ -217,13 +217,14 @@ def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
 
     avg_compton = dd.sliding_average(mixed, 1.0)  # the Compton time hbar/(m c^2)
     _gate(report, "Compton window attenuation",
-          dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / raw_amp,
+          dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / max(raw_amp, 1e-300),
           abs(np.sinc(dd.OMEGA_ZB * 1.0 / 2 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB window/2
 
     if cfg.window is not None:
         extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))
         report.add(f"user window ({cfg.window:g}) attenuation",
-                   dd.amplitude_at(extra, dd.OMEGA_ZB) / raw_amp, "diagnostic only", None)
+                   dd.amplitude_at(extra, dd.OMEGA_ZB) / max(raw_amp, 1e-300),
+                   "diagnostic only", None)
 
     mixed, avg_compton, avg_period = _in_user_units(cfg, mixed, avg_compton, avg_period)
     # sliding_average returns a centred slice of the times, so padding half a

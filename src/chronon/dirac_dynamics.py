@@ -5,7 +5,7 @@ dimension (momentum along z) with full 4-spinors.  Evolution is exact per
 momentum mode through the closed-form propagator
 exp(-i H t) = cos(E t) I - i sin(E t) H/E, so every measured frequency and
 amplitude reflects the dynamics, not an integrator.  The position expectation
-is taken directly in momentum space via the spectral derivative.  A whole
+is taken in momentum space, differentiating the amplitudes' float view.  A whole
 time series of it comes from the Heisenberg-picture solution
 x(t) = x(0) + p H^-1 t + Zitterbewegung term, one weight and one frequency 2E
 per mode (``position_series``), with no per-time evolution; ``evolve`` and
@@ -83,8 +83,8 @@ def evolve(field: SpinorMomentumField, t: float) -> SpinorMomentumField:
 
 
 def expect_position(field: SpinorMomentumField) -> float:
-    """Re <psi| i d/dp |psi>."""
-    deriv = spectral_derivative(field.amps, field.grid)
+    """Re <psi| i d/dp |psi>, the complex amplitudes differentiated as their float view."""
+    deriv = spectral_derivative(field.amps.view(float), field.grid).view(complex)
     return complex(np.sum(np.conj(field.amps) * (1j * deriv)) * field.grid.dp).real
 
 

@@ -10,7 +10,8 @@ choice; it is the one that makes the 2-D residual vanish in the continuum.
 
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
-Real f takes rfft/irfft, which drop the complex path's imaginary Nyquist term.
+Every derivative is a real half-spectrum transform (rfft/irfft): a complex field is
+differentiated as its float view, so no imaginary Nyquist term arises.
 Every norm is ``np.linalg.norm``, rescaled where a square leaves the float range.
 The 2-D witness is a product u(p_x) v(p_y), so every operand of the 2-D check is a
 short sum of p_x-factor x p_y-factor pairs: its derivatives are 1-D transforms of
@@ -49,25 +50,21 @@ class GridSpec1D:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        # Fourier duals of the p axis: positions, in Compton wavelengths.
-        return _frozen(2 * np.pi * np.fft.fftfreq(self.n, d=self.dp))
+        # The half spectrum's Fourier duals of the p axis: positions, in Compton wavelengths.
+        return _frozen(2 * np.pi * np.fft.rfftfreq(self.n, d=self.dp))
 
 
 def spectral_derivative(f: np.ndarray, grid: GridSpec1D) -> np.ndarray:
-    """d f / dp along axis 0 by FFT; a real f takes rfft/irfft and gives a real
-    result, without the imaginary Nyquist term that the complex path keeps."""
-    real = np.isrealobj(f)
-    f = np.asarray(f, dtype=float if real else complex)
+    """d f / dp along axis 0 of a real f, by rfft/irfft on the half spectrum.  A complex
+    field is differentiated as its float view, its (Re, Im) pairs side by side."""
+    if np.iscomplexobj(f):
+        raise ValueError("spectral_derivative takes a real array; pass a complex one's float view")
+    f = np.asarray(f, dtype=float)
     if len(f) != grid.n:
         raise ValueError(f"axis 0 has {len(f)} samples, grid has {grid.n}")
-    shape = (-1,) + (1,) * (f.ndim - 1)
-    if real:
-        spectrum = np.fft.rfft(f, axis=0)
-        spectrum *= 1j * grid.wavenumbers[:grid.n // 2 + 1].reshape(shape)
-        return np.fft.irfft(spectrum, n=grid.n, axis=0)
-    spectrum = np.fft.fft(f, axis=0)
-    spectrum *= 1j * grid.wavenumbers.reshape(shape)
-    return np.fft.ifft(spectrum, axis=0, out=spectrum)
+    spectrum = np.fft.rfft(f, axis=0)
+    spectrum *= 1j * grid.wavenumbers.reshape((-1,) + (1,) * (f.ndim - 1))
+    return np.fft.irfft(spectrum, n=grid.n, axis=0)
 
 
 def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D, a: float) -> np.ndarray:
@@ -83,8 +80,8 @@ def interior(n: int) -> slice:
 
 
 def gaussian_1d(grid: GridSpec1D, center: float = 0.0) -> np.ndarray:
-    """The witness e^(-(p - center)^2/2), as a complex array."""
-    return np.exp(-((grid.points - center) ** 2) / 2).astype(complex)
+    """The real witness e^(-(p - center)^2/2)."""
+    return np.exp(-((grid.points - center) ** 2) / 2)
 
 
 def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
@@ -116,14 +113,12 @@ def _norm_ratio(x: np.ndarray, *factors: np.ndarray) -> float:
 def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
                                       v: np.ndarray) -> tuple[float, float]:
     """Relative residuals (r_xy, r_mixed) of the 2-D commutator identities on the
-    separable witness f = u(p_x) v(p_y), both axes on ``grid``.
+    separable witness f = u(p_x) v(p_y), u and v real and both axes on ``grid``.
 
     r_xy checks [x, y] f = i a^2 L_z f; r_mixed checks [x, p_y] f =
     i a^2 p_x p_y f.  Each operand is a sum of (p_x factor) x (p_y factor) pairs, and
     d/dp_x and d/dp_y each act on one factor, so the 8 distinct derivatives are 1-D.
     """
-    if np.iscomplexobj(u) or np.iscomplexobj(v):
-        raise ValueError("the 2-D witness factors u and v must be real arrays")
     p, b = grid.points, a**2
     diag, bp = 1.0 + b * p * p, b * p
     derivatives = {}  # id(factor) -> (factor, its derivative): each is taken once

@@ -92,7 +92,7 @@ def test_05_snyder_residuals_and_convergence(announce):
     grid1 = sr.GridSpec1D(n=1024, p_max=20.0)
     r1 = sr.heisenberg_residual_1d(grid1, A_PRIME, sr.gaussian_1d(grid1))
     grid2 = sr.GridSpec1D(n=256, p_max=12.0)
-    g2 = sr.gaussian_1d(grid2).real
+    g2 = sr.gaussian_1d(grid2)
     r2, _ = sr.coordinate_commutator_residual_2d(grid2, A_PRIME, g2, g2)
 
     seq1 = []
@@ -106,7 +106,7 @@ def test_05_snyder_residuals_and_convergence(announce):
     seq2 = []
     for n in (16, 32, 64):
         g = sr.GridSpec1D(n=n, p_max=12.0)
-        u = sr.gaussian_1d(g).real
+        u = sr.gaussian_1d(g)
         rxy, _ = sr.coordinate_commutator_residual_2d(g, A_PRIME, u, u)
         seq2.append(rxy)
 

@@ -32,7 +32,7 @@ def run(args):
 
 def gaussian_2d(grid):
     """The 2-D Snyder witness on the whole grid: e^(-(p_x - 1/2)^2/2) e^(-p_y^2/2)."""
-    return np.outer(sr.gaussian_1d(grid, 0.5).real, sr.gaussian_1d(grid).real)
+    return np.outer(sr.gaussian_1d(grid, 0.5), sr.gaussian_1d(grid))
 
 
 class TestConfigResolution:
@@ -692,11 +692,38 @@ class TestZitterbewegungCommand:
         assert "annihilated" not in capsys.readouterr().err
 
     def test_roundoff_gap_is_not_a_wrap(self, tmp_path, capsys):
-        # The box is 3.2e31 Compton wavelengths across, and the last sample's gap of
-        # 1e-19 box lengths is roundoff of the spectral derivative, not a wrap.
+        # The box is 3.2e31 Compton wavelengths across, and the last sample's gap is
+        # roundoff, not a wrap.
         code = run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
                     "--no-emit-plots", "--output-dir", tmp_path])
         assert code != 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("seed", [[], ["--spinor-seed", "1,1j,0,1"]],
+                             ids=["default", "complex"])
+    def test_tiny_box_passes_every_gate(self, tmp_path, capsys, seed):
+        # A packet 1e-30 m c wide in a box 3.2e31 Compton wavelengths across: its <x>(0) is
+        # exactly 0 on the real half spectrum, so each gate sees the ZB, not an offset of
+        # 1e13 Compton wavelengths left by an imaginary Nyquist term.
+        assert run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
+                    "--no-emit-plots", "--output-dir", tmp_path] + seed) == 0
+        lines = report_lines(tmp_path)
+        gated = [line for name, line in lines.items() if name in cli.GATES]
+        assert len(gated) == 3 and all(line.endswith(": PASS") for line in gated)
+        assert measured(lines["mixed packet oscillation frequency"]) == \
+            pytest.approx(2.0, rel=0.01)
+        assert capsys.readouterr().err == ""
+
+    def test_moving_packet_inside_the_box_is_not_a_wrap(self, tmp_path, capsys):
+        # The packet moves about 2 Compton wavelengths in a box 25 wide, so the last
+        # sample's gap is roundoff, not a wrap: the run is judged, and FAILs its frequency
+        # and dichotomy lines.
+        code = run(["zitterbewegung", "--grid-n", "64", "--p-max", "12",
+                    "--sigma-p", "1.050804416317991", "--p0=-0.6782028817550276",
+                    "--t-max", "3", "--n-samples", "32", "--spinor-seed", "1,0,0,1",
+                    "--hbar", "2", "--c", "3", "--mass", "0.5", "--no-emit-plots",
+                    "--output-dir", tmp_path])
+        assert code == 1
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("scale", [1e-200, 0.5, 1e200])
@@ -742,6 +769,22 @@ class TestAveragingCommand:
         assert "Compton window attenuation" in report
         table = (tmp_path / "averaging.csv").read_text().splitlines()
         assert table[0] == "t,x_raw,x_averaged"
+
+    @pytest.mark.parametrize("window", [[], ["--window", "1.5"]], ids=["canonical", "user"])
+    def test_packet_without_zb_fails_the_averaging_lines(self, tmp_path, capsys, window):
+        # The seed (0, 0, 1, 0) is a rest-frame negative-energy spinor, so this narrow packet
+        # has no ZB, and its amplitude at the ZB frequency is exactly 0.  The quotients
+        # over it stay finite and FAIL both gates; the run is judged, not an exit 2.
+        code = run(["averaging", "--grid-n", "1024", "--p-max", "2", "--sigma-p",
+                    "0.0078125", "--p0", "0", "--t-max", "3", "--n-samples", "8",
+                    "--spinor-seed", "0,0,1,0", "--no-emit-plots", "--output-dir", tmp_path]
+                   + window)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        lines = report_lines(tmp_path)
+        for name in ("full-period window suppression", "Compton window attenuation"):
+            assert lines[name].endswith(": FAIL")
+        assert ("user window (1.5) attenuation" in lines) == bool(window)
 
     def test_too_short_user_window_is_config_error(self, tmp_path):
         code = run(["averaging", "--window", "0.01", "--output-dir", tmp_path]

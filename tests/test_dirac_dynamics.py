@@ -209,11 +209,37 @@ class TestExpectPosition:
     def test_symmetric_packet_at_origin(self, mixed):
         assert abs(dd.expect_position(mixed)) <= 1e-8
 
-    def test_imaginary_part_diagnostic(self, mixed):
+    def test_imaginary_part_diagnostic(self):
         # <psi| i d/dp |psi> is real for a packet well inside the box; expect_position
-        # keeps only its real part, so the imaginary part is taken here.
-        deriv = spectral_derivative(mixed.amps, mixed.grid)
-        assert abs(np.sum(np.conj(mixed.amps) * (1j * deriv)).imag * mixed.grid.dp) <= 1e-8
+        # keeps only its real part, so the imaginary part is taken here, on the float view
+        # of a packet with complex amplitudes.
+        field = dd.init_packet(GRID, 0.7, 0.1, "mixed", (1, 1j, 0, 1))
+        deriv = spectral_derivative(field.amps.view(float), GRID).view(complex)
+        assert abs(np.sum(np.conj(field.amps) * (1j * deriv)).imag * GRID.dp) <= 1e-8
+
+    @pytest.mark.parametrize("p0", [-3.0, -0.4, 0.0, 1.3, 5.0])
+    @pytest.mark.parametrize("mode", ["mixed", "positive"])
+    def test_real_amplitudes_at_origin_exactly(self, mode, p0):
+        # A real seed makes every amplitude real, the Fourier transform of a real packet
+        # is Hermitian, and <x> = Re <psi| i d/dp |psi> is exactly 0 at any p0: the real
+        # half spectrum has no imaginary Nyquist term to leave a roundoff offset.
+        field = dd.init_packet(GRID, p0, 0.3, mode, (1.0, 0.0, 0.5, -2.0))
+        assert not np.any(field.amps.imag)
+        assert dd.expect_position(field) == 0.0
+
+    @pytest.mark.parametrize("seed", [(1, 1j, 0, 1), (1, 0, 0.3j, -1)], ids=["seed1", "seed2"])
+    def test_matches_full_spectrum_reference(self, seed):
+        # Against i d/dp by the complex full-spectrum transform, on a packet moved to
+        # <x> = 2.5: the two differ only by that transform's imaginary Nyquist term,
+        # negligible for a packet well inside the box.
+        packet = dd.init_packet(GRID, 0.7, 0.1, "mixed", seed)
+        field = dd.SpinorMomentumField(grid=GRID, amps=np.exp(-2.5j * GRID.points)[:, None]
+                                       * packet.amps)
+        k = 2 * np.pi * np.fft.fftfreq(GRID.n, d=GRID.dp)
+        deriv = np.fft.ifft(1j * k[:, None] * np.fft.fft(field.amps, axis=0), axis=0)
+        reference = np.sum(np.conj(field.amps) * (1j * deriv)).real * GRID.dp
+        assert dd.expect_position(field) == pytest.approx(reference, abs=1e-12)
+        assert reference == pytest.approx(2.5, abs=1e-9)
 
     def test_translation_shifts_expectation(self, mixed):
         eps = 0.37

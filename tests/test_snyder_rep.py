@@ -45,17 +45,25 @@ def gaussian_2d(grid, center=(0.0, 0.0), width=1.0):
     return np.outer(gaussian_1d(grid, center[0], width), gaussian_1d(grid, center[1], width))
 
 
-def gradient_2d(g, grid):
+def fft_derivative(f, grid):
+    """The full-spectrum reference for d f / dp along axis 0, real or complex f: it keeps
+    the imaginary Nyquist term that ``sr.spectral_derivative``'s half spectrum drops."""
+    k = 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.dp)
+    return np.fft.ifft(1j * k.reshape((-1,) + (1,) * (f.ndim - 1)) * np.fft.fft(f, axis=0),
+                       axis=0)
+
+
+def gradient_2d(g, grid, derivative=sr.spectral_derivative):
     """(d/dp_x, d/dp_y) of a whole 2-D array, p_x along axis 0."""
-    return sr.spectral_derivative(g, grid), sr.spectral_derivative(g.T, grid).T
+    return derivative(g, grid), derivative(g.T, grid).T
 
 
-def position_apply_2d(f, grid, a, axis):
+def position_apply_2d(f, grid, a, axis, derivative=sr.spectral_derivative):
     """x_axis f with x_i = i*(delta_ij + a^2 p_i p_j) d/dp_j, axis 0 = p_x."""
     px, py = grid.points[:, None], grid.points[None, :]
     b = a**2
     diag = (1.0 + b * px * px, 1.0 + b * py * py)[axis]  # IndexError past axis 1
-    grad = gradient_2d(f, grid)
+    grad = gradient_2d(f, grid, derivative)
     return 1j * (diag * grad[axis] + b * px * py * grad[1 - axis])
 
 
@@ -178,14 +186,14 @@ class TestGridSpec:
 
 class TestSpectralDerivative:
     def test_constant(self, grid):
-        f = np.ones(grid.n, dtype=complex)
+        f = np.ones(grid.n)
         assert np.max(np.abs(sr.spectral_derivative(f, grid))) <= 1e-12
 
     def test_fundamental_mode_exact(self, grid):
         k0 = 2 * np.pi / (2 * grid.p_max)
         f = np.sin(k0 * grid.points)
         expected = k0 * np.cos(k0 * grid.points)
-        np.testing.assert_allclose(sr.spectral_derivative(f, grid).real, expected, atol=1e-12)
+        np.testing.assert_allclose(sr.spectral_derivative(f, grid), expected, atol=1e-12)
 
     def test_gaussian_matches_analytic(self, grid):
         p = grid.points
@@ -201,32 +209,47 @@ class TestSpectralDerivative:
     @pytest.mark.parametrize("ndim, axis", [(1, 0), (2, 0), (2, 1)],
                              ids=["1d", "2d-axis0", "2d-axis1"])
     def test_real_input_takes_half_spectrum(self, grid2, ndim, axis):
-        # rfft/irfft drop the imaginary Nyquist term; the real parts agree.  Axis 1 is
-        # differentiated as axis 0 of the transpose.
+        # rfft/irfft drop the full spectrum's imaginary Nyquist term; the real parts
+        # agree.  Axis 1 is differentiated as axis 0 of the transpose.
         f = (gaussian_1d(grid2, center=0.4) if ndim == 1
              else gaussian_2d(grid2, center=(0.5, -0.3)))
         f = f.T if axis else f
         got = sr.spectral_derivative(f, grid2)
-        expected = sr.spectral_derivative(f.astype(complex), grid2)
+        expected = fft_derivative(f, grid2)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, expected.real, rtol=0,
                                    atol=1e-13 * np.max(np.abs(expected)))
 
+    @pytest.mark.parametrize("shape", [(64,), (64, 4)], ids=["1d", "2d"])
+    def test_complex_input_rejected(self, shape):
+        # A complex field is differentiated as its float view, never as complex input.
+        grid = sr.GridSpec1D(n=64, p_max=3.0)
+        with pytest.raises(ValueError, match="real"):
+            sr.spectral_derivative(np.ones(shape, dtype=complex), grid)
+
+    def test_float_view_of_complex_field(self, grid2):
+        # The (Re, Im) pairs of a modulated witness are differentiated side by side; on
+        # a resolved witness the result is the full-spectrum one less its Nyquist term.
+        g = gaussian_2d(grid2, center=(0.5, -0.3)) * np.exp(1j * grid2.points)[:, None]
+        got = sr.spectral_derivative(g.view(float), grid2).view(complex)
+        expected = fft_derivative(g, grid2)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
 
 class TestPositionApply1D:
     def test_undeformed_limit_bitwise(self, grid):
-        f = gaussian_1d(grid, center=0.3, width=1.2).astype(complex)
+        f = gaussian_1d(grid, center=0.3, width=1.2)
         deformed = sr.snyder_position_apply_1d(f, grid, 0.0)
         canonical = 1j * sr.spectral_derivative(f, grid)
         np.testing.assert_array_equal(deformed, canonical)
 
     def test_constant_maps_to_zero(self, grid, a):
-        f = np.ones(grid.n, dtype=complex)
+        f = np.ones(grid.n)
         assert np.max(np.abs(sr.snyder_position_apply_1d(f, grid, a))) <= 1e-10
 
     def test_gaussian_analytic_oracle(self, grid, a):
         p = grid.points
-        f = np.exp(-p**2 / 2).astype(complex)
+        f = np.exp(-p**2 / 2)
         expected = 1j * (1 + p**2) * (-p) * np.exp(-p**2 / 2)
         got = sr.snyder_position_apply_1d(f, grid, a)
         assert np.max(np.abs(got - expected)) <= 1e-8
@@ -234,7 +257,7 @@ class TestPositionApply1D:
 
 class TestHeisenbergResidual1D:
     def test_centred_helper_is_the_command_witness(self, grid):
-        np.testing.assert_array_equal(gaussian_1d(grid), sr.gaussian_1d(grid).real)
+        np.testing.assert_array_equal(gaussian_1d(grid), sr.gaussian_1d(grid))
 
     def test_undeformed(self, grid):
         f = sr.gaussian_1d(grid)
@@ -259,7 +282,7 @@ class TestHeisenbergResidual1D:
     def test_translation_invariance(self, grid, a, center):
         # Identity holds pointwise; translating the witness by <= p_max/4
         # leaves the residual within tolerance.
-        f = gaussian_1d(grid, center=center).astype(complex)
+        f = gaussian_1d(grid, center=center)
         assert sr.heisenberg_residual_1d(grid, a, f) <= 1e-7
 
     def test_random_witnesses(self, grid, a):
@@ -267,7 +290,7 @@ class TestHeisenbergResidual1D:
         for _ in range(10):
             center = rng.uniform(-5, 5)
             width = rng.uniform(0.5, 2.0)
-            f = gaussian_1d(grid, center=center, width=width).astype(complex)
+            f = gaussian_1d(grid, center=center, width=width)
             assert sr.heisenberg_residual_1d(grid, a, f) <= 1e-7
 
 
@@ -290,7 +313,7 @@ class TestPositionApply2D:
     def test_gaussian_analytic_oracle(self, grid2, a):
         px = grid2.points[:, None]
         py = grid2.points[None, :]
-        f = np.exp(-(px**2 + py**2) / 2).astype(complex)
+        f = np.exp(-(px**2 + py**2) / 2)
         expected = 1j * ((1 + px**2) * (-px) + px * py * (-py)) * f
         got = position_apply_2d(f, grid2, a, axis=0)
         assert np.max(np.abs(got - expected)) <= 1e-8
@@ -353,21 +376,22 @@ class TestCommutatorResidual2D:
     @pytest.mark.parametrize("a", [None, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
     def test_matches_twelve_derivative_composition(self, a, center):
         # The residual shares one derivative per distinct factor (8 real 1-D ones);
-        # composing it from whole complex x and y applications takes 12 on 2-D arrays.
-        # The two agree within the roundoff floor of the refinement check.
+        # composing it from whole complex x and y applications takes 12 full-spectrum
+        # derivatives on 2-D arrays.  The two agree within the roundoff floor of the
+        # refinement check.
         grid, a = sr.GridSpec1D(n=64, p_max=12.0), a_prime(a=a)
         px = grid.points[:, None]
         py = grid.points[None, :]
         f = gaussian_2d(grid, center=center).astype(complex)
 
         def x(g):
-            return position_apply_2d(g, grid, a, axis=0)
+            return position_apply_2d(g, grid, a, axis=0, derivative=fft_derivative)
 
         def y(g):
-            return position_apply_2d(g, grid, a, axis=1)
+            return position_apply_2d(g, grid, a, axis=1, derivative=fft_derivative)
 
         xf, yf = x(f), y(f)
-        df_dpx, df_dpy = gradient_2d(f, grid)
+        df_dpx, df_dpy = gradient_2d(f, grid, fft_derivative)
         lz = 1j * (py * df_dpx - px * df_dpy)
         comm = x(yf) - y(xf) - (1j * a**2) * lz
         mixed = x(py * f) - py * xf - 1j * a**2 * px * py * f
@@ -511,8 +535,8 @@ class TestLinearity:
     @settings(max_examples=20, deadline=None)
     def test_position_apply_linear(self, alpha, beta):
         grid = sr.GridSpec1D(n=128, p_max=10.0)
-        f = gaussian_1d(grid, center=-1.0).astype(complex)
-        g = gaussian_1d(grid, center=1.5, width=0.8).astype(complex)
+        f = gaussian_1d(grid, center=-1.0)
+        g = gaussian_1d(grid, center=1.5, width=0.8)
         lhs = sr.snyder_position_apply_1d(alpha * f + beta * g, grid, 1.0)
         rhs = (alpha * sr.snyder_position_apply_1d(f, grid, 1.0)
                + beta * sr.snyder_position_apply_1d(g, grid, 1.0))

@@ -1,4 +1,5 @@
-"""Structure of the package source: each module keeps its private names to itself."""
+"""Structure of the package source and scripts: each module keeps its private names to
+itself."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import chronon
 
-MODULES = sorted(Path(chronon.__file__).parent.glob("*.py"))
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+MODULES = sorted(Path(chronon.__file__).parent.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
 
 
 def private_imports(source: str) -> list[str]:
@@ -15,6 +17,10 @@ def private_imports(source: str) -> list[str]:
     return [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chronon.")
             for alias in node.names if alias.name.startswith("_")]
+
+
+def test_scripts_are_scanned():
+    assert {"convergence_study.py", "run_experiments.py"} <= {path.name for path in MODULES}
 
 
 def test_private_import_is_found():
