@@ -2,9 +2,10 @@
 
 Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
 the user's units only the observables they write, as they write them.  ``main`` reads the
-config, runs the steps ``config.CHAINS`` names for the command, each through its ``RUNNERS``
-entry, and makes the output dir and writes every file in one guarded block, which maps each
-failure to its exit status.
+command line (``config.parse_argv``, no argparse) and the config file, runs the steps
+``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and makes the
+output dir and writes every file in one guarded block, which maps each failure, a usage
+error included, to its exit status and one stderr line.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 3 I/O error.
@@ -12,7 +13,6 @@ Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
@@ -22,8 +22,9 @@ import numpy as np
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, PACKET_STEPS, TIME,
-                            RunConfig, manifest_lines, read_config_file, resolve)
+from chronon.config import (CHAINS, FREQUENCY, LENGTH, MOMENTUM, PACKET_STEPS, TIME, RunConfig,
+                            UsageError, manifest_lines, parse_argv, read_config_file, resolve,
+                            usage)
 from chronon.reporting import Report, fmt_column, fmt_number, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
@@ -238,21 +239,6 @@ def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
                              "Compton-scale averaging"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chronon",
-                                     description="quantized-spacetime algebra checks "
-                                                 "and Dirac wave-packet experiments")
-    parser.add_argument("command", choices=CHAINS)
-    parser.add_argument("--config", default=None, help="flat key = value config file")
-    for key, (attr, parse) in KEY_SPECS.items():
-        if key == "emit-plots":
-            parser.add_argument(f"--{key}", dest=attr, default=None,
-                                action=argparse.BooleanOptionalAction)
-        else:
-            parser.add_argument(f"--{key}", dest=attr, default=None, type=parse)
-    return parser
-
-
 RUNNERS = {  # step -> runner, for the steps of config.CHAINS
     "verify-algebra": run_verify_algebra,
     "snyder": run_snyder,
@@ -262,11 +248,13 @@ RUNNERS = {  # step -> runner, for the steps of config.CHAINS
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    flag_values = {attr: getattr(args, attr) for _, (attr, _) in KEY_SPECS.items()}
     try:
-        file_values = read_config_file(args.config) if args.config else {}
-        cfg = resolve(args.command, file_values, flag_values)
+        command, config_path, flag_values = parse_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(usage())
+            return 0
+        file_values = read_config_file(config_path) if config_path else {}
+        cfg = resolve(command, file_values, flag_values)
         steps = CHAINS[cfg.command]
         os.makedirs(cfg.output_dir, exist_ok=True)
         # Units far outside the float range overflow, divide by zero or give NaN: numpy
@@ -282,6 +270,9 @@ def main(argv=None) -> int:
         outputs = ["report.txt"] + outputs + ["manifest.txt"]
         with open(os.path.join(cfg.output_dir, "manifest.txt"), "w", newline="\n") as fh:
             fh.write("\n".join(manifest_lines(cfg, outputs)) + "\n")
+    except UsageError as exc:
+        print(f"chronon: error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # a ConfigError is a ValueError
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2

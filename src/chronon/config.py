@@ -2,8 +2,11 @@
 
 Config files are flat ``key = value`` text with ``#`` comments; each ``RunConfig`` field
 after ``command`` is a key, named in kebab-case like its CLI flag.  Unknown keys are
-rejected.  ``CHAINS`` is the command table: the parser's choices, the CLI's steps and
-``RunConfig.validate``'s per-step rules all read it.
+rejected.  ``parse_argv`` reads the command line and ``read_config_file`` a config file,
+each value through its key's one ``KEY_SPECS`` parser, so a flag and a config-file key
+cannot parse differently.  ``CHAINS`` is the command table: ``parse_argv``'s commands,
+the ``--help`` text, the CLI's steps and ``RunConfig.validate``'s per-step rules all
+read it.
 
 The one module that knows hbar, c and m: the layers compute in Compton units
 (momenta in m c, lengths in hbar/(m c), times in hbar/(m c^2)), with the one
@@ -207,6 +210,104 @@ KEY_SPECS = {f.name.replace("_", "-"): (f.name, _PARSERS.get(type(f.default), ty
 _FLOAT_KEYS = tuple(key for key, (_, parse) in KEY_SPECS.items() if parse is float)
 
 
+class UsageError(ValueError):
+    """A command line that names no command, an unknown one, or a flag that does not parse."""
+
+
+# The long options: each key takes a value, help and the emit-plots pair take none.
+_OPTIONS = ("help", "config", *KEY_SPECS, "no-emit-plots")
+_NO_VALUE = ("help", "emit-plots", "no-emit-plots")
+
+
+def _option(name: str) -> str | None:
+    """The long option ``--name`` names: an exact option, else the one option it begins;
+    None if it begins none."""
+    if name in _OPTIONS:
+        return name
+    matches = [option for option in _OPTIONS if option.startswith(name)]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: --{name} could match "
+                         + ", ".join(f"--{option}" for option in matches))
+    return matches[0] if matches else None
+
+
+def parse_argv(argv: list[str]) -> tuple[str | None, str | None, dict[str, object]]:
+    """(command, --config path or None, {attribute: value} of the key flags given) from argv.
+
+    The command may stand anywhere; after ``--`` every token is a command.  A flag is
+    ``--key value`` or ``--key=value``, the last repeat winning, or any unique prefix of
+    a key; a value may start with ``-`` (``--p0 -0.5``) but not with ``--``.  Each value
+    goes through its key's ``KEY_SPECS`` parser, as in ``read_config_file``.  The tokens
+    are read in order, as argparse reads them: ``-h``/``--help`` returns command None,
+    which asks for ``usage()``, and a bad token raises ``UsageError``, except that unknown
+    options and a second command are named only at the end.
+    """
+    command, path, values, literal, extras = None, None, {}, False, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "-h" and not literal:
+            token = "--help"
+        if literal or not token.startswith("--"):
+            if command is not None:
+                extras.append(token)
+            elif token in CHAINS:
+                command = token
+            else:
+                raise UsageError(f"argument command: invalid choice: {token!r} (choose from "
+                                 + ", ".join(map(repr, CHAINS)) + ")")
+            continue
+        if token == "--":
+            literal = True
+            continue
+        name, eq, text = token[2:].partition("=")
+        option = _option(name)
+        if option is None:
+            extras.append(token)
+            continue
+        if option in _NO_VALUE:
+            if eq:
+                raise UsageError(f"argument --{option}: ignored explicit argument {text!r}")
+            if option == "help":
+                return None, None, {}
+            values["emit_plots"] = option == "emit-plots"
+            continue
+        if not eq:
+            text = next(tokens, "--")  # no token left is a missing value too
+            if text.startswith("--"):
+                raise UsageError(f"argument --{option}: expected one argument")
+        if option == "config":
+            path = text
+            continue
+        attr, parse = KEY_SPECS[option]
+        try:
+            values[attr] = parse(text)
+        except ValueError as exc:
+            raise UsageError(f"argument --{option}: bad value {text!r}: {exc}") from None
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return command, path, values
+
+
+def usage() -> str:
+    """The ``--help`` text: each command with its steps, and each key with its default."""
+    lines = ["usage: chronon COMMAND [--config PATH] [--KEY VALUE | --KEY=VALUE ...]", "",
+             "Quantized-spacetime algebra checks and Dirac wave-packet experiments.",
+             "Flags may come before or after the command, and any unique prefix of a key",
+             "names it.  A flag beats the config file, which beats the default.", "",
+             "commands (steps, in report order):"]
+    lines += [f"  {command:<18}{' '.join(steps)}" for command, steps in CHAINS.items()]
+    lines += ["", "options:", f"  {'-h, --help':<22}print this text and exit",
+              f"  {'--config PATH':<22}flat 'key = value' file of the keys below"]
+    for key, (attr, _) in KEY_SPECS.items():  # a dataclass default is a class attribute
+        flag = "--[no-]emit-plots" if key == "emit-plots" else f"--{key} VALUE"
+        lines.append(f"  {flag:<22}default {_value_text(getattr(RunConfig, attr)) or 'unset'}")
+    lines += ["", "An unset a is the Compton wavelength hbar/(mass c), an unset window adds no",
+              "window, and an unset output-dir is $CHRONON_OUTPUT_DIR, else out."]
+    return "\n".join(lines) + "\n"
+
+
 def read_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
@@ -242,15 +343,20 @@ def resolve(command: str, file_values: dict[str, object],
     return cfg.validate()
 
 
+def _value_text(value) -> str | None:
+    """A key's value as its parser reads it back; None for an unset optional key."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return None if value is None else str(value)
+
+
 def manifest_lines(cfg: RunConfig, outputs: list[str]) -> list[str]:
     # Comment lines keep the manifest loadable back through --config.
     lines = [f"# command = {cfg.command}"]
     for key, (attr, _) in KEY_SPECS.items():
-        val = getattr(cfg, attr)
+        val = _value_text(getattr(cfg, attr))
         if val is None:
             continue  # unset optional key; omitted so the manifest reparses cleanly
-        if attr == "spinor_seed":
-            val = ",".join(str(v) for v in val)
         lines.append(f"{key} = {val}")
     lines.extend(f"# output: {name}" for name in outputs)
     return lines

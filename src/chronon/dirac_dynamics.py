@@ -248,7 +248,7 @@ def _median(values: np.ndarray) -> np.float64:
 def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     """Dominant oscillation after removing the linear trend.
 
-    The DFT peak bin is refined by quadratic interpolation of the
+    The DFT peak bin, from bin 2 up, is refined by quadratic interpolation of the
     log-magnitude, then the amplitude is read off by a least-squares
     sinusoid fit at the refined frequency.  A flat spectrum (peak below 3x
     the median bin magnitude) reports no oscillation.
@@ -263,9 +263,10 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     scale = max(float(np.max(np.abs(x))), 1.0)
     if spec[peak] < 3 * _median(bins) or np.sqrt(np.mean(resid**2)) <= 1e-12 * scale:
         return OscillationMeasurement(0.0, 0.0, False)
-    # Quadratic refinement on log magnitude (guarded against zero neighbours).
+    # Quadratic refinement on log magnitude (guarded against zero neighbours).  Not at bin 1:
+    # its left neighbour, the DC bin of the detrended series, is roundoff.
     delta = 0.0
-    if 1 <= peak < len(spec) - 1 and spec[peak - 1] > 0 and spec[peak + 1] > 0:
+    if 2 <= peak < len(spec) - 1 and spec[peak - 1] > 0 and spec[peak + 1] > 0:
         lm, lc, lp = np.log(spec[peak - 1]), np.log(spec[peak]), np.log(spec[peak + 1])
         denom = lm - 2 * lc + lp
         if denom < 0:

@@ -19,7 +19,7 @@ from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
 from chronon.cli import RUNNERS, main
 from chronon.config import (CHAINS, FREQUENCY, KEY_SPECS, LENGTH, MOMENTUM, TIME, ConfigError,
-                            RunConfig, read_config_file, resolve)
+                            RunConfig, UsageError, parse_argv, read_config_file, resolve, usage)
 from chronon.reporting import Report, fmt_number, render_line_plot
 
 FAST_ZB = ["--grid-n", "1024", "--t-max", "25", "--n-samples", "1024",
@@ -132,9 +132,7 @@ class TestConfigResolution:
     def test_bad_mode_rejected(self, tmp_path):
         # The packet commands always run both packets, so there is no mode to
         # choose: asking for one is a usage or config error.
-        with pytest.raises(SystemExit) as exc:
-            main(["zitterbewegung", "--mode", "positive", "--output-dir", str(tmp_path)])
-        assert exc.value.code == 2
+        assert run(["zitterbewegung", "--mode", "positive", "--output-dir", tmp_path]) == 2
         path = tmp_path / "run.cfg"
         path.write_text("mode = mixed\n")
         assert run(["zitterbewegung", "--config", path, "--output-dir", tmp_path]) == 2
@@ -173,11 +171,57 @@ FLAG_SAMPLES = {
 
 def parsed_config(argv):
     """The RunConfig that main() resolves from argv, with no config file."""
-    args = cli.build_parser().parse_args(argv)
-    return resolve(args.command, {}, {attr: getattr(args, attr) for attr, _ in KEY_SPECS.values()})
+    command, config_path, flag_values = parse_argv(argv)
+    assert config_path is None
+    return resolve(command, {}, flag_values)
+
+
+def argparse_reference():
+    """The argparse parser that parse_argv replaced: what it accepted, parse_argv accepts."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="chronon")
+    parser.add_argument("command", choices=CHAINS)
+    parser.add_argument("--config", default=None)
+    for key, (attr, parse) in KEY_SPECS.items():
+        if key == "emit-plots":
+            parser.add_argument(f"--{key}", dest=attr, default=None,
+                                action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(f"--{key}", dest=attr, default=None, type=parse)
+    return parser
+
+
+# Whole keys, prefixes (unique, ambiguous or exact) and unknown names; values of every kind.
+OPTION_NAMES = ["config", *KEY_SPECS, "no-emit-plots", "help", "he", "p", "grid", "grid-n-",
+                "s", "sig", "no", "e", "conf", "frob"]
+OPTION_VALUES = ["2", "-1", "-0.5", "0.25", "x", "1,0,1j,0", "", "out", "snyder"]
+ARGVS = st.lists(st.one_of(
+    st.sampled_from([*CHAINS, "frobnicate", "--", "-h", "x", "-1"]).map(lambda t: [t]),
+    st.sampled_from(OPTION_NAMES).map(lambda name: [f"--{name}"]),
+    st.tuples(st.sampled_from(OPTION_NAMES), st.sampled_from(OPTION_VALUES)).flatmap(
+        lambda nv: st.sampled_from([[f"--{nv[0]}", nv[1]], [f"--{nv[0]}={nv[1]}"]]))),
+    max_size=6).map(lambda groups: sum(groups, []))
 
 
 class TestParser:
+    @given(ARGVS)
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_what_argparse_accepted(self, argv):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                args = argparse_reference().parse_args(argv)
+            except SystemExit:  # a usage error, or help
+                args = None
+        try:
+            parsed = parse_argv(argv)
+        except UsageError as exc:
+            assert args is None and "\n" not in str(exc)
+            return
+        if args is not None:
+            assert parsed == (args.command, args.config, {
+                attr: getattr(args, attr) for attr, _ in KEY_SPECS.values()
+                if getattr(args, attr) is not None})
+
     @pytest.mark.parametrize("command", CHAINS)
     def test_every_flag_parses_for_every_command(self, command):
         assert set(FLAG_SAMPLES) == set(KEY_SPECS)
@@ -212,30 +256,91 @@ class TestParser:
     def test_emit_plots_flag(self, flags, emit):
         assert parsed_config(["snyder"] + flags).emit_plots is emit
 
+    def test_key_equals_value(self):
+        assert parsed_config(["snyder", "--grid-n=256", "--spinor-seed=1,0,1j,0"]) == \
+            parsed_config(["snyder", "--grid-n", "256", "--spinor-seed", "1,0,1j,0"])
+        assert parsed_config(["snyder", "--grid-n=256"]).grid_n == 256
+
+    def test_negative_values(self):
+        cfg = parsed_config(["zitterbewegung", "--p0", "-0.5", "--p0=-0.25", "--p0", "-1"])
+        assert cfg.p0 == -1.0
+        assert parsed_config(["zitterbewegung", "--p0", "-0.5"]).p0 == -0.5
+
+    def test_last_repeat_wins(self):
+        cfg = parsed_config(["snyder", "--grid-n", "64", "--no-emit-plots", "--grid-n=128",
+                             "--emit-plots"])
+        assert (cfg.grid_n, cfg.emit_plots) == (128, True)
+
+    def test_unique_prefix_names_its_key(self):
+        assert parsed_config(["snyder", "--sigma", "0.2"]) == \
+            parsed_config(["snyder", "--sigma-p", "0.2"])
+        # An exact key beats a longer key it begins.
+        cfg = parsed_config(["snyder", "--grid-n", "64", "--grid-n-2", "32", "--no", "--t=9"])
+        assert (cfg.grid_n, cfg.grid_n_2d, cfg.emit_plots, cfg.t_max) == (64, 32, False, 9.0)
+
+    def test_config_path_and_literal_command(self):
+        assert parse_argv(["--conf=run.cfg", "snyder", "--config", "x.cfg"]) == \
+            ("snyder", "x.cfg", {})
+        assert parse_argv(["--mass", "2", "--", "snyder"]) == ("snyder", None, {"mass": 2.0})
+
+    @given(st.permutations([("snyder",), ("--mass", "2"), ("--grid-n=256",), ("--no-emit-plots",),
+                            ("--p0", "-0.5"), ("--sigma", "0.2"), ("--spinor-seed", "1,0,1j,0"),
+                            ("--a=0",)]))
+    @settings(max_examples=60, deadline=None)
+    def test_order_does_not_matter(self, groups):
+        expected = dataclasses.replace(resolve("snyder", {}, {}), mass=2.0, grid_n=256,
+                                       emit_plots=False, p0=-0.5, sigma_p=0.2,
+                                       spinor_seed=(1 + 0j, 0j, 1j, 0j), a=0.0)
+        assert parsed_config([token for group in groups for token in group]) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["snyder", "--mass", "2", "--he"],
+                                      ["--mass", "2", "-h", "--frobnicate"]])
+    def test_help_names_every_command_and_key(self, capsys, argv):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out == usage()
+        assert all(f"  {command} " in out for command in CHAINS)
+        assert all(f"--{key} VALUE" in out for key in KEY_SPECS if key != "emit-plots")
+        assert "--[no-]emit-plots" in out and "--config PATH" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["snyder", "--p", "1"], "ambiguous option: --p could match --p-max, --p-max-2d, --p0"),
+        (["snyder", "--grid-n"], "argument --grid-n: expected one argument"),
+        (["snyder", "--grid-n", "--mass", "2"], "argument --grid-n: expected one argument"),
+        (["snyder", "--emit-plots=yes"], "argument --emit-plots: ignored explicit argument 'yes'"),
+        (["snyder", "--grid-n", "x"],
+         "argument --grid-n: bad value 'x': invalid literal for int() with base 10: 'x'"),
+        (["snyder", "--grid-n=--"],
+         "argument --grid-n: bad value '--': invalid literal for int() with base 10: '--'"),
+        (["snyder", "--spinor-seed", "1,x"],
+         "argument --spinor-seed: bad value '1,x': complex() arg is a malformed string"),
+        (["snyder", "all", "--frobnicate=1"], "unrecognized arguments: all --frobnicate=1"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"chronon: error: {message}\n")
+
 
 class TestExitStatuses:
-    def test_missing_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+    def test_missing_command_is_usage_error(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr().err == \
+            "chronon: error: the following arguments are required: command\n"
 
-    def test_unknown_flag_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["snyder", "--frobnicate", "1"])
-        assert exc.value.code == 2
+    def test_unknown_flag_is_usage_error(self, capsys):
+        assert main(["snyder", "--frobnicate", "1"]) == 2
+        assert capsys.readouterr().err == "chronon: error: unrecognized arguments: --frobnicate 1\n"
 
     def test_unknown_command_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
+        assert main(["frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.splitlines()[-1].startswith(
             "chronon: error: argument command: invalid choice: 'frobnicate'")
 
     def test_flags_without_command_are_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--mass", "2", "--no-emit-plots"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == \
+        assert main(["--mass", "2", "--no-emit-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.splitlines()[-1] == \
             "chronon: error: the following arguments are required: command"
 
     @pytest.mark.parametrize("command", CHAINS)
@@ -924,6 +1029,25 @@ class TestAllCommand:
             "             'verify-algebra --hbar 2 --c 3', 'verify-algebra --a 0'):\n"
             "    main(argv.split() + ['--output-dir', sys.argv[1] + '/' + argv])\n"
             "    assert 'numpy.random' not in sys.modules, argv\n")
+        done = run_fresh(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_argparse_never_imported(self, tmp_path):
+        # Building an argparse parser imports gettext and locale, about 2.8 ms of a cold job.
+        script = (
+            "import sys\n"
+            "def check(case):\n"
+            "    found = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "    assert not found, (case, found)\n"
+            "from chronon.cli import main\n"
+            "check('import chronon.cli')\n"
+            "for argv in ('all', 'verify-algebra', 'verify-algebra --mass 2 --a 0.5',\n"
+            "             'verify-algebra --hbar 2 --c 3', 'verify-algebra --a 0',\n"
+            "             'snyder --grid-n-2d 1024'):\n"
+            "    main(argv.split() + ['--output-dir', sys.argv[1] + '/' + argv])\n"
+            "    check(argv)\n"
+            "assert main(['frobnicate']) == 2\n"
+            "check('usage error')\n")
         done = run_fresh(script, tmp_path)
         assert done.returncode == 0, done.stderr
 

@@ -619,6 +619,16 @@ class TestMeasureOscillation:
         assert type(got) is np.float64
         assert got.tobytes() == expected.tobytes()
 
+    def test_bin_1_peak_is_not_refined_through_dc(self, mixed):
+        # At t-max 2, under one ZB period pi, the peak is bin 1, whose left neighbour is the
+        # DC bin of the detrended series: roundoff, so a 1e-16 shift must not move omega.
+        series = dd.position_series(mixed, 2.0, 4096)
+        omega = dd.measure_oscillation(series).omega
+        assert omega == 2 * np.pi / (len(series.times) * series.dt)  # bin 1, unrefined
+        for shift in (1e-16, -1e-16):
+            shifted = dd.TimeSeries(times=series.times, values=series.values + shift)
+            assert dd.measure_oscillation(shifted).omega == omega
+
     def test_frequency_scales_with_mass(self):
         # At m = 2 the box, envelope and duration shrink in Compton units; the
         # measured frequency scales back to 2 m c^2/hbar = 4.
