@@ -4,11 +4,11 @@ Runners compute and judge every gate in Compton units (hbar = c = m = 1), and co
 the user's units only the observables they write, as they write them.  ``main`` reads the
 command line (``config.parse_argv``, no argparse) and the config file, runs the steps
 ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and makes the
-output dir and writes every file in one guarded block, which maps each failure, a usage
-error included, to its exit status and one stderr line.
+output dir and writes every file in one guarded block, which maps each input or system
+failure to its exit status and one stderr line; any other exception is a defect: a traceback.
 
-Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error,
-3 I/O error.
+Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error (``UsageError``,
+``ConfigError``, a float out of range, out of memory), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.config import (CHAINS, FREQUENCY, LENGTH, MOMENTUM, PACKET_STEPS, TIME, RunConfig,
-                            UsageError, manifest_lines, parse_argv, read_config_file, resolve,
-                            usage)
+from chronon.config import (CHAINS, FREQUENCY, LENGTH, MOMENTUM, PACKET_STEPS, TIME, ConfigError,
+                            RunConfig, UsageError, manifest_lines, parse_argv, read_config_file,
+                            resolve, usage)
 from chronon.reporting import Report, fmt_column, fmt_number, render_line_plot, write_csv
 
 # Every gate of the battery: report line name, less any " (n=...)" suffix ->
@@ -211,20 +211,21 @@ def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]
 def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     mixed, _positive = series_pair
     raw_amp = dd.amplitude_at(mixed, dd.OMEGA_ZB)
+    zb = raw_amp > dd.noise_floor(mixed)  # else the ZB is roundoff, and each ratio reads 0
 
     avg_period = dd.sliding_average(mixed, 2 * np.pi / dd.OMEGA_ZB)  # one ZB period
     _gate(report, "full-period window suppression",
-          raw_amp / max(dd.amplitude_at(avg_period, dd.OMEGA_ZB), 1e-300))
+          raw_amp / max(dd.amplitude_at(avg_period, dd.OMEGA_ZB), 1e-300) if zb else 0.0)
 
     avg_compton = dd.sliding_average(mixed, 1.0)  # the Compton time hbar/(m c^2)
     _gate(report, "Compton window attenuation",
-          dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / max(raw_amp, 1e-300),
+          dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / raw_amp if zb else 0.0,
           abs(np.sinc(dd.OMEGA_ZB * 1.0 / 2 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB window/2
 
     if cfg.window is not None:
         extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))
         report.add(f"user window ({cfg.window:g}) attenuation",
-                   dd.amplitude_at(extra, dd.OMEGA_ZB) / max(raw_amp, 1e-300),
+                   dd.amplitude_at(extra, dd.OMEGA_ZB) / raw_amp if zb else 0.0,
                    "diagnostic only", None)
 
     mixed, avg_compton, avg_period = _in_user_units(cfg, mixed, avg_compton, avg_period)
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"chronon: error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # a ConfigError is a ValueError
+    except ConfigError as exc:
         print(f"chronon: config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

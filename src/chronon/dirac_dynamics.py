@@ -17,8 +17,8 @@ series, so its noise floor and least-squares cutoff are Compton-unit.
 ``OMEGA_ZB`` = 2 is the rest-frame ZB frequency; the CLI's gates and windows and the
 config's sampling rule derive from it.
 ``RunConfig.validate`` holds every precondition closed-form in the config (a resolved
-packet inside the box, enough samples, windows that fit); the layers raise only on a
-packet wrapping around the position box and on a projection annihilating it.
+packet inside the box, enough samples, windows that fit); this layer raises ``ConfigError``
+only on a packet wrapping around the position box and on a projection annihilating it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chronon.config import ConfigError
 from chronon.gamma_algebra import ALPHA, BETA
 from chronon.snyder_rep import GridSpec1D, spectral_derivative
 
@@ -66,7 +67,7 @@ def init_packet(grid: GridSpec1D, p0: float, sigma_p: float, mode: str,
         unprojected = np.sum(np.abs(amps) ** 2)
         amps = (amps + _apply_hamiltonian(amps, p) / mode_energy(p)[:, None]) / 2
         if np.sum(np.abs(amps) ** 2) < 1e-28 * unprojected:
-            raise ValueError("projection annihilated the packet; choose another spinor seed")
+            raise ConfigError("projection annihilated the packet; choose another spinor seed")
     total = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dp)
     return SpinorMomentumField(grid=grid, amps=amps / total)
 
@@ -154,7 +155,7 @@ def position_series(field: SpinorMomentumField, t_max: float,
     the periodic position box of the grid, so the last value is checked
     against ``expect_position(evolve(field, t))``: a gap above 1e-9 (relative
     beyond |<x>| = 1), and above the roundoff of the spectral derivative, means
-    the packet wraps around the box and raises ValueError.
+    the packet wraps around the box and raises ``ConfigError``.
     """
     times = np.linspace(0.0, t_max, n_samples)
     dt = t_max / (n_samples - 1)
@@ -184,9 +185,9 @@ def position_series(field: SpinorMomentumField, t_max: float,
     # position, so gaps below a few of those, 4 eps pi/dp, are roundoff.
     roundoff = 4 * np.finfo(float).eps * np.pi / field.grid.dp
     if gap > max(1e-9 * max(1.0, abs(reference)), roundoff):
-        raise ValueError(f"the packet wraps around the position box by the last sample (<x> off "
-                         f"by {gap * field.grid.dp / (2 * np.pi):.3g} box lengths); "
-                         f"raise --grid-n or lower --t-max")
+        raise ConfigError(f"the packet wraps around the position box by the last sample (<x> "
+                          f"off by {gap * field.grid.dp / (2 * np.pi):.3g} box lengths); "
+                          f"raise --grid-n or lower --t-max")
     return TimeSeries(times=times, values=values)
 
 
@@ -224,6 +225,11 @@ class OscillationMeasurement:
     detected: bool
 
 
+def noise_floor(series: TimeSeries) -> float:
+    """1e-12 of the series' scale, max(1, max |x|): an oscillation at or below it is roundoff."""
+    return 1e-12 * max(float(np.max(np.abs(series.values))), 1.0)
+
+
 def amplitude_at(series: TimeSeries, omega: float) -> float:
     """Oscillation amplitude at a fixed angular frequency (trend removed): sqrt(A^2 + B^2) of
     the least-squares a + b t + A cos(omega t) + B sin(omega t)."""
@@ -259,9 +265,8 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     bins = spec[1:]
     peak = int(np.argmax(bins)) + 1
     # Significance: peak must beat 3x the median bin and the residual must
-    # stand above numerical noise relative to the series scale.
-    scale = max(float(np.max(np.abs(x))), 1.0)
-    if spec[peak] < 3 * _median(bins) or np.sqrt(np.mean(resid**2)) <= 1e-12 * scale:
+    # stand above the noise floor.
+    if spec[peak] < 3 * _median(bins) or np.sqrt(np.mean(resid**2)) <= noise_floor(series):
         return OscillationMeasurement(0.0, 0.0, False)
     # Quadratic refinement on log magnitude (guarded against zero neighbours).  Not at bin 1:
     # its left neighbour, the DC bin of the detrended series, is roundoff.

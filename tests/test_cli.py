@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -156,6 +157,28 @@ class TestConfigResolution:
     def test_explicit_output_dir_beats_env(self, monkeypatch):
         monkeypatch.setenv("CHRONON_OUTPUT_DIR", "/tmp/somewhere")
         assert resolve("snyder", {}, {"output_dir": "here"}).output_dir == "here"
+
+    @pytest.mark.parametrize("env", [None, "from-env"], ids=["no-env", "env"])
+    @pytest.mark.parametrize("file_text, flags, expected", [
+        ("output-dir =\n", [], None),
+        ("", ["--output-dir="], None),
+        ("output-dir = from-file\n", ["--output-dir="], None),
+        ("output-dir = from-file\n", [], "from-file"),
+        ("output-dir =\n", ["--output-dir=from-flag"], "from-flag"),
+    ], ids=["empty-in-file", "empty-flag", "empty-flag-over-file", "file", "flag-over-empty"])
+    def test_empty_output_dir_falls_back(self, tmp_path, monkeypatch, env, file_text, flags,
+                                         expected):
+        # An empty output-dir, from the file or from --output-dir=, is $CHRONON_OUTPUT_DIR,
+        # else out (None above); the flag's value, empty too, beats the file's.
+        if env is None:
+            monkeypatch.delenv("CHRONON_OUTPUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("CHRONON_OUTPUT_DIR", env)
+        path = tmp_path / "run.cfg"
+        path.write_text(file_text)
+        command, config_path, flag_values = parse_argv(["snyder", "--config", str(path)] + flags)
+        cfg = resolve(command, read_config_file(config_path), flag_values)
+        assert cfg.output_dir == (expected or env or "out")
 
 
 # KEY_SPECS key -> (flag text, or None for the --no- form of a boolean; parsed value)
@@ -626,6 +649,17 @@ class TestExitStatuses:
         assert mutant["spin spectrum"] == (f"spin spectrum: measured {'; '.join([spectrum] * 3)}, "
                                            "expected {-0.5 x2, +0.5 x2}: FAIL")
 
+    def test_internal_value_error_is_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # A defect is not the input's fault.  A window_samples that returns an even count
+        # misaligns the averaged series with its times, and numpy's ValueError leaves main
+        # as it is, not as a config error and exit 2.
+        odd = dd.window_samples
+        monkeypatch.setattr(dd, "window_samples", lambda dt, window: odd(dt, window) + 1)
+        with pytest.raises(ValueError, match="Incompatible dimensions") as caught:
+            run(["averaging", "--output-dir", tmp_path] + FAST_ZB)
+        assert not isinstance(caught.value, ConfigError)
+        assert capsys.readouterr().err == ""
+
     def test_check_failure_exits_1(self, tmp_path):
         # A wide momentum spread pushes the mean interference frequency
         # beyond the 1% band around 2mc^2/hbar, an honest check failure.
@@ -865,6 +899,15 @@ class TestZitterbewegungCommand:
         assert lines[0].startswith("chronon: config error: the packet wraps around")
         assert "--grid-n" in lines[0] and "--t-max" in lines[0]
 
+    def test_annihilating_seed_is_config_error(self, tmp_path, capsys):
+        # The seed (0, 0, 1, 0) has negative energy at rest; on a box of 1e-15 m c the
+        # positive projection keeps less than 1e-14 of its norm.
+        assert run(["zitterbewegung", "--grid-n", "32", "--p-max", "1e-15", "--sigma-p",
+                    "1.5e-16", "--spinor-seed", "0,0,1,0", "--no-emit-plots",
+                    "--output-dir", tmp_path]) == 2
+        assert capsys.readouterr().err == ("chronon: config error: projection annihilated "
+                                           "the packet; choose another spinor seed\n")
+
 
 class TestAveragingCommand:
     def test_fast_run(self, tmp_path):
@@ -890,6 +933,54 @@ class TestAveragingCommand:
         for name in ("full-period window suppression", "Compton window attenuation"):
             assert lines[name].endswith(": FAIL")
         assert ("user window (1.5) attenuation" in lines) == bool(window)
+
+    @pytest.mark.parametrize("window", [[], ["--window", "0.7"]], ids=["canonical", "user"])
+    def test_roundoff_zb_fails_the_averaging_lines_at_0(self, tmp_path, capsys, window):
+        # The seed (1, 0, 0, 1) at p0 = 0 gives a packet with no ZB: its raw amplitude at
+        # OMEGA_ZB is 4.2e-19, under the noise floor 1e-12.  The quotients of two roundoff
+        # amplitudes read 157.477208 and 0.87618154 and PASSed both gates; now every ratio
+        # to the raw amplitude reads 0.
+        code = run(["averaging", "--grid-n=64", "--p-max=2.2107207942244202",
+                    "--sigma-p=0.18257551512092665", "--p0=0", "--t-max=2.53535",
+                    "--n-samples=9", "--spinor-seed=1,0,0,1", "--no-emit-plots",
+                    "--output-dir", tmp_path] + window)
+        assert code == 1 and capsys.readouterr().err == ""
+        lines = report_lines(tmp_path)
+        for name in ("full-period window suppression", "Compton window attenuation"):
+            assert lines[name].endswith(": FAIL") and measured(lines[name]) == 0
+        if window:
+            assert measured(lines["user window (0.7) attenuation"]) == 0
+
+    def test_no_zb_packets_never_pass(self, tmp_path):
+        # 40 drawn packets of seed (1, 0, 0, 1) at p0 = 0 on small boxes, each accepted by
+        # validate and well inside its box: none has a ZB, so no averaging line may PASS.
+        # 17 of these 40 PASSed a line when the quotients read roundoff.
+        rng, judged = random.Random(0), 0
+        while judged < 40:
+            grid_n, p_max = rng.choice([32, 64, 128]), rng.uniform(0.5, 5)
+            sigma_p, t_max = rng.uniform(4 * p_max / grid_n, p_max / 6), rng.uniform(2.5, 8)
+            argv = ["averaging", f"--grid-n={grid_n}", f"--p-max={p_max!r}",
+                    f"--sigma-p={sigma_p!r}", "--p0=0", f"--t-max={t_max!r}",
+                    f"--n-samples={math.ceil(8 * t_max / math.pi) + rng.randrange(4)}",
+                    "--spinor-seed=1,0,0,1", "--no-emit-plots"]
+            try:
+                parsed_config(argv)
+            except ConfigError:
+                continue
+            judged += 1
+            out = tmp_path / str(judged)
+            assert run(argv + ["--output-dir", out]) == 1, argv
+            lines = report_lines(out)
+            for name in ("full-period window suppression", "Compton window attenuation"):
+                assert lines[name].endswith(": FAIL") and measured(lines[name]) == 0, argv
+
+    def test_small_real_zb_is_judged(self, tmp_path):
+        # At p0 = 3 the ZB is small but real, a raw amplitude of 1.1e-4 against a floor of
+        # 4.5e-11: both lines are judged on their measured values, and FAIL on them.
+        assert run(["averaging", "--p0", "3", "--no-emit-plots", "--output-dir", tmp_path]) == 1
+        lines = report_lines(tmp_path)
+        assert measured(lines["full-period window suppression"]) == 25.894247
+        assert measured(lines["Compton window attenuation"]) == 0.0089121561
 
     def test_too_short_user_window_is_config_error(self, tmp_path):
         code = run(["averaging", "--window", "0.01", "--output-dir", tmp_path]

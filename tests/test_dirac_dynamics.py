@@ -161,7 +161,7 @@ class TestInitPacket:
     def test_annihilating_projection_rejected(self):
         # The seed (0, 0, 1, 0) has negative energy at rest; on a box of 1e-15 m c its
         # positive part, about p/2, keeps less than 1e-14 of the norm.
-        with pytest.raises(ValueError, match="annihilated"):
+        with pytest.raises(ConfigError, match="annihilated"):
             dd.init_packet(GridSpec1D(n=32, p_max=1e-15), 0.0, 1.5e-16, "positive",
                            (0, 0, 1, 0))
 
@@ -355,7 +355,7 @@ class TestSeriesPaths:
     @pytest.mark.parametrize("p0, t_max", [(3.0, 100.0), (0.0, 200.0)])
     def test_packet_wrapping_around_the_box_rejected(self, p0, t_max):
         f = dd.init_packet(GRID, p0, 0.1, "mixed", SEED)
-        with pytest.raises(ValueError, match="wraps around the position box"):
+        with pytest.raises(ConfigError, match="wraps around the position box"):
             dd.position_series(f, t_max, 8192)
 
 

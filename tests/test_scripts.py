@@ -1,14 +1,9 @@
-"""The scripts in scripts/ run against the CLI's code paths."""
+"""The script in scripts/ runs against the CLI's code paths."""
 
 import importlib.util
 import os
-import subprocess
-import sys
-
-from chronon import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def test_convergence_study_prints_every_row(capsys):
@@ -24,13 +19,3 @@ def test_convergence_study_prints_every_row(capsys):
     # The finest grids reach the roundoff floor of each check.
     assert float(table[6][1]) <= 1e-10 and float(table[11][1]) <= 1e-10
 
-
-def test_run_experiments_writes_the_report(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "run_experiments.py"),
-                           "--no-emit-plots"], cwd=tmp_path, env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "results" / "full-run" / "report.txt").read_text().endswith(
-        "verdict: PASS\n")
