@@ -6,9 +6,10 @@ command line (``config.parse_argv``, no argparse) and the config file, runs the 
 ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and makes the
 output dir and writes every file in one guarded block, which maps each input or system
 failure to its exit status and one stderr line; any other exception is a defect: a traceback.
+``run``, the process entry point, exits with ``main``'s status, or 4 after that traceback.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error (``UsageError``,
-``ConfigError``, a float out of range, out of memory), 3 I/O error.
+``ConfigError``, a float out of range, out of memory), 3 I/O error, 4 a defect in chronon.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| and of p_transverse, in Compt
 AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
+KAPPA = 0.5  # the coordinate scale in x_i = KAPPA alpha_i, in Compton wavelengths
 
 
 def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
@@ -85,10 +87,9 @@ def _write_artifacts(cfg: RunConfig, stem: str, header, columns, plot=None) -> l
 def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     a = cfg.a_prime
     _gate(report, "clifford residual", ga.verify_clifford())
-    factor = ga.deformation_factor(a, 1.0)  # at the Compton momentum m c
+    factor = sr.deformation(a, 1.0)  # at the Compton momentum m c
     _gate(report, "Compton deformation factor", factor, 1.0 + a**2)
-    report.add("mixed deformation coefficient at Compton momentum",
-               ga.mixed_deformation_rhs(a, 1.0, 1.0), a**2, None)
+    report.add("mixed deformation coefficient at Compton momentum", a**2, a**2, None)
 
     if cfg.a == 0:
         _gate(report, "deformation factor (a=0)", factor, 1.0)
@@ -96,8 +97,8 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
             report.skip(name, "undeformed limit")
     else:
         kappa, kappa_t, resid = ga.solve_normalization()
-        _gate(report, "normalization kappa", kappa, 0.5)
-        report.add("normalization kappa_t", kappa_t, "+-0.5j (non-Hermitian time coordinate)",
+        _gate(report, "normalization kappa", kappa, KAPPA)
+        report.add("normalization kappa_t", kappa_t, f"+-{KAPPA}j (non-Hermitian time coordinate)",
                    None)
         L, M = ga.generators(kappa, kappa_t)
         closure = ga.verify_lorentz_algebra(L, M)
@@ -117,7 +118,7 @@ def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]
     orbital_ok = all(not (t > ORBITAL_FLOOR and res <= ORBITAL_FLOOR)
                      for t, res in zip(transverse, orbital))
     _gate(report, "rotation covariance max total residual", max(0.0, *total))  # in hbar c mc
-    report.add("orbital action nonzero off-axis", "all 300 cases" if orbital_ok else
+    report.add("orbital action nonzero off-axis", f"all {len(orbital)} cases" if orbital_ok else
                "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
     report.add("orbital rotation sign convention",
                "L_i H = +i*hbar*c*(p_j alpha_k - p_k alpha_j), (i,j,k) cyclic",
@@ -158,13 +159,13 @@ def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
             _gate(report, f"{check} residual (n={finest_n})", finest_r)
             # The roundoff floor scales with the deformed coefficient (a' p_max')^2.
             p_max = cfg.p_max if "1d" in check else cfg.p_max_2d
-            floor = RESIDUAL_FLOOR * (1 + (cfg.a_prime * cfg.to_compton(p_max, MOMENTUM)) ** 2)
+            floor = RESIDUAL_FLOOR * sr.deformation(cfg.a_prime, cfg.to_compton(p_max, MOMENTUM))
             resids = [r for _, r in pairs]
             mono = all(nxt <= prev / 4 or min(prev, nxt) <= floor
                        for prev, nxt in zip(resids, resids[1:]))
             report.add(f"{check} refinement monotonicity",
                        "falls >= 4x per doubling (or at floor)" if mono else "violated",
-                       ">= 4x per doubling until 1e-12 floor", mono)
+                       f">= 4x per doubling until {RESIDUAL_FLOOR:g} floor", mono)
     checks, ns, resids = zip(*rows)
     return _write_artifacts(cfg, "snyder_residuals", ["check", "n", "a", "residual"],
                             [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
@@ -191,9 +192,11 @@ def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]
     meas = dd.measure_oscillation(mixed)
     _gate(report, "mixed packet oscillation frequency", meas.omega, dd.OMEGA_ZB,
           cfg.to_user(1.0, FREQUENCY))
-    length = cfg.to_user(1.0, LENGTH)  # the bound 1/2 is the ZB operator norm at rest
+    # The bound is |KAPPA|: at rest the ZB operator is (i/2) alpha_z beta = i x_z beta.
+    length = cfg.to_user(1.0, LENGTH)
     report.add("mixed packet oscillation amplitude", meas.amplitude * length,
-               f"<= hbar/(2mc) = {0.5 * length:g}", meas.amplitude <= 0.5 * (1 + AMPLITUDE_SLACK))
+               f"<= hbar/(2mc) = {KAPPA * length:g}",
+               meas.amplitude <= KAPPA * (1 + AMPLITUDE_SLACK))
     pos_amp = dd.amplitude_at(positive, dd.OMEGA_ZB)
     _gate(report, "positive-projected component at ZB frequency", pos_amp)
     pos_meas = dd.measure_oscillation(positive)
@@ -213,14 +216,14 @@ def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
     raw_amp = dd.amplitude_at(mixed, dd.OMEGA_ZB)
     zb = raw_amp > dd.noise_floor(mixed)  # else the ZB is roundoff, and each ratio reads 0
 
-    avg_period = dd.sliding_average(mixed, 2 * np.pi / dd.OMEGA_ZB)  # one ZB period
+    avg_period = dd.sliding_average(mixed, dd.PERIOD_WINDOW)
     _gate(report, "full-period window suppression",
           raw_amp / max(dd.amplitude_at(avg_period, dd.OMEGA_ZB), 1e-300) if zb else 0.0)
 
-    avg_compton = dd.sliding_average(mixed, 1.0)  # the Compton time hbar/(m c^2)
+    avg_compton = dd.sliding_average(mixed, dd.COMPTON_WINDOW)
     _gate(report, "Compton window attenuation",
           dd.amplitude_at(avg_compton, dd.OMEGA_ZB) / raw_amp if zb else 0.0,
-          abs(np.sinc(dd.OMEGA_ZB * 1.0 / 2 / np.pi)))  # |sin(x)/x|, x = OMEGA_ZB window/2
+          abs(np.sinc(dd.OMEGA_ZB * dd.COMPTON_WINDOW / 2 / np.pi)))  # |sin(x)/x|, x = w T/2
 
     if cfg.window is not None:
         extra = dd.sliding_average(mixed, cfg.to_compton(cfg.window, TIME))
@@ -291,5 +294,17 @@ def main(argv=None) -> int:
     return 0 if report.passed else 1
 
 
+def run() -> None:
+    """Exit with ``main``'s status; on a defect, any other exception, print its traceback
+    and exit 4, so that no defect reads as a FAIL verdict (exit 1)."""
+    try:
+        status = main()
+    except Exception:
+        import traceback  # a defect alone pays for the import
+        traceback.print_exc()
+        status = 4
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

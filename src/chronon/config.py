@@ -164,7 +164,7 @@ class RunConfig:
             require(value[key] <= sys.maxsize // 64, key, f"at most {sys.maxsize // 64}", key)
         if not packet:
             return self
-        from chronon.dirac_dynamics import OMEGA_ZB, window_samples  # numpy: packets only
+        from chronon import dirac_dynamics as dd  # numpy: packets only
         # The packet's closed-form preconditions, on the Compton-unit values the layers see.
         # sigma-p' >= 2 dp' = 4 p'/grid-n (exact) leaves no aliasing at the dual Nyquist point.
         require(sigma >= math.ldexp(p, 3 - self.grid_n.bit_length()), "sigma-p",
@@ -172,18 +172,18 @@ class RunConfig:
         require(abs(p0) + 6 * sigma <= p, "|p0| + 6 sigma-p", "at most p-max", "p0 sigma-p p-max")
         # 2 samples per ZB period with a 4x margin; an int compares with any float exactly.
         n, in_units = self.n_samples, "t-max n-samples hbar mass c"
-        require(n >= 4 * 2 * t * OMEGA_ZB / (2 * math.pi), "n-samples",
+        require(n >= 4 * 2 * t * dd.OMEGA_ZB / (2 * math.pi), "n-samples",
                 "at least 8 t-max/(pi hbar/(mass c^2))", "n-samples t-max hbar mass c")
         if "averaging" not in steps:
             return self
         num, den = t.as_integer_ratio()
         dt = num / (den * (n - 1))  # the series' spacing as np.linspace forms it, for any n
-        windows = [("the full-period window pi hbar/(mass c^2)", 2 * math.pi / OMEGA_ZB, in_units),
-                   ("the Compton window hbar/(mass c^2)", 1.0, in_units)]
+        windows = [("the full-period window pi hbar/(mass c^2)", dd.PERIOD_WINDOW, in_units),
+                   ("the Compton window hbar/(mass c^2)", dd.COMPTON_WINDOW, in_units)]
         if self.window is not None:
             windows.append(("window", self.to_compton(self.window, TIME), "window t-max n-samples"))
         for name, w, keys in windows:  # a window of more samples than a float holds is too long
-            require(w >= 2 * dt and dt > 0 and w / dt < math.inf and window_samples(dt, w) <= n,
+            require(w >= 2 * dt and dt > 0 and w / dt < math.inf and dd.window_samples(dt, w) <= n,
                     name, "between 2 sample intervals and n-samples samples long", keys)
         return self
 
@@ -302,7 +302,9 @@ def usage() -> str:
         flag = "--[no-]emit-plots" if key == "emit-plots" else f"--{key} VALUE"
         lines.append(f"  {flag:<22}default {_value_text(getattr(RunConfig, attr)) or 'unset'}")
     lines += ["", "An unset a is the Compton wavelength hbar/(mass c), an unset window adds no",
-              "window, and an unset output-dir is $CHRONON_OUTPUT_DIR, else out."]
+              "window, and an unset output-dir is $CHRONON_OUTPUT_DIR, else out.", "",
+              "exit status: 0 all checks pass, 1 a check failed, 2 usage or config error,",
+              "3 I/O error, 4 a defect in chronon (with its traceback)."]
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,8 @@ from chronon.gamma_algebra import ALPHA, BETA
 from chronon.snyder_rep import GridSpec1D, spectral_derivative
 
 OMEGA_ZB = 2.0  # the rest-frame Zitterbewegung frequency 2 m c^2/hbar: mode p rings at OMEGA_ZB E
+PERIOD_WINDOW = 2 * np.pi / OMEGA_ZB  # one ZB period, pi hbar/(m c^2)
+COMPTON_WINDOW = 1.0  # the Compton time hbar/(m c^2)
 
 
 def mode_energy(p):

@@ -15,7 +15,7 @@ axis) cases in one pass over stacked 4x4 arrays, each case through the
 operations of a lone 4x4 in the same order, and takes all their norms in one
 ``frobenius`` call, so they are bit-identical to the one-case check.  Every
 matrix here is of order one in Compton units, so ``frobenius`` is plain
-``np.linalg.norm``.  Only the deformation factors take a, as a' = a m c/hbar.
+``np.linalg.norm``.
 
 Sign conventions fixed here (the source relations leave them open):
 
@@ -149,19 +149,6 @@ def solve_normalization() -> tuple[complex, complex, float]:
     kappa_t = _root(_least_squares([commutator(K1[i], K1[j]) for i, j, _ in _CYCLIC],
                                    [-1j * J[k] for _, _, k in _CYCLIC]))
     return kappa, kappa_t, frobenius(kappa**2 * bracket - target)
-
-
-def deformation_factor(a: float, p: float) -> float:
-    """Scalar multiplying i in the deformed Heisenberg bracket [x, p_x]: 1 + (a p)^2.
-
-    At a = 1 (the Compton wavelength) and p = 1 (m c) it is exactly 2.
-    """
-    return 1.0 + (a * p) ** 2
-
-
-def mixed_deformation_rhs(a: float, p1: float, p2: float) -> float:
-    """Coefficient of i in the mixed bracket [x, p_y]: a^2 p1 p2."""
-    return a**2 * p1 * p2
 
 
 def free_hamiltonian(p: np.ndarray) -> np.ndarray:

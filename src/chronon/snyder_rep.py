@@ -7,6 +7,9 @@ x_i = i*(delta_ij + a^2 p_i p_j) d/dp_j, whose commutator reproduces the
 coordinate noncommutativity [x, y] = i a^2 L_z with
 L_z = i*(p_y d/dp_x - p_x d/dp_y).  That sign of L_z is an orientation
 choice; it is the one that makes the 2-D residual vanish in the continuum.
+``deformation`` is the one home of the coefficient 1 + (a p)^2: the 1-D operator and the
+CLI's deformation lines and roundoff floor read it.  The residual's expected side
+restates the bracket, so that a defect in the coefficient shows instead of cancelling.
 
 Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
@@ -67,10 +70,14 @@ def spectral_derivative(f: np.ndarray, grid: GridSpec1D) -> np.ndarray:
     return np.fft.irfft(spectrum, n=grid.n, axis=0)
 
 
+def deformation(a: float, p):
+    """The coefficient 1 + (a p)^2 of i in [x, p_x]: exactly 2 at a = 1 and p = 1 (m c)."""
+    return 1.0 + (a * p) ** 2
+
+
 def snyder_position_apply_1d(f: np.ndarray, grid: GridSpec1D, a: float) -> np.ndarray:
     """x f = i*(1 + (a p)^2) df/dp (coefficient left of the derivative)."""
-    coeff = 1.0 + (a * grid.points) ** 2
-    return 1j * coeff * spectral_derivative(f, grid)
+    return 1j * deformation(a, grid.points) * spectral_derivative(f, grid)
 
 
 def interior(n: int) -> slice:
@@ -88,7 +95,7 @@ def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
     """Relative L2 residual of [x, p] f = i*(1 + (a p)^2) f."""
     p = grid.points
     lhs = snyder_position_apply_1d(p * f, grid, a) - p * snyder_position_apply_1d(f, grid, a)
-    rhs = 1j * (1.0 + (a * p) ** 2) * f
+    rhs = 1j * (1.0 + (a * p) ** 2) * f  # the bracket itself, not ``deformation``
     inner = interior(grid.n)
     return _norm_ratio((lhs - rhs)[inner], f[inner])
 

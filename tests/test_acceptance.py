@@ -76,7 +76,7 @@ def test_02_normalization_and_spin(generators, announce):
 
 
 def test_03_compton_deformation_factor(announce):
-    factor = ga.deformation_factor(A_PRIME, 1.0)  # at the Compton momentum m c
+    factor = sr.deformation(A_PRIME, 1.0)  # at the Compton momentum m c
     announce(3, "deformation factor 2 at Compton momentum",
              abs(factor - 2.0) <= 2e-15, f"factor {factor!r}")
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -660,6 +661,41 @@ class TestExitStatuses:
         assert not isinstance(caught.value, ConfigError)
         assert capsys.readouterr().err == ""
 
+    # cli.run, the process entry point, reached both ways: as the console script's function
+    # and as python -m chronon.cli, which runs the module as __main__.
+    ENTRY_POINTS = {"run": "from chronon import cli\ncli.run()\n",
+                    "-m": "import runpy\nrunpy.run_module('chronon.cli', run_name='__main__')\n"}
+    EVEN_WINDOW = ("from chronon import dirac_dynamics as dd\n"
+                   "odd = dd.window_samples\n"
+                   "dd.window_samples = lambda dt, window: odd(dt, window) + 1\n")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_defect_exits_4_with_its_traceback(self, tmp_path, entry):
+        # The even-window defect of the test above, in a process: exit 4, not a verdict's 1.
+        argv = ["chronon", "averaging", "--output-dir", str(tmp_path / "out")] + FAST_ZB
+        proc = run_fresh(f"import sys\n{self.EVEN_WINDOW}sys.argv = {argv!r}\n"
+                         + self.ENTRY_POINTS[entry], tmp_path)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.splitlines()[-1].startswith(
+            "numpy.linalg.LinAlgError: Incompatible dimensions")
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    @pytest.mark.parametrize("entry, argv, status", [
+        ("-m", ["verify-algebra"], 0), ("run", ["verify-algebra"], 0),
+        ("run", ["snyder", "--p-max", "1e100", "--grid-n", "64"], 1),
+        ("run", ["frobnicate"], 2), ("run", ["verify-algebra", "--output-dir", "taken/out"], 3)],
+        ids=["pass--m", "pass", "fail", "usage", "io"])
+    def test_statuses_0_to_3_unchanged(self, tmp_path, entry, argv, status):
+        (tmp_path / "taken").write_text("")  # a file where the output dir's parent should be
+        if "--output-dir" not in argv:
+            argv = argv + ["--output-dir", str(tmp_path / "out")]
+        proc = run_fresh(f"import os, sys\nos.chdir(sys.argv[1])\n"
+                         f"sys.argv = {['chronon'] + argv!r}\n" + self.ENTRY_POINTS[entry],
+                         tmp_path)
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_check_failure_exits_1(self, tmp_path):
         # A wide momentum spread pushes the mean interference frequency
         # beyond the 1% band around 2mc^2/hbar, an honest check failure.
@@ -689,6 +725,21 @@ class TestVerifyAlgebraCommand:
         # a defaults to hbar/(m c), so the Compton-point factor stays 2.
         assert run(["verify-algebra", "--mass", "2", "--output-dir", tmp_path]) == 0
         assert "Compton deformation factor: measured 2" in (tmp_path / "report.txt").read_text()
+
+    @pytest.mark.parametrize("argv, coefficient", [
+        (["--mass", "2", "--a", "0.5"], "1"), (["--a", "0.25"], "0.0625")], ids=["a'1", "a'0.25"])
+    def test_mixed_deformation_coefficient_is_a_prime_squared(self, tmp_path, argv, coefficient):
+        assert run(["verify-algebra", "--output-dir", tmp_path] + argv) == 0
+        assert report_lines(tmp_path)["mixed deformation coefficient at Compton momentum"] == (
+            "mixed deformation coefficient at Compton momentum: "
+            f"measured {coefficient}, expected {coefficient}: INFO")
+
+    def test_orbital_floor_quoted_as_itself(self, tmp_path):
+        # The expected text quotes ORBITAL_FLOOR twice, as a literal: the two must agree.
+        assert run(["verify-algebra", "--output-dir", tmp_path]) == 0
+        line = report_lines(tmp_path)["orbital action nonzero off-axis"]
+        expected = line.partition(", expected ")[2].rpartition(": ")[0]
+        assert [float(x) for x in re.findall(r"\d[\d.e-]*", expected)] == [cli.ORBITAL_FLOOR] * 2
 
     def test_orbital_action_judged_in_units_of_mc(self, tmp_path):
         # ||L_i H|| = 2 hbar c p_transverse is about 1e-150 here: nonzero in units of hbar c mc.

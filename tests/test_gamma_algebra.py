@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chronon import cli
 from chronon import gamma_algebra as ga
+from chronon import snyder_rep as sr
 from chronon.config import LENGTH, MOMENTUM, TIME, RunConfig
 from chronon.gamma_algebra import commutator, frobenius, is_hermitian
 from chronon.reporting import Report
@@ -56,7 +57,7 @@ class TestAPrime:
         assert cfg.to_user(1.0, TIME) == pytest.approx(2.0 / 45.0, rel=1e-15)
         explicit = unit_config({"hbar": 2.0, "c": 3.0, "m": 5.0, "a": 2.0 / 15.0})
         assert explicit.a_prime == pytest.approx(cfg.a_prime, rel=1e-15)
-        assert ga.deformation_factor(cfg.a_prime, 1.0) == 2.0
+        assert sr.deformation(cfg.a_prime, 1.0) == 2.0
 
 
 class TestDiracMatrices:
@@ -268,24 +269,17 @@ class TestLorentzAlgebra:
 
 
 class TestDeformationFactors:
+    """The coefficient of the verify-algebra deformation lines, ``sr.deformation``."""
+
     def test_compton_point_doubles(self):
         # a' = 1 (a is the Compton wavelength) at p = 1 (m c).
-        assert ga.deformation_factor(1.0, 1.0) == 2.0
+        assert sr.deformation(1.0, 1.0) == 2.0
 
     def test_undeformed_limit(self):
-        assert ga.deformation_factor(0.0, 123.4) == 1.0
+        assert sr.deformation(0.0, 123.4) == 1.0
 
     def test_space_arithmetic(self):
-        assert ga.deformation_factor(1.0, 2.0) == 5.0
-
-    def test_mixed_rhs(self):
-        assert ga.mixed_deformation_rhs(1.0, 1.0, 1.0) == 1.0
-        assert ga.mixed_deformation_rhs(1.0, 0.0, 5.0) == 0.0
-
-    def test_mixed_rhs_compton(self):
-        # a = 0.5 at m = 2 is one Compton wavelength: a' = a m c/hbar = 1.
-        a = unit_config({"m": 2.0, "a": 0.5}).a_prime
-        assert ga.mixed_deformation_rhs(a, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert sr.deformation(1.0, 2.0) == 5.0
 
 
 class TestRotationCovariance:

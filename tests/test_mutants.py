@@ -32,12 +32,15 @@ def flipped_spin(monkeypatch):
 
 
 def quartered_snyder_coefficient(monkeypatch):
-    """x = i (1 + a'^2 p^2/4) d/dp: the bracket is no longer i (1 + a'^2 p^2)."""
+    """The coefficient 1 + a'^2 p^2/4: x = i (1 + a'^2 p^2/4) d/dp, so the bracket is no
+    longer i (1 + a'^2 p^2), and the factor at the Compton momentum reads 1.25, not 2."""
+    monkeypatch.setattr(sr, "deformation", lambda a, p: 1.0 + (a * p) ** 2 / 4)
 
-    def position(f, grid, a):
-        return 1j * (1.0 + (a * grid.points) ** 2 / 4) * sr.spectral_derivative(f, grid)
 
-    monkeypatch.setattr(sr, "snyder_position_apply_1d", position)
+def shifted_deformation(monkeypatch):
+    """The coefficient 1 + a'^2 p^2 + 1e-9: not 1 even in the undeformed limit a' = 0."""
+    deformation = sr.deformation
+    monkeypatch.setattr(sr, "deformation", lambda a, p: deformation(a, p) + 1e-9)
 
 
 def scaled_derivative(monkeypatch):
@@ -83,7 +86,11 @@ MUTANTS = [
     (flipped_spin, ["verify-algebra"], ["lorentz closure residual",
                                         "normalization search residual",
                                         "rotation covariance max total residual"]),
-    (quartered_snyder_coefficient, ["snyder"], ["heisenberg-1d residual"]),
+    # One run reaches both readers of the coefficient, the operator and the factor line.
+    (quartered_snyder_coefficient, ["all"], ["Compton deformation factor",
+                                             "heisenberg-1d residual"]),
+    (shifted_deformation, ["verify-algebra", "--a", "0"], ["deformation factor (a=0)",
+                                                           "Compton deformation factor"]),
     (scaled_derivative, ["snyder"], ["heisenberg-1d residual", "coordinate-xy-2d residual",
                                      "mixed-2d residual"]),
     (scaled_derivative, ["snyder", "--a", "0"], ["canonical-limit-heisenberg-1d residual"]),
@@ -94,13 +101,10 @@ MUTANTS = [
     (heavier_mass, ["zitterbewegung"], ["mixed packet oscillation frequency"]),
 ]
 
-# Gates that no mutant FAILs yet.  The two deformation-factor lines compare
-# deformation_factor with its own formula.  The canonical-limit 2-D lines run at a = 0,
+# Gates that no mutant FAILs yet.  The canonical-limit 2-D lines run at a = 0,
 # where x and y are i d/dp_x and i d/dp_y: they commute with each other and with p_y
 # whatever is wrong with the derivative, so both brackets vanish for any such defect.
 NO_MUTANT_YET = {
-    "Compton deformation factor",
-    "deformation factor (a=0)",
     "canonical-limit-coordinate-xy-2d residual",
     "canonical-limit-mixed-2d residual",
 }
@@ -125,14 +129,14 @@ def test_mutant_fails_its_gates(mutant, argv, gates, monkeypatch, tmp_path, caps
 
 
 def test_gates_pass_without_a_mutant(tmp_path):
-    # The control: the same lines PASS on the unmutated battery and at a = 0.
-    status = {}
-    for argv in (["all"], ["snyder", "--a", "0"]):
+    # The control: unmutated, the battery and the a = 0 runs exit 0, and each line a
+    # mutant FAILs reads PASS in one of them (at a = 0 the kappa line reads SKIP).
+    passed = set()
+    for argv in (["all"], ["snyder", "--a", "0"], ["verify-algebra", "--a", "0"]):
         code, run_status = statuses(argv, tmp_path / "-".join(argv))
         assert code == 0
-        status.update(run_status)
-    gates = [gate for _, _, names in MUTANTS for gate in names]
-    assert {gate: status[gate] for gate in gates} == dict.fromkeys(gates, "PASS")
+        passed |= {gate for gate, verdict in run_status.items() if verdict == "PASS"}
+    assert {gate for _, _, names in MUTANTS for gate in names} - passed == set()
 
 
 def test_every_gate_has_a_mutant_or_is_listed():
