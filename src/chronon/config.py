@@ -164,7 +164,8 @@ class RunConfig:
             require(value[key] <= sys.maxsize // 64, key, f"at most {sys.maxsize // 64}", key)
         if not packet:
             return self
-        from chronon import dirac_dynamics as dd  # numpy: packets only
+        # Imported here, not at the top: dirac_dynamics imports ConfigError from this module.
+        from chronon import dirac_dynamics as dd
         # The packet's closed-form preconditions, on the Compton-unit values the layers see.
         # sigma-p' >= 2 dp' = 4 p'/grid-n (exact) leaves no aliasing at the dual Nyquist point.
         require(sigma >= math.ldexp(p, 3 - self.grid_n.bit_length()), "sigma-p",
@@ -172,7 +173,7 @@ class RunConfig:
         require(abs(p0) + 6 * sigma <= p, "|p0| + 6 sigma-p", "at most p-max", "p0 sigma-p p-max")
         # 2 samples per ZB period with a 4x margin; an int compares with any float exactly.
         n, in_units = self.n_samples, "t-max n-samples hbar mass c"
-        require(n >= 4 * 2 * t * dd.OMEGA_ZB / (2 * math.pi), "n-samples",
+        require(n >= 8 * t / dd.PERIOD_WINDOW, "n-samples",
                 "at least 8 t-max/(pi hbar/(mass c^2))", "n-samples t-max hbar mass c")
         if "averaging" not in steps:
             return self

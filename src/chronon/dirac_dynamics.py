@@ -220,13 +220,6 @@ def sliding_average(series: TimeSeries, window: float) -> TimeSeries:
     return TimeSeries(times=times, values=values)
 
 
-@dataclass(frozen=True)
-class OscillationMeasurement:
-    omega: float
-    amplitude: float
-    detected: bool
-
-
 def noise_floor(series: TimeSeries) -> float:
     """1e-12 of the series' scale, max(1, max |x|): an oscillation at or below it is roundoff."""
     return 1e-12 * max(float(np.max(np.abs(series.values))), 1.0)
@@ -253,13 +246,14 @@ def _median(values: np.ndarray) -> np.float64:
     return part[-1] if np.isnan(part[-1]) else np.mean(part[middle])
 
 
-def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
-    """Dominant oscillation after removing the linear trend.
+def measure_oscillation(series: TimeSeries) -> tuple[float, float]:
+    """(omega, amplitude) of the dominant oscillation after removing the linear trend.
 
     The DFT peak bin, from bin 2 up, is refined by quadratic interpolation of the
     log-magnitude, then the amplitude is read off by a least-squares
-    sinusoid fit at the refined frequency.  A flat spectrum (peak below 3x
-    the median bin magnitude) reports no oscillation.
+    sinusoid fit at the refined frequency.  A flat spectrum (peak below 3x the median bin
+    magnitude) or a residual at the noise floor gives (0.0, 0.0); a found omega is > 0, as
+    the peak bin is >= 1 and the refinement moves it by at most half a bin.
     """
     t, x = series.times, series.values
     resid = x - np.polyval(np.polyfit(t, x, 1), t)
@@ -269,7 +263,7 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
     # Significance: peak must beat 3x the median bin and the residual must
     # stand above the noise floor.
     if spec[peak] < 3 * _median(bins) or np.sqrt(np.mean(resid**2)) <= noise_floor(series):
-        return OscillationMeasurement(0.0, 0.0, False)
+        return 0.0, 0.0
     # Quadratic refinement on log magnitude (guarded against zero neighbours).  Not at bin 1:
     # its left neighbour, the DC bin of the detrended series, is roundoff.
     delta = 0.0
@@ -279,4 +273,4 @@ def measure_oscillation(series: TimeSeries) -> OscillationMeasurement:
         if denom < 0:
             delta = 0.5 * (lm - lp) / denom
     omega = 2 * np.pi * (peak + delta) / (len(t) * series.dt)
-    return OscillationMeasurement(omega, amplitude_at(series, omega), True)
+    return omega, amplitude_at(series, omega)

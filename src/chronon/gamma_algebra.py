@@ -52,8 +52,8 @@ GAMMA = (BETA,) + tuple(_frozen(np.kron(1j * PAULI_Y, s)) for s in PAULI)
 SPIN = tuple(_frozen(0.5 * np.kron(I2, s)) for s in PAULI)
 
 
-def is_hermitian(a: np.ndarray, rtol: float = 1e-12) -> bool:
-    return np.linalg.norm(a - a.conj().T) <= rtol * max(np.linalg.norm(a), 1.0)
+def is_hermitian(a: np.ndarray) -> bool:
+    return np.linalg.norm(a - a.conj().T) <= 1e-12 * max(np.linalg.norm(a), 1.0)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -32,38 +32,25 @@ def fmt_number(v) -> str:
 
 
 @dataclass
-class ReportLine:
-    name: str
-    measured: str
-    expected: str
-    status: str
-
-    def render(self) -> str:
-        return f"{self.name}: measured {self.measured}, expected {self.expected}: {self.status}"
-
-
-@dataclass
 class Report:
+    """Check lines, as "{name}: measured {m}, expected {e}: {STATUS}"; passed until a FAIL."""
     title: str
-    lines: list[ReportLine] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+    passed: bool = field(default=True, init=False)
 
     def add(self, name: str, measured, expected, ok: bool | None) -> None:
         """ok=None records an informational line that cannot fail."""
         status = INFO if ok is None else (PASS if ok else FAIL)
-        self.lines.append(ReportLine(name, fmt_number(measured), fmt_number(expected), status))
+        self.passed = self.passed and status != FAIL
+        self.lines.append(f"{name}: measured {fmt_number(measured)}, "
+                          f"expected {fmt_number(expected)}: {status}")
 
     def skip(self, name: str, reason: str) -> None:
-        self.lines.append(ReportLine(name, "-", reason, SKIP))
-
-    @property
-    def passed(self) -> bool:
-        return all(line.status != FAIL for line in self.lines)
+        self.lines.append(f"{name}: measured -, expected {reason}: {SKIP}")
 
     def render(self) -> str:
-        out = [f"== {self.title} =="]
-        out.extend(line.render() for line in self.lines)
-        out.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(out) + "\n"
+        verdict = f"verdict: {PASS if self.passed else FAIL}"
+        return "\n".join([f"== {self.title} ==", *self.lines, verdict]) + "\n"
 
 
 # Rows formatted per write: memory stays flat in the length of the table.
@@ -105,8 +92,8 @@ _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 # Digits of a coordinate's cents below 1e9: seven before the point, two after.
@@ -154,7 +141,7 @@ def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
     return flat[flat != 0][:-1].tobytes().decode("ascii")
 
 
-def render_line_plot(series_list, labels, path, title: str = "") -> None:
+def render_line_plot(series_list, labels, path, title: str) -> None:
     """Write a static SVG line chart; identical inputs give identical bytes.
 
     ``series_list`` holds TimeSeries-like objects whose .times and .values

@@ -1111,13 +1111,13 @@ class TestReportAndFormatting:
 
     def test_plot_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            render_line_plot([], [], tmp_path / "x.svg")
+            render_line_plot([], [], tmp_path / "x.svg", "")
 
     def test_constant_series_plot(self, tmp_path):
         t = np.linspace(0, 1, 10)
         series = dd.TimeSeries(times=t, values=np.full_like(t, 2.0))
         path = tmp_path / "c.svg"
-        render_line_plot([series], ["flat"], path)
+        render_line_plot([series], ["flat"], path, "")
         assert "polyline" in path.read_text()
 
 
@@ -1215,9 +1215,10 @@ class TestGates:
         report = Report("t")
         cli._gate(report, "probe", at_tol, expected)
         cli._gate(report, "probe (n=64)", past_tol, expected)
-        assert [line.status for line in report.lines] == ["PASS", "FAIL"]
+        assert [line.rpartition(": ")[2] for line in report.lines] == ["PASS", "FAIL"]
         shown = f"{op} {tol:g}" if expected is None else fmt_number(expected)
-        assert {line.expected for line in report.lines} == {shown}
+        assert {line.partition(", expected ")[2].rpartition(": ")[0]
+                for line in report.lines} == {shown}
 
     def test_every_gate_names_a_battery_line(self, tmp_path):
         names = set()

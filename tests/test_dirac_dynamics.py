@@ -1,4 +1,8 @@
+import math
+import random
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,20 +306,38 @@ class TestPositionSeries:
                                                   r"t-max=50, hbar=1, mass=1, c=1$"):
                 RunConfig("averaging", n_samples=n).validate()
 
+    def test_sampling_boundary_is_8_t_over_pi_rounded(self):
+        # validate accepts n-samples = ceil(8 t'/pi), with t' the Compton-unit t-max and the
+        # quotient correctly rounded (a Fraction's float is), and rejects one fewer.  t-max
+        # spans the float range, and hbar brings t' between 13 and 2^55, so that n stays
+        # within validate's count bound.
+        rng = random.Random(2026)
+        for _ in range(200):
+            t_max = 10.0 ** rng.uniform(-250, 300)
+            hbar = t_max / 2.0 ** rng.uniform(3.7, 55)
+            t = RunConfig("zitterbewegung", hbar=hbar, t_max=t_max).to_compton(t_max, TIME)
+            n = math.ceil(float(Fraction(t) * 8 / Fraction(math.pi)))
+            RunConfig("zitterbewegung", hbar=hbar, t_max=t_max, n_samples=n).validate()
+            with pytest.raises(ConfigError, match=r"^n-samples must be at least 8 t-max/"):
+                RunConfig("zitterbewegung", hbar=hbar, t_max=t_max, n_samples=n - 1).validate()
+        # Where 8 t'/pi passes the count bound, and where 8 t' overflows, every count fails.
+        for t_max in (2.0**57, 1e200, sys.float_info.max):
+            with pytest.raises(ConfigError, match=r"^n-samples must be at least 8 t-max/"):
+                RunConfig("zitterbewegung", t_max=t_max, n_samples=sys.maxsize // 64).validate()
+
     def test_positive_series_is_pure_drift(self, positive_series):
-        meas = dd.measure_oscillation(positive_series)
-        assert not meas.detected
+        assert dd.measure_oscillation(positive_series)[0] == 0.0
         assert dd.amplitude_at(positive_series, OMEGA_ZB) <= 1e-8
 
     def test_mixed_series_oscillates_at_zb_frequency(self, mixed_series):
-        meas = dd.measure_oscillation(mixed_series)
-        assert meas.detected
-        assert meas.omega == pytest.approx(OMEGA_ZB, rel=0.01)
-        assert meas.amplitude <= ZB_NORM
+        omega, amplitude = dd.measure_oscillation(mixed_series)
+        assert omega > 0
+        assert omega == pytest.approx(OMEGA_ZB, rel=0.01)
+        assert amplitude <= ZB_NORM
 
     def test_dichotomy(self, mixed_series, positive_series):
         omega = OMEGA_ZB
-        mixed_amp = dd.measure_oscillation(mixed_series).amplitude
+        _, mixed_amp = dd.measure_oscillation(mixed_series)
         pos_amp = dd.amplitude_at(positive_series, omega)
         assert mixed_amp / max(pos_amp, 1e-300) >= 1e6
 
@@ -587,17 +609,15 @@ class TestMeasureOscillation:
     def test_synthetic_sinusoid(self):
         t = np.linspace(0, 100, 512)
         s = dd.TimeSeries(times=t, values=0.1 * np.sin(2 * t))
-        meas = dd.measure_oscillation(s)
-        assert meas.detected
-        assert meas.omega == pytest.approx(2.0, rel=0.01)
-        assert meas.amplitude == pytest.approx(0.1, rel=0.02)
+        omega, amplitude = dd.measure_oscillation(s)
+        assert omega > 0
+        assert omega == pytest.approx(2.0, rel=0.01)
+        assert amplitude == pytest.approx(0.1, rel=0.02)
 
     def test_pure_drift_not_detected(self):
         t = np.linspace(0, 100, 512)
         s = dd.TimeSeries(times=t, values=0.3 * t)
-        meas = dd.measure_oscillation(s)
-        assert not meas.detected
-        assert meas.amplitude == 0.0
+        assert dd.measure_oscillation(s) == (0.0, 0.0)
 
     def test_short_series_rejected(self):
         # The commands that measure an oscillation take at least 32 samples.
@@ -623,11 +643,11 @@ class TestMeasureOscillation:
         # At t-max 2, under one ZB period pi, the peak is bin 1, whose left neighbour is the
         # DC bin of the detrended series: roundoff, so a 1e-16 shift must not move omega.
         series = dd.position_series(mixed, 2.0, 4096)
-        omega = dd.measure_oscillation(series).omega
+        omega, _ = dd.measure_oscillation(series)
         assert omega == 2 * np.pi / (len(series.times) * series.dt)  # bin 1, unrefined
         for shift in (1e-16, -1e-16):
             shifted = dd.TimeSeries(times=series.times, values=series.values + shift)
-            assert dd.measure_oscillation(shifted).omega == omega
+            assert dd.measure_oscillation(shifted)[0] == omega
 
     def test_frequency_scales_with_mass(self):
         # At m = 2 the box, envelope and duration shrink in Compton units; the
@@ -636,7 +656,7 @@ class TestMeasureOscillation:
         grid = GridSpec1D(n=1024, p_max=heavy.to_compton(heavy.p_max, MOMENTUM))
         f = dd.init_packet(grid, 0.0, heavy.to_compton(heavy.sigma_p, MOMENTUM), "mixed", SEED)
         series = dd.position_series(f, heavy.to_compton(heavy.t_max, TIME), 4096)
-        omega = heavy.to_user(dd.measure_oscillation(series).omega, FREQUENCY)
+        omega = heavy.to_user(dd.measure_oscillation(series)[0], FREQUENCY)
         assert heavy.to_user(OMEGA_ZB, FREQUENCY) == 4.0
         assert omega == pytest.approx(4.0, rel=0.01)
 

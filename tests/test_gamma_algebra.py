@@ -42,7 +42,7 @@ def verify_algebra_lines(units):
     with np.errstate(over="raise", invalid="raise"):
         report = Report("verify-algebra")
         assert cli.run_verify_algebra(unit_config(units), None, report) == []
-    return {line.name: line.measured for line in report.lines}
+    return dict(line.partition(", expected ")[0].split(": measured ") for line in report.lines)
 
 
 class TestAPrime:

@@ -109,6 +109,12 @@ NO_MUTANT_YET = {
     "canonical-limit-mixed-2d residual",
 }
 
+# The PASS/FAIL lines that ``cli`` judges inline, not through a GATES row, so the census
+# above cannot see them; "refinement monotonicity" stands for the line that follows each
+# judged Snyder residual.
+JUDGED_INLINE = {"spin spectrum", "orbital action nonzero off-axis",
+                 "mixed packet oscillation amplitude", "refinement monotonicity"}
+
 
 def statuses(argv, out_dir):
     """(exit status, gate name -> status) of one run; a name loses its " (n=...)"."""
@@ -128,15 +134,37 @@ def test_mutant_fails_its_gates(mutant, argv, gates, monkeypatch, tmp_path, caps
     assert {gate: status[gate] for gate in gates} == dict.fromkeys(gates, "FAIL")
 
 
-def test_gates_pass_without_a_mutant(tmp_path):
-    # The control: unmutated, the battery and the a = 0 runs exit 0, and each line a
-    # mutant FAILs reads PASS in one of them (at a = 0 the kappa line reads SKIP).
+@pytest.fixture(scope="module")
+def control(tmp_path_factory):
+    """(exit status, gate name -> status) of each unmutated control run: the battery and
+    the a = 0 runs."""
+    return [statuses(argv, tmp_path_factory.mktemp("-".join(argv)))
+            for argv in (["all"], ["snyder", "--a", "0"], ["verify-algebra", "--a", "0"])]
+
+
+def test_gates_pass_without_a_mutant(control):
+    # Unmutated, every control run exits 0, and each line a mutant FAILs reads PASS in one
+    # of them (at a = 0 the kappa line reads SKIP).
     passed = set()
-    for argv in (["all"], ["snyder", "--a", "0"], ["verify-algebra", "--a", "0"]):
-        code, run_status = statuses(argv, tmp_path / "-".join(argv))
+    for code, run_status in control:
         assert code == 0
         passed |= {gate for gate, verdict in run_status.items() if verdict == "PASS"}
     assert {gate for _, _, names in MUTANTS for gate in names} - passed == set()
+
+
+def test_every_judged_line_is_a_gate_or_judged_inline(control):
+    # Each PASS/FAIL line of the control runs is a GATES row or a JUDGED_INLINE family, so
+    # a new inline verdict cannot hide from the census.
+    families = set()
+    for _, run_status in control:
+        for name, verdict in run_status.items():
+            check, mono, _ = name.partition(" refinement monotonicity")
+            if mono:
+                assert f"{check} residual" in GATES
+                name = mono.lstrip()
+            if verdict in ("PASS", "FAIL"):
+                families.add(name)
+    assert families == set(GATES) | JUDGED_INLINE
 
 
 def test_every_gate_has_a_mutant_or_is_listed():

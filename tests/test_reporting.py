@@ -1,4 +1,5 @@
-"""The column-wise CSV and SVG writers against row-wise, per-value references."""
+"""The report's lines and verdict, and the column-wise CSV and SVG writers against row-wise,
+per-value references."""
 
 import math
 import re
@@ -10,13 +11,42 @@ from hypothesis import strategies as st
 
 from chronon import reporting
 from chronon.dirac_dynamics import TimeSeries
-from chronon.reporting import fmt_number, render_line_plot, write_csv
+from chronon.reporting import Report, fmt_number, render_line_plot, write_csv
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3,
                math.nextafter(1e-3, 0.0), math.nextafter(1e-3, 1.0),
                math.nextafter(-1e-3, 0.0), math.nextafter(-1e-3, -1.0),
                math.nan, math.inf, -math.inf]
 floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestReport:
+    def test_lines_and_verdict(self):
+        report = Report("t")
+        report.add("a", 1.0, "<= 2", np.True_)
+        report.add("b", 1e-7, 0.5, None)
+        report.skip("c", "undeformed limit")
+        assert report.passed
+        assert report.render() == ("== t ==\n"
+                                   "a: measured 1, expected <= 2: PASS\n"
+                                   "b: measured 1.000000e-07, expected 0.5: INFO\n"
+                                   "c: measured -, expected undeformed limit: SKIP\n"
+                                   "verdict: PASS\n")
+
+    @pytest.mark.parametrize("ok", [False, np.False_], ids=["bool", "numpy-bool"])
+    def test_a_fail_line_fails_the_report(self, ok):
+        # A gate's ok is often a numpy bool, and np.False_ is not False: the FAIL status,
+        # not the identity of ok, clears the verdict, and no later line sets it again.
+        report = Report("t")
+        report.add("a", 2.0, 1.0, ok)
+        report.add("b", 1.0, 1.0, True)
+        assert not report.passed
+        assert report.lines[0] == "a: measured 2, expected 1: FAIL"
+        assert report.render().endswith("\nverdict: FAIL\n")
+
+    def test_passed_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Report("t", passed=False)
 
 
 def write_csv_rows(path, header, rows):
@@ -85,7 +115,7 @@ class TestLinePlot:
             times = rng.uniform(-1.0, 1.0) * span + np.linspace(0.0, span, length)
             series.append(TimeSeries(times=times, values=rng.normal(size=length) * 10.0**x_exp))
         path = tmp_path_factory.mktemp("svg") / "plot.svg"
-        render_line_plot(series, [f"s{i}" for i in range(len(series))], path)
+        render_line_plot(series, [f"s{i}" for i in range(len(series))], path, "")
         assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == \
             scalar_polylines(series)
 
