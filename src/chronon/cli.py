@@ -85,7 +85,7 @@ def _write_artifacts(cfg: RunConfig, stem: str, header, columns, plot=None) -> l
     return [stem + ".csv", stem + ".svg"]
 
 
-def run_verify_algebra(cfg: RunConfig, series_pair, report: Report) -> list[str]:
+def run_verify_algebra(cfg: RunConfig, series, report: Report) -> list[str]:
     a = cfg.a_prime
     _gate(report, "clifford residual", ga.verify_clifford())
     factor = sr.deformation(a, 1.0)  # at the Compton momentum m c
@@ -144,7 +144,7 @@ def snyder_rows(cfg: RunConfig, ns_1d, ns_2d):
     return rows
 
 
-def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
+def run_snyder(cfg: RunConfig, series, report: Report) -> list[str]:
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
                     for n in (cfg.grid_n, cfg.grid_n_2d))
     rows = snyder_rows(cfg, ns_1d, ns_2d)
@@ -172,14 +172,16 @@ def run_snyder(cfg: RunConfig, series_pair, report: Report) -> list[str]:
                             [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
 
 
-def _packet_pair_series(cfg: RunConfig):
-    """<x>(t) of the mixed packet and of its positive-energy projection, in Compton units."""
+def _packet_series(cfg: RunConfig, steps):
+    """<x>(t) of the mixed packet and, where ``steps`` run zitterbewegung, of its
+    positive-energy projection, in Compton units: averaging reads the mixed one alone."""
     grid = sr.GridSpec1D(n=cfg.grid_n, p_max=cfg.to_compton(cfg.p_max, MOMENTUM))
     p0, sigma_p = (cfg.to_compton(p, MOMENTUM) for p in (cfg.p0, cfg.sigma_p))
+    modes = ("mixed", "positive") if "zitterbewegung" in steps else ("mixed",)
     return tuple(dd.position_series(dd.init_packet(grid, p0, sigma_p, mode=mode,
                                                    spinor_seed=cfg.spinor_seed),
                                     cfg.to_compton(cfg.t_max, TIME), cfg.n_samples)
-                 for mode in ("mixed", "positive"))
+                 for mode in modes)
 
 
 def _in_user_units(cfg: RunConfig, *series):
@@ -188,8 +190,8 @@ def _in_user_units(cfg: RunConfig, *series):
     return [dd.TimeSeries(times=s.times * time, values=s.values * length) for s in series]
 
 
-def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]:
-    mixed, positive = series_pair
+def run_zitterbewegung(cfg: RunConfig, series, report: Report) -> list[str]:
+    mixed, positive = series
     omega, amplitude = dd.measure_oscillation(mixed)
     _gate(report, "mixed packet oscillation frequency", omega, dd.OMEGA_ZB,
           cfg.to_user(1.0, FREQUENCY))
@@ -211,8 +213,8 @@ def run_zitterbewegung(cfg: RunConfig, series_pair, report: Report) -> list[str]
                              "position expectation vs time"))
 
 
-def run_averaging(cfg: RunConfig, series_pair, report: Report) -> list[str]:
-    mixed, _positive = series_pair
+def run_averaging(cfg: RunConfig, series, report: Report) -> list[str]:
+    mixed = series[0]
     raw_amp = dd.amplitude_at(mixed, dd.OMEGA_ZB)
     zb = raw_amp > dd.noise_floor(mixed)  # else the ZB is roundoff, and each ratio reads 0
 
@@ -264,10 +266,10 @@ def main(argv=None) -> int:
         # Units far outside the float range overflow, divide by zero or give NaN: numpy
         # raises on each, so the message stays one line.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            series_pair = None if PACKET_STEPS.isdisjoint(steps) else _packet_pair_series(cfg)
+            series = None if PACKET_STEPS.isdisjoint(steps) else _packet_series(cfg, steps)
             report, outputs = Report(cfg.command), []
             for step in steps:
-                outputs += RUNNERS[step](cfg, series_pair, report)
+                outputs += RUNNERS[step](cfg, series, report)
         text = report.render()
         with open(os.path.join(cfg.output_dir, "report.txt"), "w", newline="\n") as fh:
             fh.write(text)

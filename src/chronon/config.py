@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
 # command -> the steps it runs, in report order; each step is one cli runner.
 _STEPS = ("verify-algebra", "snyder", "zitterbewegung", "averaging")
 CHAINS = {**{step: (step,) for step in _STEPS}, "all": _STEPS}
-PACKET_STEPS = {"zitterbewegung", "averaging"}  # they read the packet's <x>(t) pair
+PACKET_STEPS = {"zitterbewegung", "averaging"}  # they read the packet's <x>(t) series
 
 # Exponents of (hbar, mass, c) in the Compton unit of each dimension.
 MOMENTUM, LENGTH, TIME, FREQUENCY = (0, 1, 1), (1, -1, -1), (1, -1, -2), (-1, 1, 2)
@@ -317,7 +318,7 @@ def read_config_file(path: str) -> dict[str, object]:
     except OSError as exc:  # a file that cannot be opened or read is a config error too
         raise ConfigError(str(exc)) from exc
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()  # comment: a # opening a word
         if not line:
             continue
         if "=" not in line:

@@ -16,9 +16,9 @@ well inside the box; residuals are measured on the interior 80% of points.
 Every derivative is a real half-spectrum transform (rfft/irfft): a complex field is
 differentiated as its float view, so no imaginary Nyquist term arises.
 Every norm is ``np.linalg.norm``, rescaled where a square leaves the float range.
-The 2-D witness is a product u(p_x) v(p_y), so every operand of the 2-D check is a
-short sum of p_x-factor x p_y-factor pairs: its derivatives are 1-D transforms of
-length n, and only its interior is assembled, by one matrix product per residual.
+The 2-D witness is a product u(p_x) v(p_y), so each side of the 2-D check is written
+out as its p_x-factor x p_y-factor pairs (10 and 5): their 8 derivatives are 1-D transforms
+of length n, and only the interior is assembled, by one matrix product per residual.
 """
 
 from __future__ import annotations
@@ -128,35 +128,23 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
     """
     p, b = grid.points, a**2
     diag, bp = 1.0 + b * p * p, b * p
-    derivatives = {}  # id(factor) -> (factor, its derivative): each is taken once
 
     def d(g):
-        if id(g) not in derivatives:
-            derivatives[id(g)] = g, spectral_derivative(g, grid)
-        return derivatives[id(g)][1]
+        return spectral_derivative(g, grid)
 
-    def position(pairs, axis):
-        """x_axis / i on a sum of (column, row) pairs, as pairs: x_0 / i =
-        (1 + b p_x^2) d/dp_x + b p_x p_y d/dp_y, and x_1 / i with the axes swapped."""
-        if axis == 0:
-            terms = (((diag * d(col), row), (bp * col, p * d(row))) for col, row in pairs)
-        else:
-            terms = (((col, diag * d(row)), (bp * d(col), p * row)) for col, row in pairs)
-        return [pair for two in terms for pair in two]
-
-    def negated(pairs):
-        return [(-col, row) for col, row in pairs]
-
-    # With x = i P_0 and y = i P_1 (P as in ``position``), comm = -([x, y] f - i a^2 L_z f)
-    # = P_0 P_1 f - P_1 P_0 f - b (p_y df/dp_x - p_x df/dp_y) and mixed = ([x, p_y] f -
-    # i a^2 p_x p_y f)/i = P_0 (p_y f) - p_y P_0 f - b p_x p_y f are real.
-    pv = p * v
-    xf = position([(u, v)], 0)
-    yf = [(u, diag * d(v)), (bp * d(u), pv)]  # position([(u, v)], 1), sharing p_y v
-    comm = (position(yf, 0) + negated(position(xf, 1))
-            + [(-b * d(u), pv), (bp * u, d(v))])
-    mixed = (position([(u, pv)], 0) + negated((col, p * row) for col, row in xf)
-             + [(-bp * u, pv)])
+    # x = i P_0, y = i P_1: P_0 = (1 + b p_x^2) d/dp_x + b p_x p_y d/dp_y and P_1 its mirror,
+    # so P_0 f = x_u v + bp_u p_dv and P_1 f = u y_v + bp_du pv.  The pairs below are the real
+    # comm = -([x, y] f - i a^2 L_z f) = P_0 P_1 f - P_1 P_0 f - b (p_y df/dp_x - p_x df/dp_y)
+    # and mixed = ([x, p_y] f - i a^2 p_x p_y f)/i = P_0 (p_y f) - p_y P_0 f - b p_x p_y f.
+    du, dv, pv = d(u), d(v), p * v
+    dpv = d(pv)
+    x_u, y_v = diag * du, diag * dv
+    bp_u, bp_du, p_dv = bp * u, bp * du, p * dv
+    comm = [(x_u, y_v), (bp_u, p * d(y_v)), (diag * d(bp_du), pv), (bp * bp_du, p * dpv),
+            (-x_u, diag * dv), (-(bp * d(x_u)), p * v),
+            (-bp_u, diag * d(p_dv)), (-(bp * d(bp_u)), p * p_dv),
+            (-b * du, pv), (bp_u, dv)]
+    mixed = [(x_u, pv), (bp_u, p * dpv), (-x_u, p * v), (-bp_u, p * p_dv), (-bp * u, pv)]
 
     # Only the interior is assembled, each operand as one (m x r) @ (r x m) product,
     # which raises on overflow under np.errstate(over="raise").
