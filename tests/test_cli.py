@@ -1177,22 +1177,44 @@ class TestAllCommand:
             lines += (tmp_path / command / "report.txt").read_text().splitlines()[1:-1]
         assert report.splitlines()[1:-1] == lines
 
-    def test_slow_modules_never_imported(self, tmp_path):
-        # np.median imports numpy.ma (about 12 ms) on first use.  The covariance momenta
-        # come from the stdlib random module; numpy.random (and the OpenSSL hashing it
-        # loads) costs 13-16 ms to import.  Building an argparse parser imports gettext and
-        # locale, about 2.8 ms of a cold job.
+    def test_numpy_ma_never_imported(self, tmp_path):
+        # np.median imports numpy.ma (about 12 ms) on first use; nothing else should.
+        script = (
+            "import sys\n"
+            "from chronon.cli import main\n"
+            "main(['all', '--output-dir', sys.argv[1] + '/all'])\n"
+            "assert 'numpy.ma' not in sys.modules, 'all'\n"
+            "main(['zitterbewegung', '--sigma-p', '2', '--grid-n', '2048',\n"
+            "      '--output-dir', sys.argv[1] + '/wide'])\n"
+            "assert 'numpy.ma' not in sys.modules, 'zitterbewegung'\n")
+        done = run_fresh(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_numpy_random_never_imported(self, tmp_path):
+        # The covariance momenta come from the stdlib random module; numpy.random
+        # (and the OpenSSL hashing it loads) costs 13-16 ms to import.
+        script = (
+            "import sys\n"
+            "from chronon.cli import main\n"
+            "for argv in ('all', 'verify-algebra', 'verify-algebra --mass 2 --a 0.5',\n"
+            "             'verify-algebra --hbar 2 --c 3', 'verify-algebra --a 0'):\n"
+            "    main(argv.split() + ['--output-dir', sys.argv[1] + '/' + argv])\n"
+            "    assert 'numpy.random' not in sys.modules, argv\n")
+        done = run_fresh(script, tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_argparse_never_imported(self, tmp_path):
+        # Building an argparse parser imports gettext and locale, about 2.8 ms of a cold job.
         script = (
             "import sys\n"
             "def check(case):\n"
-            "    found = [m for m in ('numpy.ma', 'numpy.random', 'argparse', 'gettext',\n"
-            "                         'locale') if m in sys.modules]\n"
+            "    found = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
             "    assert not found, (case, found)\n"
             "from chronon.cli import main\n"
             "check('import chronon.cli')\n"
-            "for argv in ('all', 'zitterbewegung --sigma-p 2 --grid-n 2048', 'verify-algebra',\n"
-            "             'verify-algebra --mass 2 --a 0.5', 'verify-algebra --hbar 2 --c 3',\n"
-            "             'verify-algebra --a 0', 'snyder --grid-n-2d 1024'):\n"
+            "for argv in ('all', 'verify-algebra', 'verify-algebra --mass 2 --a 0.5',\n"
+            "             'verify-algebra --hbar 2 --c 3', 'verify-algebra --a 0',\n"
+            "             'snyder --grid-n-2d 1024'):\n"
             "    main(argv.split() + ['--output-dir', sys.argv[1] + '/' + argv])\n"
             "    check(argv)\n"
             "assert main(['frobnicate']) == 2\n"
