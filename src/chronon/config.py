@@ -101,7 +101,7 @@ class RunConfig:
 
         def given(keys: str) -> str:  # "key=value, ..." for each key named, once; floats in %g
             return ", ".join(f"{k}={value[k]:g}" if isinstance(value[k], float) else
-                             f"{k}={value[k]}" for k in dict.fromkeys(keys.split()))
+                             f"{k}={value[k]!r}" for k in dict.fromkeys(keys.split()))
 
         def require(ok: bool, subject: str, rule: str, keys: str) -> None:
             if not ok:
@@ -121,7 +121,10 @@ class RunConfig:
                   for key, n in (("grid-n", self.grid_n), ("grid-n-2d", self.grid_n_2d))]
         rules += [("a", "nonnegative", self.a is None or self.a >= 0),
                   ("n-samples", f"at least {least}", self.n_samples >= least),
-                  ("seed", "nonnegative", self.seed >= 0)]
+                  ("seed", "nonnegative", self.seed >= 0),
+                  ("output-dir", "free of line breaks, end spaces and a # opening a word",
+                   _config_text(self.output_dir) == self.output_dir  # as a manifest replays it
+                   and {"\n", "\r"}.isdisjoint(self.output_dir))]
         for key, rule, ok in rules:
             require(ok, key, rule, key)
         # Derived scales the commands form, each named with the keys it depends on.
@@ -178,8 +181,7 @@ class RunConfig:
                 "at least 8 t-max/(pi hbar/(mass c^2))", "n-samples t-max hbar mass c")
         if "averaging" not in steps:
             return self
-        num, den = t.as_integer_ratio()
-        dt = num / (den * (n - 1))  # the series' spacing as np.linspace forms it, for any n
+        dt = t / (n - 1)  # the series' spacing: np.linspace's own float quotient, for any n
         windows = [("the full-period window pi hbar/(mass c^2)", dd.PERIOD_WINDOW, in_units),
                    ("the Compton window hbar/(mass c^2)", dd.COMPTON_WINDOW, in_units)]
         if self.window is not None:
@@ -310,6 +312,11 @@ def usage() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _config_text(line: str) -> str:
+    """A config-file line's text before its comment, a # opening a word, stripped."""
+    return re.split(r"(?<!\S)#", line, maxsplit=1)[0].strip()
+
+
 def read_config_file(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
@@ -318,7 +325,7 @@ def read_config_file(path: str) -> dict[str, object]:
     except OSError as exc:  # a file that cannot be opened or read is a config error too
         raise ConfigError(str(exc)) from exc
     for lineno, raw in enumerate(lines, 1):
-        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()  # comment: a # opening a word
+        line = _config_text(raw)
         if not line:
             continue
         if "=" not in line:

@@ -234,18 +234,6 @@ def amplitude_at(series: TimeSeries, omega: float) -> float:
     return float(np.hypot(coeffs[2], coeffs[3]))
 
 
-def _median(values: np.ndarray) -> np.float64:
-    """``np.median`` of a non-empty 1-D float array, bit for bit, NaN included.
-
-    The same partition and mean of the middle order statistics.  The NaN check is done
-    here because ``np.median``'s own imports ``numpy.ma`` (about 12 ms) on first use.
-    """
-    n = len(values)
-    middle = slice((n - 1) // 2, n // 2 + 1)
-    part = np.partition(values, [middle.start, -1] if n % 2 else [middle.start, n // 2, -1])
-    return part[-1] if np.isnan(part[-1]) else np.mean(part[middle])
-
-
 def measure_oscillation(series: TimeSeries) -> tuple[float, float]:
     """(omega, amplitude) of the dominant oscillation after removing the linear trend.
 
@@ -260,9 +248,11 @@ def measure_oscillation(series: TimeSeries) -> tuple[float, float]:
     spec = np.abs(np.fft.rfft(resid))
     bins = spec[1:]
     peak = int(np.argmax(bins)) + 1
-    # Significance: peak must beat 3x the median bin and the residual must
-    # stand above the noise floor.
-    if spec[peak] < 3 * _median(bins) or np.sqrt(np.mean(resid**2)) <= noise_floor(series):
+    # Significance: peak must beat 3x the median bin (the middle two's mean, as np.median
+    # takes it, without importing numpy.ma) and the residual must stand above the noise floor.
+    lo, hi = (len(bins) - 1) // 2, len(bins) // 2
+    median = np.mean(np.partition(bins, [lo, hi])[lo:hi + 1])
+    if spec[peak] < 3 * median or np.sqrt(np.mean(resid**2)) <= noise_floor(series):
         return 0.0, 0.0
     # Quadratic refinement on log magnitude (guarded against zero neighbours).  Not at bin 1:
     # its left neighbour, the DC bin of the detrended series, is roundoff.

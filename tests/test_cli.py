@@ -1108,6 +1108,20 @@ class TestReproducibility:
         assert (tmp_path / "o#1" / "report.txt").read_bytes() == report
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("output_dir", ["o #1", " o", "o ", "#o", "o\n1"])
+    def test_output_dir_a_manifest_cannot_replay_rejected(self, tmp_path, monkeypatch, capsys,
+                                                          output_dir):
+        # A manifest line would replay these into ./o or ./out, or split in two: exit 2 with
+        # one line naming output-dir, before any directory is made, from a flag or the env.
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify-algebra", "--output-dir", output_dir]) == 2
+        monkeypatch.setenv("CHRONON_OUTPUT_DIR", output_dir)
+        assert run(["verify-algebra"]) == 2
+        err = capsys.readouterr().err
+        assert err == 2 * ("chronon: config error: output-dir must be free of line breaks, end "
+                           f"spaces and a # opening a word, got output-dir={output_dir!r}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_manifest_reproduces_run(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["zitterbewegung", "--output-dir", a] + FAST_ZB) == 0
@@ -1178,7 +1192,7 @@ class TestAllCommand:
         assert report.splitlines()[1:-1] == lines
 
     def test_numpy_ma_never_imported(self, tmp_path):
-        # np.median imports numpy.ma (about 12 ms) on first use; nothing else should.
+        # np.median imports numpy.ma (about 17 ms) on first use; nothing else should.
         script = (
             "import sys\n"
             "from chronon.cli import main\n"
