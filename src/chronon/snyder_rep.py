@@ -15,18 +15,22 @@ Derivatives are spectral (FFT, periodic wrap), so test functions must decay
 well inside the box; residuals are measured on the interior 80% of points.
 Every derivative is a real half-spectrum transform (rfft/irfft): a complex field is
 differentiated as its float view, so no imaginary Nyquist term arises.
-Every norm is ``np.linalg.norm``, rescaled where a square leaves the float range.
-The 2-D witness is a product u(p_x) v(p_y), so each side of the 2-D check is written
-out as its p_x-factor x p_y-factor pairs (10 and 5): their 8 derivatives are 1-D transforms
-of length n, and only the interior is assembled, by one matrix product per residual.
+Every norm is ``np.linalg.norm`` (per panel, joined by math.hypot), rescaled where a square
+leaves the float range.  The 2-D witness is a product u(p_x) v(p_y), so each side of the 2-D
+check is written out as its p_x-factor x p_y-factor pairs (10 and 5): their 8 derivatives are
+1-D transforms of length n.  Only the interior is formed, ``_PANEL`` rows at a time, so no
+m x m array is held.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+_PANEL = 64  # rows of the 2-D residual formed at a time
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -97,23 +101,32 @@ def heisenberg_residual_1d(grid: GridSpec1D, a: float, f: np.ndarray) -> float:
     lhs = snyder_position_apply_1d(p * f, grid, a) - p * snyder_position_apply_1d(f, grid, a)
     rhs = 1j * (1.0 + (a * p) ** 2) * f  # the bracket itself, not ``deformation``
     inner = interior(grid.n)
-    return _norm_ratio((lhs - rhs)[inner], f[inner])
+    return _norm_ratio(lambda: [(lhs - rhs)[inner]], f[inner])
 
 
-def _norm_ratio(x: np.ndarray, *factors: np.ndarray) -> float:
-    """||x|| / ||f||, f the outer product of the 1-D ``factors``; where a square, a product
-    or the quotient leaves the float range, it is taken on arrays scaled to a maximum of 1.
-    a' and p' come from user units, so the operands can reach the edge of the float range."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_norm = np.prod([np.linalg.norm(g) for g in factors])
-        ratio = np.linalg.norm(x) / f_norm
-        x_max = 0.0 if 0 < ratio < np.inf and f_norm < np.inf else np.max(np.abs(x))
-        if x_max:  # an x of zeros keeps its ratio, 0 (nan where f is 0 too)
+def _norm_ratio(panels, *factors: np.ndarray) -> float:
+    """||x|| / ||f||: x the rows that the zero-argument ``panels`` yields a panel at a time,
+    f the outer product of the 1-D ``factors``; ||x|| joins the panels' norms by math.hypot.
+    Where a square, a product or the quotient leaves the float range, two more passes take
+    max|x| and the norm of x / max|x|, and f is scaled to a maximum of 1 a factor at a time
+    (a' and p' come from user units).  The panels are formed under the caller's np.errstate,
+    so an overflow there raises; only the norms and the quotients ignore it."""
+    quiet = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+    norm = np.errstate(**quiet)(np.linalg.norm)
+    ratio = np.float64(math.hypot(*map(norm, panels())))
+    with np.errstate(**quiet):
+        f_norm = np.prod([norm(g) for g in factors])
+        ratio = ratio / f_norm
+    x_max = 0.0 if 0 < ratio < np.inf and f_norm < np.inf else max(
+        np.max(np.abs(x)) for x in panels())
+    if x_max:  # an x of zeros keeps its ratio, 0 (nan where f is 0 too)
+        scaled = math.hypot(*(norm(x / x_max) for x in panels()))
+        with np.errstate(**quiet):
             ratio = x_max
             for g in factors:  # ||f|| and max|f| = max|u| max|v|, one factor at a time
                 g_max = np.max(np.abs(g))
-                ratio = ratio / g_max / np.linalg.norm(g / g_max)
-            ratio *= np.linalg.norm(x / x_max)
+                ratio = ratio / g_max / norm(g / g_max)
+            ratio *= scaled
     return float(ratio)
 
 
@@ -146,13 +159,15 @@ def coordinate_commutator_residual_2d(grid: GridSpec1D, a: float, u: np.ndarray,
             (-b * du, pv), (bp_u, dv)]
     mixed = [(x_u, pv), (bp_u, p * dpv), (-x_u, p * v), (-bp_u, p * p_dv), (-bp * u, pv)]
 
-    # Only the interior is assembled, each operand as one (m x r) @ (r x m) product,
-    # which raises on overflow under np.errstate(over="raise").
+    # Only the interior is formed, _PANEL rows at a time: each panel is one
+    # (_PANEL x r) @ (r x m) product, which raises on overflow under np.errstate(over="raise").
     inner = interior(grid.n)
-
-    def assemble(pairs):
-        return (np.stack([col[inner] for col, _ in pairs], axis=1)
-                @ np.stack([row[inner] for _, row in pairs]))
-
     witness = u[inner], v[inner]
-    return _norm_ratio(assemble(comm), *witness), _norm_ratio(assemble(mixed), *witness)
+
+    def residual(pairs):
+        cols = np.stack([col[inner] for col, _ in pairs], axis=1)
+        rows = np.stack([row[inner] for _, row in pairs])
+        return _norm_ratio(lambda: (cols[i:i + _PANEL] @ rows
+                                    for i in range(0, len(cols), _PANEL)), *witness)
+
+    return residual(comm), residual(mixed)

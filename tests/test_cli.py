@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -828,6 +829,18 @@ class TestSnyderCommand:
         lines = (tmp_path / "report.txt").read_text().splitlines()
         mono = [line for line in lines if "-2d refinement monotonicity" in line]
         assert len(mono) == 2 and all(line.endswith(": PASS") for line in mono)
+
+    def test_2048_grid_traced_peak_under_4_mb(self, tmp_path):
+        # The 2-D residual holds one panel of rows at a time: at n = 2048 a whole interior
+        # array would be 21 MB, and the whole run stays under 4 MB.
+        tracemalloc.start()
+        try:
+            assert run(["snyder", "--grid-n-2d", "2048", "--no-emit-plots",
+                        "--output-dir", tmp_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_coarse_grid_reported_as_info(self, tmp_path):
         assert run(["snyder", "--grid-n", "8", "--grid-n-2d", "8",

@@ -429,6 +429,24 @@ class TestCommutatorResidual2D:
             [got, got]
         assert_matches_whole_arrays(got, grid, a, center)
 
+    @pytest.mark.parametrize("a", [1.0, 0.0, 0.5], ids=["compton", "a0", "a0.5"])
+    @pytest.mark.parametrize("n, panels", [(16, (0, 12)), (80, (1, 0)), (84, (1, 4)),
+                                           (1024, (12, 52))],
+                             ids=["under-one-panel", "one-panel", "one-panel-4-rows",
+                                  "12-panels-52-rows"])
+    def test_panels_match_one_whole_product(self, monkeypatch, n, panels, a):
+        # The residual is formed _PANEL rows at a time; with _PANEL = n its one panel is
+        # the whole (m x r) @ (r x m) product.  Full and partial panels (the ids count
+        # them, as divmod(m, _PANEL)) give the whole product's residuals on the offset
+        # witness, up to the rounding of the panels' matmul kernels and norms.
+        grid = sr.GridSpec1D(n=n, p_max=12.0)
+        assert divmod(len(range(n)[sr.interior(n)]), sr._PANEL) == panels
+        u, v = gaussian_1d(grid, center=1.5), gaussian_1d(grid, center=-2.0)
+        got = sr.coordinate_commutator_residual_2d(grid, a, u, v)
+        monkeypatch.setattr(sr, "_PANEL", n)
+        whole = sr.coordinate_commutator_residual_2d(grid, a, u, v)
+        np.testing.assert_allclose(got, whole, rtol=1e-13, atol=0)
+
     def test_each_derivative_computed_once(self, a, monkeypatch):
         # Every derivative is of one real length-n factor; on an offset witness there
         # are 8 of them, no factor differentiated twice.
@@ -477,13 +495,16 @@ class TestCommutatorResidual2D:
         assert min(expected) > 1e-3
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n, cores", [(256, 2), (512, 1), (512, 2)],
-                             ids=["four-panels", "one-core", "sixteen-panels"])
-    def test_worker_thread_only_when_split(self, a, started_threads, usable_cores, n, cores):
-        # The residual never splits its work, so it starts no worker thread at any grid
-        # size (the ids count 64-row panels) or number of usable cores.
+    @pytest.mark.parametrize("n, cores, panels", [(256, 2, 4), (512, 1, 7), (512, 2, 7)],
+                             ids=["four-panels", "one-core", "seven-panels"])
+    def test_worker_thread_only_when_split(self, a, started_threads, usable_cores, n, cores,
+                                           panels):
+        # The residual forms its panels one after another on the calling thread, so it
+        # starts no worker thread at any grid size (the ids count its _PANEL-row panels)
+        # or number of usable cores.
         usable_cores(cores)
         grid = sr.GridSpec1D(n=n, p_max=12.0)
+        assert -(-len(range(n)[sr.interior(n)]) // sr._PANEL) == panels
         g = gaussian_1d(grid)
         sr.coordinate_commutator_residual_2d(grid, a, g, g)
         assert not started_threads
@@ -509,25 +530,26 @@ class TestCommutatorResidual2D:
         assert len(started_threads) == on_worker
 
     def test_traced_peak_below_five_grid_arrays(self, a):
-        # One assembled operand is the largest array, and the witness norm comes from its
-        # factors, so the peak stays within 2 interior arrays, well below five n x n ones.
-        n = 512
-        grid = sr.GridSpec1D(n=n, p_max=12.0)
-        m = len(range(n)[sr.interior(n)])
-        g = gaussian_1d(grid)
-        assert traced_peak(lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)) \
-            <= 2 * 8 * m * m
+        # The residual holds one panel of _PANEL x m, its 15 pairs' length-n factors and
+        # two m x r stacks at a time, so the peak grows linearly in n: about 123 x 8 m
+        # bytes at n = 1024 and 2048, far below five n x n arrays.
+        for n in (1024, 2048):
+            grid = sr.GridSpec1D(n=n, p_max=12.0)
+            m = len(range(n)[sr.interior(n)])
+            g = gaussian_1d(grid)
+            assert traced_peak(lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)) \
+                <= 256 * 8 * m < 5 * 8 * n * n
 
     def test_traced_peak_below_five_grid_arrays_threaded(self, a):
-        # Two calls at once on two threads each hold only their own arrays: 4 interior
-        # arrays at most, 2.6 n x n ones.
-        n = 512
-        grid = sr.GridSpec1D(n=n, p_max=12.0)
-        m = len(range(n)[sr.interior(n)])
-        g = gaussian_1d(grid)
-        peak = traced_peak(lambda: on_threads(
-            lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)))
-        assert peak <= 2 * 2 * 8 * m * m < 5 * 8 * n * n
+        # Two calls at once on two threads each hold only their own arrays: twice the
+        # bound of one call, linear in n (about 244 x 8 m bytes at n = 1024 and 2048).
+        for n in (1024, 2048):
+            grid = sr.GridSpec1D(n=n, p_max=12.0)
+            m = len(range(n)[sr.interior(n)])
+            g = gaussian_1d(grid)
+            peak = traced_peak(lambda: on_threads(
+                lambda: sr.coordinate_commutator_residual_2d(grid, a, g, g)))
+            assert peak <= 2 * 256 * 8 * m < 5 * 8 * n * n
 
 
 class TestLinearity:
