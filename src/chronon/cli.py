@@ -1,12 +1,12 @@
 """Command-line entry point: dispatch experiments, write reports and tables.
 
-Runners compute and judge every gate in Compton units (hbar = c = m = 1), and convert to
-the user's units only the observables they write, as they write them.  ``main`` reads the
-command line (``config.parse_argv``, no argparse) and the config file, runs the steps
+Runners compute every gate in Compton units (hbar = c = m = 1), judged by ``_gate`` on its one
+``GATES`` row, and convert to the user's units only the observables they write.  ``main`` reads
+the command line (``config.parse_argv``, no argparse) and the config file, runs the steps
 ``config.CHAINS`` names for the command, each through its ``RUNNERS`` entry, and makes the
-output dir and writes every file in one guarded block, which maps each input or system
-failure to its exit status and one stderr line; any other exception is a defect: a traceback.
-``run``, the process entry point, exits with ``main``'s status, or 4 after that traceback.
+output dir and writes every file in one guarded block, which maps each input or system failure
+to its exit status and one stderr line; any other exception is a defect: a traceback.  ``run``,
+the process entry point, exits with ``main``'s status, or 4 after that traceback.
 
 Exit statuses: 0 all checks pass, 1 check failure, 2 usage or config error (``UsageError``,
 ``ConfigError``, a float out of range, out of memory), 3 I/O error, 4 a defect in chronon.
@@ -28,50 +28,54 @@ from chronon.config import (CHAINS, FREQUENCY, LENGTH, MOMENTUM, PACKET_STEPS, T
                             resolve, usage)
 from chronon.reporting import Report, fmt_column, fmt_number, render_line_plot, write_csv
 
-# Every gate of the battery: report line name, less any " (n=...)" suffix ->
-# (comparator, tolerance), a Compton-unit number: gates are judged in Compton units.
-# "<=" and ">=" compare the measured value with the tolerance itself; "abs" bounds
-# |measured - expected| by the tolerance, and "rel" by the tolerance times |expected|.
+# ``gate_row`` of each PASS/FAIL line -> (comparator, Compton-unit tolerance): "<=", ">=" and ">"
+# test measured against it, "abs" bounds |measured - expected| by it, "rel" by it times |expected|.
 GATES = {
     "clifford residual": ("<=", 1e-12),
     "Compton deformation factor": ("rel", 1e-15),
     "deformation factor (a=0)": ("abs", 0.0),
     "normalization kappa": ("abs", 1e-8),
+    "spin spectrum": ("<=", 1e-12),  # the largest |eigenvalue -+ 1/2|, inf if any is complex
     "lorentz closure residual": ("<=", 1e-10),
     "normalization search residual": ("<=", 1e-10),
     "rotation covariance max total residual": ("<=", 1e-12),
+    "orbital action nonzero off-axis": (">", 1e-3),  # least ||L_i H|| at p_transverse > 1e-3
     "heisenberg-1d residual": ("<=", 1e-7),
     "coordinate-xy-2d residual": ("<=", 1e-6),
     "mixed-2d residual": ("<=", 1e-6),
     "canonical-limit-heisenberg-1d residual": ("<=", 1e-8),
     "canonical-limit-coordinate-xy-2d residual": ("<=", 1e-8),
     "canonical-limit-mixed-2d residual": ("<=", 1e-8),
+    "refinement monotonicity": (">=", 4.0),  # least fall per doubling of rungs above the floor
     "mixed packet oscillation frequency": ("rel", 0.01),
+    "mixed packet oscillation amplitude": ("<=", 1 + 1e-9),  # amplitude/KAPPA, with roundoff
     "positive-projected component at ZB frequency": ("<=", 1e-8),
     "mixed/positive amplitude dichotomy": (">=", 1e6),
     "full-period window suppression": (">=", 100.0),
     "Compton window attenuation": ("rel", 0.05),
 }
-# The numbers that judge the PASS/FAIL lines outside GATES (spin spectrum, orbital action,
-# ZB amplitude bound, refinement monotonicity), then the Snyder grid cut and kappa.
-SPIN_TOL = 1e-12  # per eigenvalue, in the spin-1/2 spectrum test
-ORBITAL_FLOOR = 1e-3  # nonzero floor of ||L_i H|| and of p_transverse, in Compton units
-AMPLITUDE_SLACK = 1e-9  # relative roundoff allowance on the hbar/(2mc) amplitude bound
 RESIDUAL_FLOOR = 1e-12  # refinement roundoff floor, before scaling by the deformed coefficient
 MIN_RESOLVED_N = 64  # coarser Snyder grids are reported, not judged
 KAPPA = 0.5  # the coordinate scale in x_i = KAPPA alpha_i, in Compton wavelengths
 
 
-def _gate(report: Report, name: str, measured, expected=None, unit=1.0) -> None:
-    """Add line ``name``, with its expected text and verdict from its GATES row, judged on
-    ``measured`` and ``expected`` as given; an "abs" or "rel" line shows both times ``unit``."""
-    op, tol = GATES[name.partition(" (n=")[0]]
-    if op in ("<=", ">="):
-        ok = measured <= tol if op == "<=" else measured >= tol
-        report.add(name, measured, f"{op} {tol:g}", ok)
-    else:
+def gate_row(name: str) -> str:
+    """Line ``name`` less any " (n=...)", and less its check if that names no GATES row."""
+    row = name.partition(" (n=")[0]
+    return row if row in GATES else row.partition(" ")[2]
+
+
+def _gate(report: Report, name: str, measured, expected=None, unit=1.0, texts=None) -> None:
+    """Add line ``name`` as its GATES row judges ``measured`` (against ``expected`` on an "abs"
+    or "rel" row, both shown times ``unit``); ``texts`` = (shown if PASS, if FAIL, expected)."""
+    op, tol = GATES[gate_row(name)]
+    if op in ("abs", "rel"):
         ok = abs(measured - expected) <= tol * (abs(expected) if op == "rel" else 1)
-        report.add(name, measured * unit, expected * unit, ok)
+        texts = texts or (measured * unit, measured * unit, expected * unit)
+    else:
+        ok = measured <= tol if op == "<=" else measured >= tol if op == ">=" else measured > tol
+        texts = texts or (measured, measured, f"{op} {tol:g}")
+    report.add(name, texts[0] if ok else texts[1], texts[2], ok)
 
 
 def _write_artifacts(cfg: RunConfig, stem: str, header, columns, plot=None) -> list[str]:
@@ -104,23 +108,23 @@ def run_verify_algebra(cfg: RunConfig, series, report: Report) -> list[str]:
         L, M = ga.generators(kappa, kappa_t)
         closure = ga.verify_lorentz_algebra(L, M)
         spectra = ga.spin_spectrum(L)
-        half = cfg.hbar / 2
-        spin_half = ga.is_spin_half(spectra, SPIN_TOL)
-        report.add("spin spectrum", "{-hbar/2 x2, +hbar/2 x2}" if spin_half else
-                   "; ".join(" ".join(map(fmt_number, s * cfg.hbar)) for s in spectra),
-                   f"{{-{half:g} x2, +{half:g} x2}}", spin_half)
+        _gate(report, "spin spectrum", ga.spin_half_gap(spectra), texts=(
+            "{-hbar/2 x2, +hbar/2 x2}", "; ".join(" ".join(map(fmt_number, s * cfg.hbar))
+                                                  for s in spectra),
+            f"{{-{cfg.hbar / 2:g} x2, +{cfg.hbar / 2:g} x2}}"))
         _gate(report, "lorentz closure residual", closure)
         _gate(report, "normalization search residual", max(resid, closure))
 
     uniform = random.Random(cfg.seed).uniform
     momenta = np.reshape([uniform(-1.0, 1.0) for _ in range(300)], (100, 3))  # units of m c
     orbital, total = ga.rotation_covariance_check(momenta)
+    floor = GATES["orbital action nonzero off-axis"][1]  # on p_transverse, as on ||L_i H||
     transverse = np.hypot(momenta[:, [1, 0, 0]], momenta[:, [2, 2, 1]]).ravel().tolist()
-    orbital_ok = all(not (t > ORBITAL_FLOOR and res <= ORBITAL_FLOOR)
-                     for t, res in zip(transverse, orbital))
     _gate(report, "rotation covariance max total residual", max(0.0, *total))  # in hbar c mc
-    report.add("orbital action nonzero off-axis", f"all {len(orbital)} cases" if orbital_ok else
-               "violated", "> 1e-3 whenever transverse momentum > 1e-3", orbital_ok)
+    _gate(report, "orbital action nonzero off-axis",
+          min((r for t, r in zip(transverse, orbital) if t > floor), default=np.inf),
+          texts=(f"all {len(orbital)} cases", "violated",
+                 "> 1e-3 whenever transverse momentum > 1e-3"))
     report.add("orbital rotation sign convention",
                "L_i H = +i*hbar*c*(p_j alpha_k - p_k alpha_j), (i,j,k) cyclic",
                "fixed by exact covariance", None)
@@ -148,9 +152,7 @@ def run_snyder(cfg: RunConfig, series, report: Report) -> list[str]:
     ns_1d, ns_2d = (sorted({max(8, n // 4), max(8, n // 2), n})
                     for n in (cfg.grid_n, cfg.grid_n_2d))
     rows = snyder_rows(cfg, ns_1d, ns_2d)
-    by_check: dict[str, list[tuple[int, float]]] = {}
-    for check, n, resid in rows:
-        by_check.setdefault(check, []).append((n, resid))
+    by_check = {check: [(n, r) for c, n, r in rows if c == check] for check, _, _ in rows}
     for check, pairs in by_check.items():  # the rungs ascend, so the finest comes last
         finest_n, finest_r = pairs[-1]
         if finest_n < MIN_RESOLVED_N:
@@ -158,15 +160,14 @@ def run_snyder(cfg: RunConfig, series, report: Report) -> list[str]:
                        f"below minimum resolution n={MIN_RESOLVED_N}", None)
         else:
             _gate(report, f"{check} residual (n={finest_n})", finest_r)
-            # The roundoff floor scales with the deformed coefficient (a' p_max')^2.
+            # A fall is judged where both rungs clear the floor, which scales with (a' p_max')^2.
             p_max = cfg.p_max if "1d" in check else cfg.p_max_2d
             floor = RESIDUAL_FLOOR * sr.deformation(cfg.a_prime, cfg.to_compton(p_max, MOMENTUM))
-            resids = [r for _, r in pairs]
-            mono = all(nxt <= prev / 4 or min(prev, nxt) <= floor
-                       for prev, nxt in zip(resids, resids[1:]))
-            report.add(f"{check} refinement monotonicity",
-                       "falls >= 4x per doubling (or at floor)" if mono else "violated",
-                       f">= 4x per doubling until {RESIDUAL_FLOOR:g} floor", mono)
+            falls = [r0 / r1 for (_, r0), (_, r1) in zip(pairs, pairs[1:]) if min(r0, r1) > floor]
+            rule = f">= {GATES['refinement monotonicity'][1]:g}x per doubling"
+            _gate(report, f"{check} refinement monotonicity", min(falls, default=np.inf),
+                  texts=(f"falls {rule} (or at floor)", "violated",
+                         f"{rule} until {RESIDUAL_FLOOR:g} floor"))
     checks, ns, resids = zip(*rows)
     return _write_artifacts(cfg, "snyder_residuals", ["check", "n", "a", "residual"],
                             [checks, ns, [cfg.to_user(cfg.a_prime, LENGTH)] * len(rows), resids])
@@ -197,14 +198,13 @@ def run_zitterbewegung(cfg: RunConfig, series, report: Report) -> list[str]:
           cfg.to_user(1.0, FREQUENCY))
     # The bound is |KAPPA|: at rest the ZB operator is (i/2) alpha_z beta = i x_z beta.
     length = cfg.to_user(1.0, LENGTH)
-    report.add("mixed packet oscillation amplitude", amplitude * length,
-               f"<= hbar/(2mc) = {KAPPA * length:g}", amplitude <= KAPPA * (1 + AMPLITUDE_SLACK))
+    _gate(report, "mixed packet oscillation amplitude", amplitude / KAPPA,
+          texts=(amplitude * length, amplitude * length, f"<= hbar/(2mc) = {KAPPA * length:g}"))
     pos_amp = dd.amplitude_at(positive, dd.OMEGA_ZB)
     _gate(report, "positive-projected component at ZB frequency", pos_amp)
     pos_omega, _ = dd.measure_oscillation(positive)
     report.add("positive-projected spectrum", f"peak at omega={cfg.to_user(pos_omega, FREQUENCY):g}"
-               if pos_omega else "no oscillation detected",
-               "no oscillation detected", None)
+               if pos_omega else "no oscillation detected", "no oscillation detected", None)
     _gate(report, "mixed/positive amplitude dichotomy", amplitude / max(pos_amp, 1e-300))
     mixed, positive = _in_user_units(cfg, mixed, positive)
     return _write_artifacts(cfg, "zitterbewegung", ["t", "x_mixed", "x_positive"],

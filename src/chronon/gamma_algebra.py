@@ -8,8 +8,8 @@ boost generators from the brackets of the coordinates x_i = kappa*alpha_i and
 t = kappa_t*beta, in units of the fundamental length a (a^2 cancels from every
 bracket the generators and normalizations are read from).
 ``solve_normalization`` recovers kappa and kappa_t by least squares,
-``spin_spectrum`` and ``is_spin_half`` show the angular part carries spin
-one-half, and ``verify_lorentz_algebra`` checks closure.
+``spin_spectrum`` and ``spin_half_gap`` measure how far the angular part is from
+spin one-half, and ``verify_lorentz_algebra`` checks closure.
 ``rotation_covariance_check`` tests ``free_hamiltonian`` for all (momentum,
 axis) cases in one pass over stacked 4x4 arrays, each case through the
 operations of a lone 4x4 in the same order, and takes all their norms in one
@@ -109,11 +109,11 @@ def spin_spectrum(L) -> list[np.ndarray]:
             for l in L]
 
 
-def is_spin_half(spectra, tol: float) -> bool:
-    """True iff every L_i has the real spectrum {-1/2 (x2), +1/2 (x2)}: a complex spectrum, of
-    a non-Hermitian L_i, is not spin one-half even at eigenvalues +-1/2."""
+def spin_half_gap(spectra) -> float:
+    """The largest |eigenvalue - target| of the L_i against {-1/2 (x2), +1/2 (x2)}, or inf if a
+    spectrum is complex: that of a non-Hermitian L_i is not spin one-half even at +-1/2."""
     target = np.array([-0.5, -0.5, 0.5, 0.5])
-    return all(np.isrealobj(vals) and np.max(np.abs(vals - target)) <= tol for vals in spectra)
+    return np.max([np.max(np.abs(v - target)) if np.isrealobj(v) else np.inf for v in spectra])
 
 
 def _least_squares(brackets, targets) -> complex:

@@ -13,7 +13,7 @@ import pytest
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.cli import main
+from chronon.cli import GATES, main
 
 # The layers compute in Compton units, hbar = c = m = 1, where a is the Compton
 # wavelength at a' = 1, the ZB frequency 2 m c^2/hbar is 2, its amplitude bound
@@ -70,7 +70,8 @@ def test_01_clifford_algebra(announce):
 def test_02_normalization_and_spin(generators, announce):
     kappa, _, (L, _) = generators
     spectra = ga.spin_spectrum(L)
-    ok = abs(kappa - 0.5) <= 1e-8 and ga.is_spin_half(spectra, 1e-12)
+    ok = (abs(kappa - 0.5) <= GATES["normalization kappa"][1]
+          and ga.spin_half_gap(spectra) <= GATES["spin spectrum"][1])
     announce(2, "kappa = 1/2 and spin-1/2 spectrum", ok,
              f"kappa {kappa:.10f}")
 

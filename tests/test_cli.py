@@ -736,11 +736,14 @@ class TestVerifyAlgebraCommand:
             f"measured {coefficient}, expected {coefficient}: INFO")
 
     def test_orbital_floor_quoted_as_itself(self, tmp_path):
-        # The expected text quotes ORBITAL_FLOOR twice, as a literal: the two must agree.
+        # The expected text quotes the row's comparator once and its tolerance twice, as
+        # literals ("{:g}" would print 0.001): they must agree with the row.
+        op, tol = cli.GATES["orbital action nonzero off-axis"]
         assert run(["verify-algebra", "--output-dir", tmp_path]) == 0
         line = report_lines(tmp_path)["orbital action nonzero off-axis"]
         expected = line.partition(", expected ")[2].rpartition(": ")[0]
-        assert [float(x) for x in re.findall(r"\d[\d.e-]*", expected)] == [cli.ORBITAL_FLOOR] * 2
+        assert expected.startswith(f"{op} ")
+        assert [float(x) for x in re.findall(r"\d[\d.e-]*", expected)] == [tol] * 2
 
     def test_orbital_action_judged_in_units_of_mc(self, tmp_path):
         # ||L_i H|| = 2 hbar c p_transverse is about 1e-150 here: nonzero in units of hbar c mc.
@@ -911,8 +914,8 @@ class TestZitterbewegungCommand:
         assert run(["zitterbewegung", "--sigma-p", "1e-30", "--p-max", "1e-28",
                     "--no-emit-plots", "--output-dir", tmp_path] + seed) == 0
         lines = report_lines(tmp_path)
-        gated = [line for name, line in lines.items() if name in cli.GATES]
-        assert len(gated) == 3 and all(line.endswith(": PASS") for line in gated)
+        gated = [line for name, line in lines.items() if cli.gate_row(name) in cli.GATES]
+        assert len(gated) == 4 and all(line.endswith(": PASS") for line in gated)
         assert measured(lines["mixed packet oscillation frequency"]) == \
             pytest.approx(2.0, rel=0.01)
         assert capsys.readouterr().err == ""
@@ -1268,6 +1271,36 @@ class TestGates:
         shown = f"{op} {tol:g}" if expected is None else fmt_number(expected)
         assert {line.partition(", expected ")[2].rpartition(": ")[0]
                 for line in report.lines} == {shown}
+
+    def test_strict_bound_fails_at_the_tolerance(self, monkeypatch):
+        # ">" is exclusive: FAIL at the tolerance itself, PASS one ulp past it.
+        monkeypatch.setitem(cli.GATES, "probe", (">", 1e-3))
+        report = Report("t")
+        cli._gate(report, "probe", 1e-3)
+        cli._gate(report, "probe (n=64)", np.nextafter(1e-3, np.inf))
+        assert report.lines == ["probe: measured 0.001, expected > 0.001: FAIL",
+                                "probe (n=64): measured 0.001, expected > 0.001: PASS"]
+
+    def test_texts_replace_both_shown_values(self, monkeypatch):
+        # texts = (shown if PASS, shown if FAIL, expected text); the row alone judges.
+        monkeypatch.setitem(cli.GATES, "probe", ("<=", 1.0))
+        report = Report("t")
+        for value in (1.0, np.nextafter(1.0, np.inf)):
+            cli._gate(report, "probe", value, texts=("fine", "broken", "at most one"))
+        assert report.lines == ["probe: measured fine, expected at most one: PASS",
+                                "probe: measured broken, expected at most one: FAIL"]
+        assert not report.passed
+
+    @pytest.mark.parametrize("name, row", [
+        ("clifford residual", "clifford residual"),
+        ("mixed-2d residual (n=256)", "mixed-2d residual"),
+        ("canonical-limit-heisenberg-1d residual (n=1024)",
+         "canonical-limit-heisenberg-1d residual"),
+        ("canonical-limit-mixed-2d refinement monotonicity", "refinement monotonicity"),
+        ("heisenberg-1d refinement monotonicity", "refinement monotonicity"),
+    ])
+    def test_gate_row_drops_the_rung_and_the_check(self, name, row):
+        assert cli.gate_row(name) == row and row in cli.GATES
 
 
 # hbar, c and mass each take these values in the unit sweeps.

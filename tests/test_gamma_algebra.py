@@ -228,7 +228,14 @@ class TestGenerators:
 
     def test_spin_spectrum_canonical(self):
         spectra = ga.spin_spectrum(ga.generators(*CANONICAL)[0])
-        assert ga.is_spin_half(spectra, cli.SPIN_TOL)
+        assert ga.spin_half_gap(spectra) <= cli.GATES["spin spectrum"][1]
+
+    def test_spin_half_gap_is_the_largest_eigenvalue_error(self):
+        # L x 1.01 has eigenvalues +-0.505: each is 0.005 from its target +-1/2.
+        L, _ = ga.generators(*CANONICAL)
+        gap = ga.spin_half_gap(ga.spin_spectrum((L[0], 1.01 * L[1], L[2])))
+        assert gap == pytest.approx(0.005, rel=1e-12)
+        assert gap > cli.GATES["spin spectrum"][1]
 
     def test_spin_spectrum_scales_quadratically(self):
         spectra = ga.spin_spectrum(ga.generators(1.0, 0.5j)[0])
@@ -245,8 +252,8 @@ class TestGenerators:
         jordan = L[2] + np.outer(np.eye(4)[0], np.eye(4)[2])
         np.testing.assert_array_equal(np.diag(jordan).real, [0.5, -0.5, 0.5, -0.5])
         for spectra in (shifted, ga.spin_spectrum((L[0], L[1], jordan))):
-            assert not ga.is_spin_half(spectra, cli.SPIN_TOL)
-        assert ga.is_spin_half(ga.spin_spectrum(L), cli.SPIN_TOL)
+            assert ga.spin_half_gap(spectra) == np.inf
+        assert ga.spin_half_gap(ga.spin_spectrum(L)) <= cli.GATES["spin spectrum"][1]
 
     def test_rescaling_preserves_multiplicity_pattern(self):
         for s in (0.5, 2.0, 3.7):

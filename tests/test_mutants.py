@@ -1,10 +1,11 @@
 """Every gate can FAIL: a named physics mutant, run through ``main``, FAILs its lines.
 
 Each row of ``MUTANTS`` names a defect of the physics, applies it with ``monkeypatch``
-and runs one command line end to end; every ``cli.GATES`` line the row names must then
-read FAIL, and the run must end in its report (exit 1), not in a config error.  The
-gates no mutant reaches yet are listed in ``NO_MUTANT_YET``, so that a new gate either
-brings its mutant or is listed there on purpose.
+and runs one command line end to end; every report line the row names must then read
+FAIL, and the run must end in its report (exit 1), not in a config error.  A line is
+judged by the ``cli.GATES`` row that ``cli.gate_row`` maps its name to, the rule ``_gate``
+itself uses.  The rows no mutant reaches yet are listed in ``NO_MUTANT_YET``, so that a new
+gate either brings its mutant or is listed there on purpose.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from chronon import dirac_dynamics as dd
 from chronon import gamma_algebra as ga
 from chronon import snyder_rep as sr
-from chronon.cli import GATES, main
+from chronon.cli import GATES, gate_row, main
 
 
 def scaled_gamma_1(monkeypatch):
@@ -24,6 +25,26 @@ def scaled_gamma_1(monkeypatch):
 def scaled_alpha(monkeypatch):
     """alpha_i x 1.01: [x, y] = i S_z needs kappa = 0.5/1.01."""
     monkeypatch.setattr(ga, "ALPHA", tuple(1.01 * a for a in ga.ALPHA))
+
+
+def scaled_rotation_generators(monkeypatch):
+    """L_i x 1.01: the rotation generators read from [x_j, x_k] have eigenvalues +-0.505,
+    and they no longer close with the boosts."""
+    generators = ga.generators
+
+    def scaled(kappa, kappa_t):
+        L, M = generators(kappa, kappa_t)
+        return tuple(1.01 * l for l in L), M
+
+    monkeypatch.setattr(ga, "generators", scaled)
+
+
+def slipped_momentum_units(monkeypatch):
+    """The covariance check sees each momentum 1e4 times too small, a slip of units
+    between the sampled momenta and H(p): ||L_i H|| = 2 p_transverse falls below 1e-3
+    where p_transverse itself does not, while covariance holds at any momentum."""
+    check = ga.rotation_covariance_check
+    monkeypatch.setattr(ga, "rotation_covariance_check", lambda momenta: check(1e-4 * momenta))
 
 
 def flipped_spin(monkeypatch):
@@ -70,6 +91,18 @@ def widened_window(monkeypatch):
     monkeypatch.setattr(dd, "sliding_average", lambda s, window: average(s, 1.3 * window))
 
 
+def stretched_position(monkeypatch):
+    """<x>(t) x 1.2, as if x_i = 0.6 alpha_i: the ZB swings past hbar/(2mc) at the right
+    frequency, and the wrap-around check inside ``position_series`` sees the true series."""
+    series = dd.position_series
+
+    def stretched(field, t_max, n_samples):
+        s = series(field, t_max, n_samples)
+        return dd.TimeSeries(times=s.times, values=1.2 * s.values)
+
+    monkeypatch.setattr(dd, "position_series", stretched)
+
+
 def heavier_mass(monkeypatch):
     """Mass 1.02 in both H = alpha_z p + m beta and E = sqrt(p^2 + m^2): the packet rings
     at 2.04, consistently, so no wrap-around check can catch it."""
@@ -79,10 +112,14 @@ def heavier_mass(monkeypatch):
         p[:, None] * (amps @ ga.ALPHA[2]) + 1.02 * (amps @ ga.BETA)))
 
 
-# (mutant, argv, the GATES lines it FAILs)
+# (mutant, argv, the report lines it FAILs, each less any " (n=...)")
 MUTANTS = [
     (scaled_gamma_1, ["verify-algebra"], ["clifford residual"]),
     (scaled_alpha, ["verify-algebra"], ["normalization kappa"]),
+    (scaled_rotation_generators, ["verify-algebra"], ["spin spectrum",
+                                                      "lorentz closure residual",
+                                                      "normalization search residual"]),
+    (slipped_momentum_units, ["verify-algebra"], ["orbital action nonzero off-axis"]),
     (flipped_spin, ["verify-algebra"], ["lorentz closure residual",
                                         "normalization search residual",
                                         "rotation covariance max total residual"]),
@@ -92,16 +129,22 @@ MUTANTS = [
     (shifted_deformation, ["verify-algebra", "--a", "0"], ["deformation factor (a=0)",
                                                            "Compton deformation factor"]),
     (scaled_derivative, ["snyder"], ["heisenberg-1d residual", "coordinate-xy-2d residual",
-                                     "mixed-2d residual"]),
-    (scaled_derivative, ["snyder", "--a", "0"], ["canonical-limit-heisenberg-1d residual"]),
+                                     "mixed-2d residual",
+                                     "heisenberg-1d refinement monotonicity",
+                                     "coordinate-xy-2d refinement monotonicity",
+                                     "mixed-2d refinement monotonicity"]),
+    (scaled_derivative, ["snyder", "--a", "0"], [
+        "canonical-limit-heisenberg-1d residual",
+        "canonical-limit-heisenberg-1d refinement monotonicity"]),
     (leaky_projection, ["zitterbewegung"], ["positive-projected component at ZB frequency",
                                             "mixed/positive amplitude dichotomy"]),
     (widened_window, ["averaging"], ["full-period window suppression",
                                      "Compton window attenuation"]),
+    (stretched_position, ["zitterbewegung"], ["mixed packet oscillation amplitude"]),
     (heavier_mass, ["zitterbewegung"], ["mixed packet oscillation frequency"]),
 ]
 
-# Gates that no mutant FAILs yet.  The canonical-limit 2-D lines run at a = 0,
+# GATES rows that no mutant FAILs yet.  The canonical-limit 2-D lines run at a = 0,
 # where x and y are i d/dp_x and i d/dp_y: they commute with each other and with p_y
 # whatever is wrong with the derivative, so both brackets vanish for any such defect.
 NO_MUTANT_YET = {
@@ -109,34 +152,27 @@ NO_MUTANT_YET = {
     "canonical-limit-mixed-2d residual",
 }
 
-# The PASS/FAIL lines that ``cli`` judges inline, not through a GATES row, so the census
-# above cannot see them; "refinement monotonicity" stands for the line that follows each
-# judged Snyder residual.
-JUDGED_INLINE = {"spin spectrum", "orbital action nonzero off-axis",
-                 "mixed packet oscillation amplitude", "refinement monotonicity"}
-
-
 def statuses(argv, out_dir):
-    """(exit status, gate name -> status) of one run; a name loses its " (n=...)"."""
+    """(exit status, line name -> status) of one run; a name loses its " (n=...)"."""
     code = main(argv + ["--no-emit-plots", "--output-dir", str(out_dir)])
     lines = (out_dir / "report.txt").read_text().splitlines()
     return code, {line.split(": measured ")[0].partition(" (n=")[0]: line.rpartition(": ")[2]
                   for line in lines if ": measured " in line}
 
 
-@pytest.mark.parametrize("mutant, argv, gates", MUTANTS,
+@pytest.mark.parametrize("mutant, argv, lines", MUTANTS,
                          ids=[" ".join([m.__name__, *argv[1:]]) for m, argv, _ in MUTANTS])
-def test_mutant_fails_its_gates(mutant, argv, gates, monkeypatch, tmp_path, capsys):
+def test_mutant_fails_its_gates(mutant, argv, lines, monkeypatch, tmp_path, capsys):
     mutant(monkeypatch)
     code, status = statuses(argv, tmp_path)
     assert capsys.readouterr().err == ""
     assert code == 1
-    assert {gate: status[gate] for gate in gates} == dict.fromkeys(gates, "FAIL")
+    assert {line: status[line] for line in lines} == dict.fromkeys(lines, "FAIL")
 
 
 @pytest.fixture(scope="module")
 def control(tmp_path_factory):
-    """(exit status, gate name -> status) of each unmutated control run: the battery and
+    """(exit status, line name -> status) of each unmutated control run: the battery and
     the a = 0 runs."""
     return [statuses(argv, tmp_path_factory.mktemp("-".join(argv)))
             for argv in (["all"], ["snyder", "--a", "0"], ["verify-algebra", "--a", "0"])]
@@ -149,25 +185,26 @@ def test_gates_pass_without_a_mutant(control):
     for code, run_status in control:
         assert code == 0
         passed |= {gate for gate, verdict in run_status.items() if verdict == "PASS"}
-    assert {gate for _, _, names in MUTANTS for gate in names} - passed == set()
+    assert {line for _, _, lines in MUTANTS for line in lines} - passed == set()
 
 
-def test_every_judged_line_is_a_gate_or_judged_inline(control):
-    # Each PASS/FAIL line of the control runs is a GATES row or a JUDGED_INLINE family, so
-    # a new inline verdict cannot hide from the census.
-    families = set()
+def test_every_judged_line_maps_to_a_gate_row(control):
+    # Each PASS/FAIL line of the control runs maps to a GATES row by the rule _gate uses,
+    # and every row is reached, so no verdict can hide from the census.  A line that loses
+    # its check to reach its row names a Snyder check that has a residual row.
+    rows = set()
     for _, run_status in control:
         for name, verdict in run_status.items():
-            check, mono, _ = name.partition(" refinement monotonicity")
-            if mono:
-                assert f"{check} residual" in GATES
-                name = mono.lstrip()
             if verdict in ("PASS", "FAIL"):
-                families.add(name)
-    assert families == set(GATES) | JUDGED_INLINE
+                row = gate_row(name)
+                assert row in GATES, name
+                if row != name:
+                    assert f"{name.removesuffix(' ' + row)} residual" in GATES, name
+                rows.add(row)
+    assert rows == set(GATES)
 
 
 def test_every_gate_has_a_mutant_or_is_listed():
-    covered = {gate for _, _, names in MUTANTS for gate in names}
+    covered = {gate_row(line) for _, _, lines in MUTANTS for line in lines}
     assert covered.isdisjoint(NO_MUTANT_YET)
     assert covered | NO_MUTANT_YET == set(GATES)
